@@ -4,11 +4,41 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every gate's trace files, corpora and fleet roots live here.
+TMP="$(mktemp -d -t pkvmci.XXXXXX)"
+trap 'rm -rf "$TMP"' EXIT
+
+# same_verdict <prefix> <first> <second>: runs two example command lines
+# (each one string: the example's name, then its arguments) as separate
+# processes and fails unless the lines starting with <prefix> that they
+# print are byte-identical.
+same_verdict() {
+    local prefix="$1" first second
+    local -a a b
+    read -ra a <<< "$2"
+    read -ra b <<< "$3"
+    first="$(cargo run --release --example "${a[0]}" -- "${a[@]:1}" | grep "^$prefix")"
+    second="$(cargo run --release --example "${b[0]}" -- "${b[@]:1}" | grep "^$prefix")"
+    echo "  $2"
+    echo "    $first"
+    echo "  $3"
+    echo "    $second"
+    if [ "$first" != "$second" ]; then
+        echo "'$prefix' line differs between the two processes" >&2
+        exit 1
+    fi
+}
+
 echo "== build (release) =="
 cargo build --release --workspace --all-targets
 
 echo "== tests =="
 cargo test --workspace -q
+
+echo "== benchmark tests (perf/, its own workspace) =="
+# The benchmark builds against the crates' public API; an API change that
+# breaks it fails here rather than at the next benchmark run.
+cargo test -q --manifest-path perf/Cargo.toml
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -36,34 +66,18 @@ echo "== trace-file record/replay (fresh-process determinism) =="
 # from disk in a *separate* process, and asserts the canonical verdict
 # lines (violation counts, kinds, event sequence ids, panic, steps) are
 # byte-identical. Fails if persistence or cross-process replay drifts.
-TRACE_TMP="$(mktemp -t pkvmtrace.XXXXXX)"
-trap 'rm -f "$TRACE_TMP"' EXIT
-RECORDED_VERDICT="$(cargo run --release --example chaos -- record "$TRACE_TMP" 0xc2 400 | grep '^verdict:')"
-REPLAYED_VERDICT="$(cargo run --release --example chaos -- replay "$TRACE_TMP" | grep '^verdict:')"
-echo "  recorded: $RECORDED_VERDICT"
-echo "  replayed: $REPLAYED_VERDICT"
-if [ "$RECORDED_VERDICT" != "$REPLAYED_VERDICT" ]; then
-    echo "trace-file replay verdict differs from the recording process" >&2
-    exit 1
-fi
-cargo run --release --example trace_inspect -- "$TRACE_TMP" summary > /dev/null
-cargo run --release --example trace_inspect -- "$TRACE_TMP" stats > /dev/null
+TRACE="$TMP/chaos.pkvmtrace"
+same_verdict verdict: "chaos record $TRACE 0xc2 400" "chaos replay $TRACE"
+cargo run --release --example trace_inspect -- "$TRACE" summary > /dev/null
+cargo run --release --example trace_inspect -- "$TRACE" stats > /dev/null
 
 echo "== compaction gate (observation-only drop preserves the verdict) =="
 # Rewrites the recorded trace without its observation-only families and
 # replays the compacted file: the canonical verdict line must be
-# byte-identical to the original recording's.
-COMPACT_TMP="$(mktemp -t pkvmcompact.XXXXXX)"
-trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP"' EXIT
-cargo run --release --example trace_inspect -- "$TRACE_TMP" compact "$COMPACT_TMP" \
+# byte-identical to the original trace's.
+cargo run --release --example trace_inspect -- "$TRACE" compact "$TMP/compact.pkvmtrace" \
     read-once lock-acquired lock-releasing trap-enter trap-exit chaos check
-COMPACT_VERDICT="$(cargo run --release --example chaos -- replay "$COMPACT_TMP" | grep '^verdict:')"
-echo "  original:  $RECORDED_VERDICT"
-echo "  compacted: $COMPACT_VERDICT"
-if [ "$RECORDED_VERDICT" != "$COMPACT_VERDICT" ]; then
-    echo "compacted trace replays to a different verdict" >&2
-    exit 1
-fi
+same_verdict verdict: "chaos replay $TRACE" "chaos replay $TMP/compact.pkvmtrace"
 
 echo "== differential gate (fault-catalog replay matrix, fresh-process determinism) =="
 # Records one clean fixed-seed schedule, replays it against the clean
@@ -72,17 +86,9 @@ echo "== differential gate (fault-catalog replay matrix, fresh-process determini
 # and init-shape bugs are structurally out of a single-threaded
 # schedule's reach), and a bit-identical canonical matrix line when the
 # matrix is recomputed in a *second* process.
-DIFF_TMP="$(mktemp -t pkvmdiff.XXXXXX)"
-trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP"' EXIT
-cargo run --release --example differential -- record "$DIFF_TMP" 0x42 2500
-DIFF_GATE="$(cargo run --release --example differential -- gate "$DIFF_TMP" 14 | grep '^diff-matrix:')"
-DIFF_AGAIN="$(cargo run --release --example differential -- matrix "$DIFF_TMP" | grep '^diff-matrix:')"
-echo "  gate:     $DIFF_GATE"
-echo "  recheck:  $DIFF_AGAIN"
-if [ "$DIFF_GATE" != "$DIFF_AGAIN" ]; then
-    echo "differential matrix line differs across processes" >&2
-    exit 1
-fi
+cargo run --release --example differential -- record "$TMP/diff.pkvmtrace" 0x42 2500
+same_verdict diff-matrix: "differential gate $TMP/diff.pkvmtrace 14" \
+    "differential matrix $TMP/diff.pkvmtrace"
 
 echo "== fuzz gate (fixed seed, coverage vs random + corpus round-trip) =="
 # A short fixed-seed coverage-guided fuzzing session. Fails unless (a) the
@@ -90,16 +96,7 @@ echo "== fuzz gate (fixed seed, coverage vs random + corpus round-trip) =="
 # equal driver-step budget, (b) zero panics escaped the oracle's
 # containment, and (c) the persisted corpus reloads and replays with
 # bit-identical verdicts in a *second process*.
-FUZZ_CORPUS="$(mktemp -d -t pkvmcorpus.XXXXXX)"
-trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP"; rm -rf "$FUZZ_CORPUS"' EXIT
-GATE_VERDICT="$(cargo run --release --example fuzz -- gate "$FUZZ_CORPUS" 0xc5 4000 | grep '^corpus-verdict:')"
-VERIFY_VERDICT="$(cargo run --release --example fuzz -- verify "$FUZZ_CORPUS" | grep '^corpus-verdict:')"
-echo "  gate:     $GATE_VERDICT"
-echo "  verified: $VERIFY_VERDICT"
-if [ "$GATE_VERDICT" != "$VERIFY_VERDICT" ]; then
-    echo "fuzz corpus replay verdict differs across processes" >&2
-    exit 1
-fi
+same_verdict corpus-verdict: "fuzz gate $TMP/corpus 0xc5 4000" "fuzz verify $TMP/corpus"
 
 echo "== fleet gate (2 workers, forced kill + torn file, merged-corpus round-trip) =="
 # A short fixed-seed 2-worker fuzzing fleet with one forced worker kill
@@ -107,16 +104,7 @@ echo "== fleet gate (2 workers, forced kill + torn file, merged-corpus round-tri
 # lost, the killed worker was respawned, the torn file was skip-counted,
 # the coordinator shut down cleanly, and the merged corpus replays with a
 # bit-identical verdict in a *second process*.
-FLEET_ROOT="$(mktemp -d -t pkvmfleet.XXXXXX)"
-trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP"; rm -rf "$FUZZ_CORPUS" "$FLEET_ROOT"' EXIT
-FLEET_VERDICT="$(cargo run --release --example fleet -- gate "$FLEET_ROOT" 0xc6 | grep '^fleet-verdict:')"
-FLEET_VERIFY="$(cargo run --release --example fleet -- verify "$FLEET_ROOT" | grep '^fleet-verdict:')"
-echo "  gate:     $FLEET_VERDICT"
-echo "  verified: $FLEET_VERIFY"
-if [ "$FLEET_VERDICT" != "$FLEET_VERIFY" ]; then
-    echo "fleet merged-corpus replay verdict differs across processes" >&2
-    exit 1
-fi
+same_verdict fleet-verdict: "fleet gate $TMP/fleet 0xc6" "fleet verify $TMP/fleet"
 
 echo "== pipeline gate (E12: mode equivalence + pipelined throughput) =="
 # Runs the E3 workload at a fixed seed under CheckMode::Inline and
@@ -139,16 +127,8 @@ echo "== android gate (E16: protected boot, share/unshare, churn) =="
 # under CheckMode::Inline and CheckMode::Pipelined, one detection per
 # new spec check under its matching fault, and a canonical verdict line
 # that reproduces when the saved trace is replayed in a *second* process.
-ANDROID_TMP="$(mktemp -t pkvmandroid.XXXXXX)"
-trap 'rm -f "$TRACE_TMP" "$COMPACT_TMP" "$DIFF_TMP" "$ANDROID_TMP"; rm -rf "$FUZZ_CORPUS" "$FLEET_ROOT"' EXIT
-ANDROID_GATE="$(cargo run --release --example android -- gate "$ANDROID_TMP" 0xe16 1200 | grep '^android-verdict:')"
-ANDROID_REPLAY="$(cargo run --release --example android -- replay "$ANDROID_TMP" | grep '^android-verdict:')"
-echo "  gate:     $ANDROID_GATE"
-echo "  replayed: $ANDROID_REPLAY"
-if [ "$ANDROID_GATE" != "$ANDROID_REPLAY" ]; then
-    echo "android trace replay verdict differs across processes" >&2
-    exit 1
-fi
+same_verdict android-verdict: "android gate $TMP/android.pkvmtrace 0xe16 1200" \
+    "android replay $TMP/android.pkvmtrace"
 
 echo "== mutation mini-sweep (3 bugs x 3 chaos families) =="
 # Known bugs injected while chaos corrupts the oracle's inputs; exits

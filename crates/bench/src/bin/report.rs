@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use pkvm_aarch64::walk::Access;
 use pkvm_bench::boot;
-use pkvm_ghost::oracle::Oracle;
+use pkvm_ghost::oracle::{Oracle, OracleOpts};
 use pkvm_harness::bugs::{self, Detection};
 use pkvm_harness::coverage::{self, CoverageSummary};
 use pkvm_harness::proxy::Proxy;
@@ -54,7 +54,7 @@ fn main() {
     // ------------------------------------------------ E4: memory impact
     heading("E4: ghost memory impact (paper: ~18 MB, dominated by page-table representations)");
     let config = MachineConfig::default();
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let machine = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
     // Populate with a *fragmented* workload (alternating pages, so the
     // maplets cannot coalesce — the paper's memory is likewise dominated

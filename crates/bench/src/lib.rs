@@ -11,7 +11,7 @@ use std::sync::Arc;
 use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE};
 use pkvm_aarch64::attrs::{Attrs, Perms, Stage};
 use pkvm_aarch64::memory::{MemRegion, PhysMem};
-use pkvm_ghost::oracle::Oracle;
+use pkvm_ghost::oracle::{Oracle, OracleOpts};
 use pkvm_hyp::faults::FaultSet;
 use pkvm_hyp::machine::{Machine, MachineConfig};
 use pkvm_hyp::owner::PageState;
@@ -22,7 +22,7 @@ use pkvm_hyp::pool::HypPool;
 pub fn boot(with_oracle: bool) -> (Arc<Machine>, Option<Arc<Oracle>>) {
     let config = MachineConfig::default();
     if with_oracle {
-        let oracle = Oracle::builder(&config).build();
+        let oracle = Oracle::new(&config, OracleOpts::default());
         let m = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
         (m, Some(oracle))
     } else {

@@ -5,10 +5,13 @@
 //! callbacks: it emits the hook's event into the stream, computes the
 //! component abstraction **while the component's lock is held** (the one
 //! thing that cannot be deferred — the paper's recording discipline), and
-//! packages both into a [`CheckMsg`]. The *back half* applies the message:
+//! packages both into a [`CheckMsg`]. Hooks that only observe (table
+//! pages, TLB maintenance, ownership transfers) send the recorded event
+//! itself, as [`CheckMsg::Observe`]. The *back half* applies the message:
 //! it maintains the shared ghost copy and the per-trap pre/post records,
-//! runs the non-interference and separation checks, and at trap exit
-//! computes the spec and compares (`Oracle::apply_msg`).
+//! runs the non-interference check, feeds observations to the trackers
+//! (`crate::trackers`), and at trap exit computes the spec and compares
+//! (`Oracle::apply_msg`).
 //!
 //! [`CheckMode`] selects where the back half runs:
 //!
@@ -37,7 +40,8 @@ use pkvm_hyp::hooks::Component;
 
 use crate::calldata::GhostCallData;
 use crate::check::Violation;
-use crate::oracle::{ComponentValue, Oracle, ResilienceSnapshot, TrapRecord};
+use crate::event::Event;
+use crate::oracle::{ComponentValue, Oracle, TrapRecord};
 use crate::state::GhostCpu;
 
 /// Where the oracle's back half (ghost-copy maintenance and spec checks)
@@ -55,12 +59,11 @@ pub enum CheckMode {
     /// only abstract-and-forward; the mutator synchronises with the
     /// checker at [`Verdict::wait`]/[`Checker::barrier`] or when the
     /// bounded channel exerts backpressure.
+    ///
+    /// The check core is order-dependent (one shared ghost copy, version
+    /// stamps, deferred seeding), so one ordered checker thread consumes
+    /// the channel.
     Pipelined {
-        /// Requested checker threads. The check core is order-dependent
-        /// (one shared ghost copy, version stamps, deferred seeding), so
-        /// the current implementation consumes with one ordered worker
-        /// regardless; the knob is accepted for forward compatibility.
-        workers: usize,
         /// Bound on in-flight messages. A stalled checker blocks the
         /// mutator once this many messages are queued, so memory is
         /// bounded by the cap instead of growing with the run. Messages
@@ -71,13 +74,9 @@ pub enum CheckMode {
 }
 
 impl CheckMode {
-    /// The pipelined mode with default sizing (one worker, 1024-message
-    /// channel).
+    /// The pipelined mode with default sizing (a 1024-message channel).
     pub fn pipelined() -> CheckMode {
-        CheckMode::Pipelined {
-            workers: 1,
-            channel_cap: 1024,
-        }
+        CheckMode::Pipelined { channel_cap: 1024 }
     }
 
     /// `true` for [`CheckMode::Pipelined`].
@@ -155,65 +154,14 @@ pub(crate) enum CheckMsg {
         tag: &'static str,
         value: u64,
     },
-    /// Separation-footprint tracking.
-    TablePageAlloc {
-        cpu: usize,
-        trap: Option<u64>,
-        comp: Component,
-        pfn: u64,
-    },
-    /// Separation-footprint tracking.
-    TablePageFree { comp: Component, pfn: u64 },
-    /// A live mapping was unmapped or tightened (the "break" of
-    /// break-before-make). `seq` is the downgrade event's stream seq —
-    /// the anchor a later [`Violation::BreakBeforeMake`] carries.
-    PteDowngrade {
-        cpu: usize,
-        seq: u64,
-        vmid: u16,
-        ia: u64,
-        nr: u64,
-    },
-    /// A TLB invalidation was issued; clears matching pending breaks
-    /// (broadcast only — a local TLBI cannot retire a break other CPUs
-    /// may still hold stale).
-    Tlbi {
-        cpu: usize,
-        vmid: u16,
-        ia: u64,
-        nr: u64,
-        broadcast: bool,
-    },
-    /// A barrier completing outstanding TLBIs on this CPU.
-    Dsb { cpu: usize },
-    /// A page range crossed an ownership-transfer edge; `seq` is the
-    /// transfer event's stream seq (the anchor a protocol violation
-    /// carries).
-    Transfer {
+    /// An observation hook's event, as recorded at stream seq `seq`, for
+    /// the back-half trackers (separation, break-before-make, transfer
+    /// protocol, firmware protection).
+    Observe {
         cpu: usize,
         trap: Option<u64>,
         seq: u64,
-        edge: pkvm_hyp::hooks::TransferEdge,
-        pfn: u64,
-        nr: u64,
-        dirty: bool,
-    },
-    /// A firmware region was donated (`vm_load_firmware` succeeded).
-    FirmwareDonate {
-        handle: u32,
-        uniq: u64,
-        pfn: u64,
-        nr: u64,
-    },
-    /// The host's stage 2 regained a page range; `seq` is the regain
-    /// event's stream seq (the anchor a firmware-protection violation
-    /// carries).
-    HostRegain {
-        cpu: usize,
-        trap: Option<u64>,
-        seq: u64,
-        pfn: u64,
-        nr: u64,
+        event: Event,
     },
     /// Violations produced on the mutator side (hypervisor panics,
     /// contained front-half panics). Routed through the pipeline so every
@@ -384,10 +332,9 @@ impl Checker {
     }
 }
 
-/// A plain-value snapshot of the oracle's counters, taken at one instant.
-/// The replacement for scraping `Oracle`'s atomic `stats` field directly:
-/// a snapshot through [`Verdict::stats`] (after [`Verdict::wait`]) is
-/// coherent in both check modes.
+/// A plain-value snapshot of the oracle's counters, taken at one instant
+/// — the one way to read them. A snapshot through [`Verdict::stats`]
+/// (after [`Verdict::wait`]) is coherent in both check modes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct StatsSnapshot {
@@ -416,17 +363,17 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The resilience counters of this snapshot.
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            contained_panics: self.contained_panics,
-            quarantined_skips: self.quarantined_skips,
-            quarantine_recoveries: self.quarantine_recoveries,
-            violations_dropped: self.violations_dropped,
-            degraded_traps: self.degraded_traps,
-            budget_degraded_events: self.budget_degraded_events,
-            interleaved_skips: self.interleaved_skips,
-        }
+    /// `true` when any degradation or containment machinery fired: the
+    /// oracle absorbed trouble without crashing. Chaos sweeps use it to
+    /// tell *degraded but safe* from *saw nothing*.
+    pub fn degraded(&self) -> bool {
+        self.contained_panics
+            + self.quarantined_skips
+            + self.quarantine_recoveries
+            + self.violations_dropped
+            + self.degraded_traps
+            + self.budget_degraded_events
+            > 0
     }
 }
 
@@ -471,11 +418,6 @@ impl Verdict {
         self.oracle.stats_snapshot()
     }
 
-    /// The resilience counters (containment/degradation machinery).
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        self.stats().resilience()
-    }
-
     /// The most recent checked traps (bounded; newest last).
     pub fn trace(&self) -> Vec<TrapRecord> {
         self.oracle.trace()
@@ -499,18 +441,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_resilience_mirrors_the_counters() {
-        let s = StatsSnapshot {
-            contained_panics: 1,
-            quarantined_skips: 2,
-            degraded_traps: 3,
+    fn stats_snapshot_degraded_ignores_interleaving() {
+        assert!(!StatsSnapshot::default().degraded());
+        let interleaved = StatsSnapshot {
+            interleaved_skips: 5,
             ..Default::default()
         };
-        let r = s.resilience();
-        assert_eq!(r.contained_panics, 1);
-        assert_eq!(r.quarantined_skips, 2);
-        assert_eq!(r.degraded_traps, 3);
-        assert!(r.degraded());
-        assert!(!StatsSnapshot::default().resilience().degraded());
+        assert!(!interleaved.degraded());
+        let contained = StatsSnapshot {
+            contained_panics: 1,
+            ..Default::default()
+        };
+        assert!(contained.degraded());
     }
 }

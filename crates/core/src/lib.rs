@@ -20,8 +20,11 @@
 //! - [`check`] — the ternary pre/recorded-post/computed-post comparison;
 //! - [`diff`] — human-readable ghost-state diffs;
 //! - [`oracle`] — the runtime recorder implementing the hypervisor's
-//!   instrumentation hooks, with the non-interference and separation
-//!   invariant checks (§4.4).
+//!   instrumentation hooks, with the non-interference invariant check
+//!   (§4.4);
+//! - `trackers` — the back-half checks over recorded events: footprint
+//!   separation (§4.4), break-before-make, transfer protocol, firmware
+//!   protection.
 //!
 //! # Examples
 //!
@@ -33,7 +36,7 @@
 //! use pkvm_hyp::hypercalls::HVC_HOST_SHARE_HYP;
 //!
 //! let config = MachineConfig::default();
-//! let oracle = Oracle::builder(&config).build();
+//! let oracle = Oracle::new(&config, OracleOpts::default());
 //! let machine = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
 //! assert!(oracle.check_boot());
 //! let ret = machine.hvc(0, HVC_HOST_SHARE_HYP, &[0x40100]);
@@ -56,6 +59,7 @@ pub mod prelude;
 pub mod print;
 pub mod spec;
 pub mod state;
+mod trackers;
 
 pub use abscache::{AbsCache, CacheKey, CacheStats};
 pub use abstraction::{
@@ -73,7 +77,7 @@ pub use event::{
 };
 pub use maplet::{AbsAttrs, Maplet, MapletTarget};
 pub use mapping::Mapping;
-pub use oracle::{Oracle, OracleOpts, OracleStats, ResilienceSnapshot, TrapOutcome, TrapRecord};
+pub use oracle::{Oracle, OracleOpts, TrapOutcome, TrapRecord};
 pub use print::render_state;
 pub use spec::{compute_post, SpecVerdict};
 pub use state::{

@@ -9,10 +9,13 @@
 //! the expected post-state with the specification function (7), and
 //! compares (8) — the ternary check.
 //!
-//! It also maintains the two §4.4 invariants: a single *shared copy* of
-//! the entire ghost state, against which every acquisition checks that
-//! nothing changed while the lock was free (non-interference), and the
-//! per-component page-table footprints (separation).
+//! It also maintains a single *shared copy* of the entire ghost state,
+//! against which every acquisition checks that nothing changed while the
+//! lock was free (§4.4 non-interference). The checks that follow one
+//! event family across the run — footprint separation (§4.4),
+//! break-before-make, the transfer protocol and firmware protection —
+//! are the back-half trackers (`crate::trackers`), fed the recorded
+//! [`Event`]s.
 //!
 //! Since the [`Checker`](crate::checker::Checker) redesign the hooks are
 //! split into a *front half* that runs on the hypervisor thread (event
@@ -21,11 +24,7 @@
 //! checks. [`CheckMode`] selects whether the back half runs inline in the
 //! hook or on a pipelined checker thread.
 
-// The deprecated `Oracle::stats` field is still the storage the oracle
-// writes; external readers should migrate to `Verdict::stats()`.
-#![allow(deprecated)]
-
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -59,6 +58,7 @@ use crate::spec::{abs_hyp_attrs, compute_post, SpecVerdict};
 use crate::state::{
     AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostLoadedVcpu, GhostPkvm, GhostState,
 };
+use crate::trackers::{trackers, transfer_point, Tracker};
 
 /// Oracle configuration switches.
 ///
@@ -80,7 +80,7 @@ pub struct OracleOpts {
     /// cache is maintained; the *full* result feeds the checks.
     pub shadow_validation: bool,
     /// Upper bound on retained violation reports; excess reports are
-    /// dropped and counted in `OracleStats::violations_dropped` so a
+    /// dropped and counted in `StatsSnapshot::violations_dropped` so a
     /// pathological run cannot exhaust memory through its own findings.
     pub violation_cap: usize,
     /// Per-trap budget of lock events processed at full fidelity. Beyond
@@ -254,88 +254,21 @@ pub enum TrapOutcome {
     Unchecked(String),
 }
 
-/// Counters reported alongside violations (for the evaluation harness).
+/// The oracle's counters: a private store of atomics, read as one
+/// [`StatsSnapshot`] (see that type for what each counts).
 #[derive(Debug, Default)]
-pub struct OracleStats {
-    /// Traps whose spec was computed and checked.
-    pub traps_checked: AtomicU64,
-    /// Traps skipped under the loose specification (`Unchecked`).
-    pub traps_unchecked: AtomicU64,
-    /// Component abstractions computed (lock events).
-    pub abstractions: AtomicU64,
-    /// Individual `READ_ONCE` values recorded.
-    pub read_onces: AtomicU64,
-    /// Per-component checks skipped because a foreign trap updated the
-    /// component between two of the checked trap's critical sections
-    /// (the atomic per-trap comparison does not apply).
-    pub interleaved_skips: AtomicU64,
-    /// Oracle-internal panics caught and converted into
-    /// [`Violation::OracleInternal`] instead of unwinding the caller.
-    pub contained_panics: AtomicU64,
-    /// Hook events skipped because their component (or spec step) was
-    /// quarantined after repeated contained panics.
-    pub quarantined_skips: AtomicU64,
-    /// Quarantined components recovered by re-seeding from a full
-    /// abstraction pass once their bench time expired.
-    pub quarantine_recoveries: AtomicU64,
-    /// Violation reports dropped because the bounded log was full.
-    pub violations_dropped: AtomicU64,
-    /// Traps whose check was skipped because the per-trap check budget
-    /// ran out mid-trap.
-    pub degraded_traps: AtomicU64,
-    /// Lock events degraded to a shared-copy eviction (no abstraction)
-    /// because the per-trap check budget was exhausted.
-    pub budget_degraded_events: AtomicU64,
-}
-
-/// A plain-value snapshot of the oracle's resilience counters: everything
-/// that says "the oracle absorbed trouble without crashing". Campaign
-/// reports carry this so a chaos sweep can distinguish *degraded but
-/// safe* from *saw nothing*.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    /// See [`OracleStats::contained_panics`].
-    pub contained_panics: u64,
-    /// See [`OracleStats::quarantined_skips`].
-    pub quarantined_skips: u64,
-    /// See [`OracleStats::quarantine_recoveries`].
-    pub quarantine_recoveries: u64,
-    /// See [`OracleStats::violations_dropped`].
-    pub violations_dropped: u64,
-    /// See [`OracleStats::degraded_traps`].
-    pub degraded_traps: u64,
-    /// See [`OracleStats::budget_degraded_events`].
-    pub budget_degraded_events: u64,
-    /// See [`OracleStats::interleaved_skips`].
-    pub interleaved_skips: u64,
-}
-
-impl ResilienceSnapshot {
-    /// `true` when any degradation or containment machinery fired.
-    pub fn degraded(&self) -> bool {
-        self.contained_panics
-            + self.quarantined_skips
-            + self.quarantine_recoveries
-            + self.violations_dropped
-            + self.degraded_traps
-            + self.budget_degraded_events
-            > 0
-    }
-}
-
-impl OracleStats {
-    /// Snapshots the resilience counters.
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            contained_panics: self.contained_panics.load(Ordering::Relaxed),
-            quarantined_skips: self.quarantined_skips.load(Ordering::Relaxed),
-            quarantine_recoveries: self.quarantine_recoveries.load(Ordering::Relaxed),
-            violations_dropped: self.violations_dropped.load(Ordering::Relaxed),
-            degraded_traps: self.degraded_traps.load(Ordering::Relaxed),
-            budget_degraded_events: self.budget_degraded_events.load(Ordering::Relaxed),
-            interleaved_skips: self.interleaved_skips.load(Ordering::Relaxed),
-        }
-    }
+struct Counters {
+    traps_checked: AtomicU64,
+    traps_unchecked: AtomicU64,
+    abstractions: AtomicU64,
+    read_onces: AtomicU64,
+    interleaved_skips: AtomicU64,
+    contained_panics: AtomicU64,
+    quarantined_skips: AtomicU64,
+    quarantine_recoveries: AtomicU64,
+    violations_dropped: AtomicU64,
+    degraded_traps: AtomicU64,
+    budget_degraded_events: AtomicU64,
 }
 
 /// Key of one shared-copy component (the update-stamp granularity).
@@ -533,216 +466,6 @@ struct CpuRecord {
     trap_seq: Option<u64>,
 }
 
-/// One table write that removed or tightened a live mapping, awaiting
-/// its break-before-make flush sequence.
-struct PendingBreak {
-    /// Stream seq of the `PteDowngrade` event (the offending write).
-    seq: u64,
-    vmid: u16,
-    ia: u64,
-    nr: u64,
-    /// A covering broadcast TLBI has been seen; the next DSB retires it.
-    tlbi_done: bool,
-}
-
-/// The downgrade's span in byte addresses, overflow-safe (`nr` may be
-/// `u64::MAX` for a VMID-wide downgrade).
-fn bbm_span(ia: u64, nr: u64) -> (u128, u128) {
-    let start = ia as u128;
-    (start, start + nr as u128 * PAGE_SIZE as u128)
-}
-
-/// Back-half ledger for the break-before-make check, keyed by the CPU
-/// that performed the table write: break, TLBI, and DSB are steps of a
-/// single trap, and a trap runs on one CPU. Leftovers at trap exit are
-/// the violations.
-#[derive(Default)]
-struct BbmTracker {
-    pending: HashMap<usize, Vec<PendingBreak>>,
-}
-
-impl BbmTracker {
-    fn note_break(&mut self, cpu: usize, seq: u64, vmid: u16, ia: u64, nr: u64) {
-        self.pending.entry(cpu).or_default().push(PendingBreak {
-            seq,
-            vmid,
-            ia,
-            nr,
-            tlbi_done: false,
-        });
-    }
-
-    /// A broadcast TLBI on `cpu`: marks every pending break of the same
-    /// VMID whose span it covers. Non-broadcast TLBIs never come here —
-    /// they cannot retire a break other CPUs may still hold stale.
-    fn note_tlbi(&mut self, cpu: usize, vmid: u16, ia: u64, nr: u64) {
-        let Some(list) = self.pending.get_mut(&cpu) else {
-            return;
-        };
-        let (t_start, t_end) = bbm_span(ia, nr);
-        for b in list.iter_mut() {
-            let (b_start, b_end) = bbm_span(b.ia, b.nr);
-            if b.vmid == vmid && b_start >= t_start && b_end <= t_end {
-                b.tlbi_done = true;
-            }
-        }
-    }
-
-    /// A DSB on `cpu` completes the outstanding TLBIs: retires every
-    /// break they covered.
-    fn note_dsb(&mut self, cpu: usize) {
-        if let Some(list) = self.pending.get_mut(&cpu) {
-            list.retain(|b| !b.tlbi_done);
-        }
-    }
-
-    /// Takes everything still pending on `cpu` (the trap is exiting;
-    /// whatever is left breached the discipline).
-    fn drain(&mut self, cpu: usize) -> Vec<PendingBreak> {
-        self.pending.remove(&cpu).unwrap_or_default()
-    }
-}
-
-/// A page's position in the ownership-transfer protocol, as the oracle's
-/// edge ledger tracks it. Pages start (and mostly live) in `HostOwned`;
-/// `FirmwareOwned` is terminal — firmware is retained by the hypervisor
-/// across teardown, so no legal edge ever leaves it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum XferState {
-    HostOwned,
-    SharedHyp,
-    HypOwned,
-    GuestOwned,
-    GuestShared,
-    GuestSharedHost,
-    FirmwareOwned,
-}
-
-impl XferState {
-    fn name(self) -> &'static str {
-        match self {
-            XferState::HostOwned => "host_owned",
-            XferState::SharedHyp => "shared_hyp",
-            XferState::HypOwned => "hyp_owned",
-            XferState::GuestOwned => "guest_owned",
-            XferState::GuestShared => "guest_shared",
-            XferState::GuestSharedHost => "guest_shared_host",
-            XferState::FirmwareOwned => "firmware_owned",
-        }
-    }
-}
-
-/// Back-half ledger for the transfer-protocol check: one [`XferState`]
-/// per page that has ever left host ownership. Every
-/// [`TransferEdge`] the hypervisor commits must depart from the state
-/// the protocol prescribes; hooks fire under the host lock, so both
-/// check modes apply the edges in the same per-page order.
-#[derive(Default)]
-struct TransferTracker {
-    states: HashMap<u64, XferState>,
-}
-
-impl TransferTracker {
-    /// Runs one page across one protocol edge. `Err` carries the illegal
-    /// departure state's name for the violation detail.
-    fn cross(&mut self, edge: TransferEdge, pfn: u64) -> Result<(), &'static str> {
-        use XferState::*;
-        let cur = self.states.get(&pfn).copied().unwrap_or(HostOwned);
-        let next = match (edge, cur) {
-            (TransferEdge::ShareHyp, HostOwned) => SharedHyp,
-            (TransferEdge::UnshareHyp, SharedHyp) => HostOwned,
-            (TransferEdge::DonateHyp, HostOwned) => HypOwned,
-            (TransferEdge::DonateHost, HypOwned) => HostOwned,
-            (TransferEdge::MapGuestOwned, HostOwned) => GuestOwned,
-            (TransferEdge::MapGuestShared, HostOwned) => GuestShared,
-            (TransferEdge::GuestShareHost, GuestOwned) => GuestSharedHost,
-            (TransferEdge::GuestUnshareHost, GuestSharedHost) => GuestOwned,
-            (TransferEdge::Firmware, HostOwned) => FirmwareOwned,
-            (TransferEdge::Reclaim, GuestOwned | GuestShared | GuestSharedHost) => HostOwned,
-            (_, cur) => return Err(cur.name()),
-        };
-        self.states.insert(pfn, next);
-        Ok(())
-    }
-}
-
-/// One donated firmware page the host must never see again.
-struct FirmwarePage {
-    handle: Handle,
-    uniq: u64,
-    /// A violation was already reported for this page; dedupes the
-    /// backstop scan, which otherwise re-finds the same breach at every
-    /// host lock event.
-    reported: bool,
-}
-
-/// Back-half ledger for the firmware-protection check. Insert-only: a
-/// donation binds the page to its VM incarnation for the rest of the
-/// run, surviving teardown and handle reuse (the hypervisor retains
-/// firmware forever).
-#[derive(Default)]
-struct FirmwareTracker {
-    pages: HashMap<u64, FirmwarePage>,
-}
-
-impl FirmwareTracker {
-    fn note_donate(&mut self, handle: Handle, uniq: u64, pfn: u64, nr: u64) {
-        for p in pfn..pfn.saturating_add(nr) {
-            self.pages.insert(
-                p,
-                FirmwarePage {
-                    handle,
-                    uniq,
-                    reported: false,
-                },
-            );
-        }
-    }
-
-    /// The host regained `[pfn, pfn+nr)`: reports every tracked firmware
-    /// page in the range (anchored at the regain event `seq`).
-    fn check_regain(&mut self, seq: u64, pfn: u64, nr: u64) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for p in pfn..pfn.saturating_add(nr) {
-            if let Some(fw) = self.pages.get_mut(&p) {
-                if !fw.reported {
-                    fw.reported = true;
-                    out.push(Violation::FirmwareProtection {
-                        seq: Some(seq),
-                        handle: fw.handle,
-                        uniq: fw.uniq,
-                        pfn: p,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Backstop over a freshly abstracted host component: any tracked
-    /// page the host's stage 2 can reach again (no longer annotated away
-    /// from it) is a breach, even if no regain hook announced it.
-    fn scan_host(&mut self, host: &GhostHost) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for (p, fw) in self.pages.iter_mut() {
-            if !fw.reported && host.annot.lookup(p << 12).is_none() {
-                fw.reported = true;
-                out.push(Violation::FirmwareProtection {
-                    seq: None,
-                    handle: fw.handle,
-                    uniq: fw.uniq,
-                    pfn: *p,
-                });
-            }
-        }
-        out.sort_by_key(|v| match v {
-            Violation::FirmwareProtection { pfn, .. } => *pfn,
-            _ => 0,
-        });
-        out
-    }
-}
-
 /// The runtime test oracle; install as the machine's [`GhostHooks`].
 pub struct Oracle {
     /// The initialisation-time constants, derived independently from the
@@ -752,27 +475,16 @@ pub struct Oracle {
     shared: Mutex<SharedGhost>,
     cpus: Vec<Mutex<CpuRecord>>,
     fronts: Vec<Mutex<FrontRecord>>,
-    footprints: Mutex<HashMap<Component, BTreeSet<u64>>>,
     abscache: Mutex<AbsCache>,
     events: Arc<EventStream>,
     quarantine: Quarantine,
     /// `Some` in [`CheckMode::Pipelined`]: the sending half of the
     /// checker's bounded channel.
     pipeline: Option<Pipeline>,
-    /// Break-before-make ledger (back-half state, like the shared copy).
-    bbm: Mutex<BbmTracker>,
-    /// Transfer-protocol ledger (back-half state).
-    xfer: Mutex<TransferTracker>,
-    /// Firmware-protection ledger (back-half state).
-    firmware: Mutex<FirmwareTracker>,
-    /// Counters.
-    #[deprecated(
-        since = "0.6.0",
-        note = "scraping the atomics races the pipelined checker; read \
-                `Verdict::stats()` (or `Oracle::stats_snapshot`) after a \
-                `wait()` instead"
-    )]
-    pub stats: OracleStats,
+    /// The back-half trackers `opts` switched on (back-half state, like
+    /// the shared copy).
+    trackers: Mutex<Vec<Box<dyn Tracker>>>,
+    stats: Counters,
 }
 
 impl Oracle {
@@ -810,7 +522,7 @@ impl Oracle {
         let shared = GhostState::blank(&globals);
         let (pipeline, rx) = match opts.check_mode {
             CheckMode::Inline => (None, None),
-            CheckMode::Pipelined { channel_cap, .. } => {
+            CheckMode::Pipelined { channel_cap } => {
                 // Messages travel in batches (one per trap, or `flush`
                 // messages, whichever comes first); the channel is sized
                 // in batches so `channel_cap` keeps bounding the number
@@ -853,15 +565,12 @@ impl Oracle {
                 tick: 0,
                 vm_uniq: HashMap::new(),
             }),
-            footprints: Mutex::new(HashMap::new()),
             abscache: Mutex::new(AbsCache::new()),
             events,
             quarantine: Quarantine::new(opts.quarantine_threshold, opts.quarantine_traps),
             pipeline,
-            bbm: Mutex::new(BbmTracker::default()),
-            xfer: Mutex::new(TransferTracker::default()),
-            firmware: Mutex::new(FirmwareTracker::default()),
-            stats: OracleStats::default(),
+            trackers: Mutex::new(trackers(&opts)),
+            stats: Counters::default(),
         });
         if let Some(rx) = rx {
             // The thread holds only a weak reference: dropping the last
@@ -874,16 +583,6 @@ impl Oracle {
                 .expect("spawn checker thread");
         }
         oracle
-    }
-
-    /// Starts a builder for machines booted from `config`; configure the
-    /// switches fluently, then [`build`](OracleBuilder::build).
-    pub fn builder(config: &MachineConfig) -> OracleBuilder<'_> {
-        OracleBuilder {
-            config,
-            opts: OracleOpts::default(),
-            events: None,
-        }
     }
 
     /// A [`Checker`] handle over this oracle (mode inspection, explicit
@@ -1122,6 +821,85 @@ impl Oracle {
         } else {
             None
         }
+    }
+
+    /// The front half of every observation hook: records `event` into the
+    /// stream and hands the back half the same event under the seq it
+    /// was recorded at (the anchor its trackers' violations carry).
+    fn observe(&self, cpu: usize, event: Event) {
+        let trap = self.current_trap(cpu);
+        let seq = self.events.emit(cpu as u32, trap, event.clone());
+        self.dispatch(CheckMsg::Observe {
+            cpu,
+            trap,
+            seq,
+            event,
+        });
+    }
+
+    /// The front half of both lock hooks: records the event, gates it on
+    /// quarantine and the per-trap budget, then abstracts the component
+    /// while its lock is held.
+    fn lock_event(&self, ctx: &HookCtx<'_>, comp: Component, view: &ComponentView, acquired: bool) {
+        let cpu = ctx.cpu;
+        let trap = self.current_trap(cpu);
+        let event = if acquired {
+            Event::LockAcquired { cpu, comp }
+        } else {
+            Event::LockReleasing { cpu, comp }
+        };
+        self.events.emit(cpu as u32, trap, event);
+        let key = comp_name(comp);
+        let check_ni = match self.quarantine.disposition(&key) {
+            Disposition::Skip => {
+                self.note_quarantine_skip(cpu, trap, comp);
+                return;
+            }
+            // Recovery from quarantine: re-seed the shared copy from a
+            // full abstraction pass. The component's state while benched
+            // is unknown, so an acquisition skips the non-interference
+            // comparison exactly once; a release *is* such a pass.
+            Disposition::Recover => {
+                self.stats
+                    .quarantine_recoveries
+                    .fetch_add(1, Ordering::Relaxed);
+                false
+            }
+            Disposition::Process => true,
+        };
+        if self.budget_exhausted(cpu) {
+            self.stats
+                .budget_degraded_events
+                .fetch_add(1, Ordering::Relaxed);
+            self.dispatch(CheckMsg::Evict {
+                cpu,
+                trap,
+                comp,
+                quarantine: false,
+            });
+            return;
+        }
+        self.guarded(&key, || {
+            let (value, reports) = self.abstract_component(ctx, view, comp);
+            self.dispatch(if acquired {
+                CheckMsg::LockAcquired {
+                    cpu,
+                    trap,
+                    comp,
+                    value,
+                    reports,
+                    check_ni,
+                }
+            } else {
+                CheckMsg::LockReleasing {
+                    cpu,
+                    trap,
+                    comp,
+                    value,
+                    reports,
+                }
+            });
+        });
     }
 
     /// Degrades one lock event: instead of abstracting the component, its
@@ -1624,110 +1402,6 @@ impl Oracle {
     }
 }
 
-/// Fluent construction of an [`Oracle`]; see [`Oracle::builder`].
-pub struct OracleBuilder<'a> {
-    config: &'a MachineConfig,
-    opts: OracleOpts,
-    events: Option<Arc<EventStream>>,
-}
-
-impl OracleBuilder<'_> {
-    /// Replaces the accumulated switches wholesale.
-    pub fn opts(mut self, opts: OracleOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    /// Records into a shared [`EventStream`] instead of a private one.
-    pub fn events(mut self, stream: Arc<EventStream>) -> Self {
-        self.events = Some(stream);
-        self
-    }
-
-    /// Toggle the §4.4 non-interference check (default on).
-    pub fn check_noninterference(mut self, on: bool) -> Self {
-        self.opts.check_noninterference = on;
-        self
-    }
-
-    /// Toggle the §4.4 footprint-separation check (default on).
-    pub fn check_separation(mut self, on: bool) -> Self {
-        self.opts.check_separation = on;
-        self
-    }
-
-    /// Toggle the incremental abstraction cache (default off).
-    pub fn incremental_abstraction(mut self, on: bool) -> Self {
-        self.opts.incremental_abstraction = on;
-        self
-    }
-
-    /// Toggle shadow validation of the incremental cache (default off).
-    pub fn shadow_validation(mut self, on: bool) -> Self {
-        self.opts.shadow_validation = on;
-        self
-    }
-
-    /// Caps the retained violation log (default 4096, minimum 1).
-    pub fn violation_cap(mut self, cap: usize) -> Self {
-        self.opts.violation_cap = cap.max(1);
-        self
-    }
-
-    /// Caps checked hook events per trap before degrading (default
-    /// unlimited).
-    pub fn trap_check_budget(mut self, budget: u64) -> Self {
-        self.opts.trap_check_budget = budget;
-        self
-    }
-
-    /// Contained panics of one component before it is quarantined
-    /// (default 3).
-    pub fn quarantine_threshold(mut self, n: u32) -> Self {
-        self.opts.quarantine_threshold = n;
-        self
-    }
-
-    /// Traps a quarantined component sits out before recovery
-    /// (default 16).
-    pub fn quarantine_traps(mut self, n: u64) -> Self {
-        self.opts.quarantine_traps = n;
-        self
-    }
-
-    /// Where the check core runs (default [`CheckMode::Inline`]).
-    pub fn check_mode(mut self, mode: CheckMode) -> Self {
-        self.opts.check_mode = mode;
-        self
-    }
-
-    /// Toggle the break-before-make discipline check (default on).
-    pub fn check_break_before_make(mut self, on: bool) -> Self {
-        self.opts.check_break_before_make = on;
-        self
-    }
-
-    /// Toggle the firmware-protection check (default on).
-    pub fn check_firmware_protection(mut self, on: bool) -> Self {
-        self.opts.check_firmware_protection = on;
-        self
-    }
-
-    /// Toggle the transfer-protocol check (default on).
-    pub fn check_transfer_protocol(mut self, on: bool) -> Self {
-        self.opts.check_transfer_protocol = on;
-        self
-    }
-
-    /// Builds the oracle.
-    pub fn build(self) -> Arc<Oracle> {
-        match self.events {
-            Some(stream) => Oracle::with_stream(self.config, self.opts, stream),
-            None => Oracle::new(self.config, self.opts),
-        }
-    }
-}
-
 /// Renders what differed between the full walk and the incremental
 /// replay, maplet by maplet, for the shadow-divergence report.
 fn pgtable_divergence(
@@ -1901,7 +1575,7 @@ impl Oracle {
                 if !reports.is_empty() {
                     self.report_all_at(cpu, trap, reports);
                 }
-                self.firmware_backstop(cpu, trap, &value);
+                self.track_host(cpu, trap, &value);
                 if check_ni {
                     self.noninterference_check(cpu, trap, comp, &value);
                 }
@@ -1939,7 +1613,7 @@ impl Oracle {
                 if !reports.is_empty() {
                     self.report_all_at(cpu, trap, reports);
                 }
-                self.firmware_backstop(cpu, trap, &value);
+                self.track_host(cpu, trap, &value);
                 let key = value.key();
                 let version = {
                     let mut shared = self.shared.lock();
@@ -1974,136 +1648,16 @@ impl Oracle {
                     call.read_onces.push((tag, value));
                 }
             }
-            CheckMsg::TablePageAlloc {
-                cpu,
-                trap,
-                comp,
-                pfn,
-            } => {
-                if !self.opts.check_separation {
-                    return;
-                }
-                let mut fp = self.footprints.lock();
-                for (other, pages) in fp.iter() {
-                    if *other != comp && pages.contains(&pfn) {
-                        let v = Violation::SeparationOverlap {
-                            seq: None,
-                            component: format!("{comp:?}"),
-                            pfn,
-                            owner: format!("{other:?}"),
-                        };
-                        drop(fp);
-                        self.report_at(cpu, trap, v);
-                        return;
-                    }
-                }
-                fp.entry(comp).or_default().insert(pfn);
-            }
-            CheckMsg::TablePageFree { comp, pfn } => {
-                if !self.opts.check_separation {
-                    return;
-                }
-                if let Some(pages) = self.footprints.lock().get_mut(&comp) {
-                    pages.remove(&pfn);
-                }
-            }
-            CheckMsg::PteDowngrade {
-                cpu,
-                seq,
-                vmid,
-                ia,
-                nr,
-            } => {
-                if self.opts.check_break_before_make {
-                    self.bbm.lock().note_break(cpu, seq, vmid, ia, nr);
-                }
-            }
-            CheckMsg::Tlbi {
-                cpu,
-                vmid,
-                ia,
-                nr,
-                broadcast,
-            } => {
-                if self.opts.check_break_before_make && broadcast {
-                    self.bbm.lock().note_tlbi(cpu, vmid, ia, nr);
-                }
-            }
-            CheckMsg::Dsb { cpu } => {
-                if self.opts.check_break_before_make {
-                    self.bbm.lock().note_dsb(cpu);
-                }
-            }
-            CheckMsg::Transfer {
+            CheckMsg::Observe {
                 cpu,
                 trap,
                 seq,
-                edge,
-                pfn,
-                nr,
-                dirty,
+                event,
             } => {
-                crate::spec::spec_hit(match edge {
-                    TransferEdge::ShareHyp => "spec/transfer/share_hyp",
-                    TransferEdge::UnshareHyp => "spec/transfer/unshare_hyp",
-                    TransferEdge::DonateHyp => "spec/transfer/donate_hyp",
-                    TransferEdge::DonateHost => "spec/transfer/donate_host",
-                    TransferEdge::MapGuestOwned => "spec/transfer/map_guest_owned",
-                    TransferEdge::MapGuestShared => "spec/transfer/map_guest_shared",
-                    TransferEdge::GuestShareHost => "spec/transfer/guest_share_host",
-                    TransferEdge::GuestUnshareHost => "spec/transfer/guest_unshare_host",
-                    TransferEdge::Firmware => "spec/transfer/firmware",
-                    TransferEdge::Reclaim => "spec/transfer/reclaim",
-                });
-                if !self.opts.check_transfer_protocol {
-                    return;
+                if let Event::Transfer { edge, .. } = event {
+                    crate::spec::spec_hit(transfer_point(edge));
                 }
-                let mut violations = Vec::new();
-                let mut xfer = self.xfer.lock();
-                for p in pfn..pfn.saturating_add(nr) {
-                    if let Err(from) = xfer.cross(edge, p) {
-                        violations.push(Violation::TransferProtocol {
-                            seq: Some(seq),
-                            edge,
-                            pfn: p,
-                            detail: format!("departed from state {from}"),
-                        });
-                    }
-                    if edge == TransferEdge::Reclaim && dirty {
-                        violations.push(Violation::ReclaimWipe {
-                            seq: Some(seq),
-                            pfn: p,
-                        });
-                    }
-                }
-                drop(xfer);
-                if !violations.is_empty() {
-                    self.report_all_at(cpu, trap, violations);
-                }
-            }
-            CheckMsg::FirmwareDonate {
-                handle,
-                uniq,
-                pfn,
-                nr,
-            } => {
-                if self.opts.check_firmware_protection {
-                    self.firmware.lock().note_donate(handle, uniq, pfn, nr);
-                }
-            }
-            CheckMsg::HostRegain {
-                cpu,
-                trap,
-                seq,
-                pfn,
-                nr,
-            } => {
-                if self.opts.check_firmware_protection {
-                    let violations = self.firmware.lock().check_regain(seq, pfn, nr);
-                    if !violations.is_empty() {
-                        self.report_all_at(cpu, trap, violations);
-                    }
-                }
+                self.track(cpu, trap, |t| t.observe(seq, &event));
             }
             CheckMsg::Report {
                 cpu,
@@ -2117,21 +1671,30 @@ impl Oracle {
         }
     }
 
-    /// Firmware-protection backstop, run on every freshly abstracted host
-    /// component: even when no regain hook announced it, a donated
-    /// firmware page the host's stage 2 can reach again is a breach. The
-    /// donation annotates the page away from the host before the same
-    /// critical section's release message, so a clean run never trips
-    /// this.
-    fn firmware_backstop(&self, cpu: usize, trap: Option<u64>, value: &ComponentValue) {
-        if !self.opts.check_firmware_protection {
-            return;
+    /// Runs `f` over every tracker, in list order, and reports what they
+    /// found as one batch.
+    fn track(
+        &self,
+        cpu: usize,
+        trap: Option<u64>,
+        mut f: impl FnMut(&mut dyn Tracker) -> Vec<Violation>,
+    ) {
+        let violations: Vec<Violation> = self
+            .trackers
+            .lock()
+            .iter_mut()
+            .flat_map(|t| f(t.as_mut()))
+            .collect();
+        if !violations.is_empty() {
+            self.report_all_at(cpu, trap, violations);
         }
+    }
+
+    /// Shows every freshly abstracted host component to the trackers
+    /// (the firmware-protection backstop).
+    fn track_host(&self, cpu: usize, trap: Option<u64>, value: &ComponentValue) {
         if let ComponentValue::Host(h) = value {
-            let violations = self.firmware.lock().scan_host(h);
-            if !violations.is_empty() {
-                self.report_all_at(cpu, trap, violations);
-            }
+            self.track(cpu, trap, |t| t.host(h));
         }
     }
 
@@ -2164,26 +1727,9 @@ impl Oracle {
         regs_post: GprFile,
         degraded: bool,
     ) {
-        // Break-before-make settles first, before any of the skip paths
-        // below: a degraded or quarantined spec check never excuses an
-        // unflushed downgrade, and the ledger must not leak into the
-        // next trap on this CPU.
-        if self.opts.check_break_before_make {
-            let leftovers = self.bbm.lock().drain(cpu);
-            if !leftovers.is_empty() {
-                let violations = leftovers
-                    .into_iter()
-                    .map(|b| Violation::BreakBeforeMake {
-                        seq: Some(b.seq),
-                        trap: name.clone(),
-                        vmid: b.vmid,
-                        ia: b.ia,
-                        nr: b.nr,
-                    })
-                    .collect();
-                self.report_all_at(cpu, trap, violations);
-            }
-        }
+        // The trackers settle first, before any of the skip paths below
+        // (break-before-make drains its per-CPU ledger here).
+        self.track(cpu, trap, |t| t.trap_exit(cpu, &name));
         let mut rec = self.cpus[cpu].lock();
         // Phase 1: finish the recording. Contained so a panic leaves the
         // per-CPU record consistent (the next trap_enter resets it anyway).
@@ -2390,99 +1936,11 @@ impl GhostHooks for Oracle {
     }
 
     fn lock_acquired(&self, ctx: &HookCtx<'_>, comp: Component, view: &ComponentView) {
-        let trap = self.current_trap(ctx.cpu);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::LockAcquired { cpu: ctx.cpu, comp },
-        );
-        let key = comp_name(comp);
-        let check_ni = match self.quarantine.disposition(&key) {
-            Disposition::Skip => {
-                self.note_quarantine_skip(ctx.cpu, trap, comp);
-                return;
-            }
-            // Recovery from quarantine: re-seed the shared copy from a
-            // full abstraction pass. The component's state while benched
-            // is unknown, so the non-interference comparison is skipped
-            // exactly once.
-            Disposition::Recover => {
-                self.stats
-                    .quarantine_recoveries
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Disposition::Process => true,
-        };
-        if self.budget_exhausted(ctx.cpu) {
-            self.stats
-                .budget_degraded_events
-                .fetch_add(1, Ordering::Relaxed);
-            self.dispatch(CheckMsg::Evict {
-                cpu: ctx.cpu,
-                trap,
-                comp,
-                quarantine: false,
-            });
-            return;
-        }
-        self.guarded(&key, || {
-            let (value, reports) = self.abstract_component(ctx, view, comp);
-            self.dispatch(CheckMsg::LockAcquired {
-                cpu: ctx.cpu,
-                trap,
-                comp,
-                value,
-                reports,
-                check_ni,
-            });
-        });
+        self.lock_event(ctx, comp, view, true);
     }
 
     fn lock_releasing(&self, ctx: &HookCtx<'_>, comp: Component, view: &ComponentView) {
-        let trap = self.current_trap(ctx.cpu);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::LockReleasing { cpu: ctx.cpu, comp },
-        );
-        let key = comp_name(comp);
-        match self.quarantine.disposition(&key) {
-            Disposition::Skip => {
-                self.note_quarantine_skip(ctx.cpu, trap, comp);
-                return;
-            }
-            // A release *is* a full abstraction pass recorded into the
-            // shared copy, so recovery needs no special casing here.
-            Disposition::Recover => {
-                self.stats
-                    .quarantine_recoveries
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Disposition::Process => {}
-        }
-        if self.budget_exhausted(ctx.cpu) {
-            self.stats
-                .budget_degraded_events
-                .fetch_add(1, Ordering::Relaxed);
-            self.dispatch(CheckMsg::Evict {
-                cpu: ctx.cpu,
-                trap,
-                comp,
-                quarantine: false,
-            });
-            return;
-        }
-        self.guarded(&key, || {
-            let (value, reports) = self.abstract_component(ctx, view, comp);
-            self.dispatch(CheckMsg::LockReleasing {
-                cpu: ctx.cpu,
-                trap,
-                comp,
-                value,
-                reports,
-            });
-        });
+        self.lock_event(ctx, comp, view, false);
     }
 
     fn read_once(&self, ctx: &HookCtx<'_>, tag: &'static str, value: u64) {
@@ -2507,163 +1965,79 @@ impl GhostHooks for Oracle {
     }
 
     fn table_page_alloc(&self, ctx: &HookCtx<'_>, comp: Component, page: PhysAddr) {
-        let trap = self.current_trap(ctx.cpu);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::TablePageAlloc {
-                comp,
-                pfn: page.pfn(),
-            },
-        );
-        self.dispatch(CheckMsg::TablePageAlloc {
-            cpu: ctx.cpu,
-            trap,
-            comp,
-            pfn: page.pfn(),
-        });
+        let pfn = page.pfn();
+        self.observe(ctx.cpu, Event::TablePageAlloc { comp, pfn });
     }
 
     fn table_page_free(&self, ctx: &HookCtx<'_>, comp: Component, page: PhysAddr) {
-        let trap = self.current_trap(ctx.cpu);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::TablePageFree {
-                comp,
-                pfn: page.pfn(),
-            },
-        );
-        self.dispatch(CheckMsg::TablePageFree {
-            comp,
-            pfn: page.pfn(),
-        });
+        let pfn = page.pfn();
+        self.observe(ctx.cpu, Event::TablePageFree { comp, pfn });
     }
 
-    fn pte_downgrade(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr_pages: u64) {
+    fn pte_downgrade(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr: u64) {
+        let cpu = ctx.cpu;
         self.guarded("pte_downgrade", || {
-            let trap = self.current_trap(ctx.cpu);
-            let seq = self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::PteDowngrade {
-                    cpu: ctx.cpu,
-                    vmid,
-                    ia,
-                    nr: nr_pages,
-                },
-            );
-            self.dispatch(CheckMsg::PteDowngrade {
-                cpu: ctx.cpu,
-                seq,
-                vmid,
-                ia,
-                nr: nr_pages,
-            });
+            self.observe(cpu, Event::PteDowngrade { cpu, vmid, ia, nr })
         });
     }
 
-    fn tlbi(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr_pages: u64, broadcast: bool) {
+    fn tlbi(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr: u64, broadcast: bool) {
+        let cpu = ctx.cpu;
         self.guarded("tlbi", || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events.emit(
-                ctx.cpu as u32,
-                trap,
+            self.observe(
+                cpu,
                 Event::Tlbi {
                     vmid,
                     ia,
-                    nr: nr_pages,
+                    nr,
                     broadcast,
-                    cpu: ctx.cpu,
+                    cpu,
                 },
-            );
-            self.dispatch(CheckMsg::Tlbi {
-                cpu: ctx.cpu,
-                vmid,
-                ia,
-                nr: nr_pages,
-                broadcast,
-            });
+            )
         });
     }
 
     fn dsb(&self, ctx: &HookCtx<'_>) {
-        self.guarded("dsb", || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events
-                .emit(ctx.cpu as u32, trap, Event::Dsb { cpu: ctx.cpu });
-            self.dispatch(CheckMsg::Dsb { cpu: ctx.cpu });
-        });
+        let cpu = ctx.cpu;
+        self.guarded("dsb", || self.observe(cpu, Event::Dsb { cpu }));
     }
 
     fn transfer(&self, ctx: &HookCtx<'_>, edge: TransferEdge, pfn: u64, nr: u64, dirty: bool) {
+        let cpu = ctx.cpu;
         self.guarded("transfer", || {
-            let trap = self.current_trap(ctx.cpu);
-            let seq = self.events.emit(
-                ctx.cpu as u32,
-                trap,
+            self.observe(
+                cpu,
                 Event::Transfer {
-                    cpu: ctx.cpu,
+                    cpu,
                     edge,
                     pfn,
                     nr,
                     dirty,
                 },
-            );
-            self.dispatch(CheckMsg::Transfer {
-                cpu: ctx.cpu,
-                trap,
-                seq,
-                edge,
-                pfn,
-                nr,
-                dirty,
-            });
+            )
         });
     }
 
     fn firmware_donated(&self, ctx: &HookCtx<'_>, handle: Handle, uniq: u64, pfn: u64, nr: u64) {
+        let cpu = ctx.cpu;
         self.guarded("firmware_donated", || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events.emit(
-                ctx.cpu as u32,
-                trap,
+            self.observe(
+                cpu,
                 Event::FirmwareDonate {
-                    cpu: ctx.cpu,
+                    cpu,
                     handle,
                     uniq,
                     pfn,
                     nr,
                 },
-            );
-            self.dispatch(CheckMsg::FirmwareDonate {
-                handle,
-                uniq,
-                pfn,
-                nr,
-            });
+            )
         });
     }
 
     fn host_regain(&self, ctx: &HookCtx<'_>, pfn: u64, nr: u64) {
+        let cpu = ctx.cpu;
         self.guarded("host_regain", || {
-            let trap = self.current_trap(ctx.cpu);
-            let seq = self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::HostRegain {
-                    cpu: ctx.cpu,
-                    pfn,
-                    nr,
-                },
-            );
-            self.dispatch(CheckMsg::HostRegain {
-                cpu: ctx.cpu,
-                trap,
-                seq,
-                pfn,
-                nr,
-            });
+            self.observe(cpu, Event::HostRegain { cpu, pfn, nr })
         });
     }
 
@@ -2726,19 +2100,6 @@ mod tests {
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
-    #[test]
-    fn separation_check_can_be_disabled() {
-        let o = Oracle::builder(&MachineConfig::default())
-            .check_separation(false)
-            .build();
-        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
-        let ctx = HookCtx { mem: &mem, cpu: 0 };
-        let page = PhysAddr::new(0x4400_0000);
-        o.table_page_alloc(&ctx, Component::Host, page);
-        o.table_page_alloc(&ctx, Component::Hyp, page);
-        assert!(o.is_clean());
-    }
-
     fn ghost_vm(handle: Handle, donated: &[u64]) -> crate::state::GhostVm {
         crate::state::GhostVm {
             handle,
@@ -2760,10 +2121,7 @@ mod tests {
         let o = Oracle::new(
             &MachineConfig::default(),
             OracleOpts::builder()
-                .check_mode(CheckMode::Pipelined {
-                    workers: 1,
-                    channel_cap: cap,
-                })
+                .check_mode(CheckMode::Pipelined { channel_cap: cap })
                 .build(),
         );
         // Stall the checker: the first message it applies (`trap_enter`)
@@ -2976,7 +2334,7 @@ mod tests {
             Violation::OracleInternal { component, payload, .. }
                 if component == "host" && payload.contains("chaos")
         )));
-        assert_eq!(o.stats.contained_panics.load(Ordering::Relaxed), 3);
+        assert_eq!(o.stats_snapshot().contained_panics, 3);
         assert_eq!(o.quarantine.disposition("host"), Disposition::Skip);
         assert_eq!(o.quarantined(), 1);
         // After its bench time the component recovers exactly once.
@@ -3000,7 +2358,7 @@ mod tests {
         }
         assert_eq!(o.violations().len(), 4);
         assert_eq!(o.violation_count(), 4);
-        assert_eq!(o.stats.violations_dropped.load(Ordering::Relaxed), 6);
+        assert_eq!(o.stats_snapshot().violations_dropped, 6);
     }
 
     #[test]
@@ -3076,34 +2434,6 @@ mod tests {
         assert_eq!(shared.state.host.as_ref(), computed.host.as_ref());
     }
 
-    #[test]
-    fn bbm_tracker_retires_only_covered_broadcast_flushes() {
-        let mut t = BbmTracker::default();
-        t.note_break(0, 10, 1, 0x8000, 2);
-        t.note_break(0, 11, 2, 0x8000, 2);
-        // Wrong VMID: retires nothing.
-        t.note_tlbi(0, 3, 0x8000, 2);
-        // Partial coverage (one of two pages): retires nothing.
-        t.note_tlbi(0, 1, 0x8000, 1);
-        t.note_dsb(0);
-        assert_eq!(t.pending[&0].len(), 2);
-        // Exact coverage, but a TLBI without its DSB retires nothing yet.
-        t.note_tlbi(0, 1, 0x8000, 2);
-        assert_eq!(t.pending[&0].len(), 2);
-        t.note_dsb(0);
-        assert_eq!(t.pending[&0].len(), 1);
-        assert_eq!(t.pending[&0][0].seq, 11);
-        // A VMID-wide TLBI (ia 0, nr MAX) covers anything of that VMID.
-        t.note_tlbi(0, 2, 0, u64::MAX);
-        t.note_dsb(0);
-        assert!(t.pending[&0].is_empty());
-        // Breaks are per-CPU: CPU 1's ledger is untouched throughout.
-        t.note_break(1, 12, 1, 0, 1);
-        t.note_tlbi(0, 1, 0, u64::MAX);
-        t.note_dsb(0);
-        assert_eq!(t.drain(1).len(), 1);
-    }
-
     fn bbm_violations(o: &Oracle) -> Vec<Violation> {
         o.violations()
             .into_iter()
@@ -3160,19 +2490,6 @@ mod tests {
         o.dsb(&ctx);
         o.trap_exit(&ctx, &GprFile::default(), None);
         assert_eq!(bbm_violations(&o).len(), 1);
-    }
-
-    #[test]
-    fn break_before_make_check_can_be_disabled() {
-        let o = Oracle::builder(&MachineConfig::default())
-            .check_break_before_make(false)
-            .build();
-        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
-        let ctx = HookCtx { mem: &mem, cpu: 0 };
-        o.trap_enter(&ctx, Esr::hvc64(0), None, &GprFile::default(), None);
-        o.pte_downgrade(&ctx, 1, 0x8000, 2);
-        o.trap_exit(&ctx, &GprFile::default(), None);
-        assert!(bbm_violations(&o).is_empty());
     }
 
     #[test]
@@ -3313,18 +2630,72 @@ mod tests {
         );
     }
 
+    /// One tracker knob, the minimal hook sequence that trips it, and the
+    /// violation kinds that sequence must report.
+    type TrackerCase = (
+        fn(OracleOptsBuilder, bool) -> OracleOptsBuilder,
+        fn(&Oracle, &HookCtx<'_>),
+        &'static [&'static str],
+    );
+
     #[test]
-    fn android_checks_can_be_disabled() {
-        let o = Oracle::builder(&MachineConfig::default())
-            .check_transfer_protocol(false)
-            .check_firmware_protection(false)
-            .build();
+    fn every_tracker_knob_reports_exactly_its_kinds_in_both_modes() {
+        let cases: [TrackerCase; 4] = [
+            (
+                OracleOptsBuilder::check_separation,
+                |o, ctx| {
+                    let page = PhysAddr::new(0x4400_0000);
+                    o.table_page_alloc(ctx, Component::Host, page);
+                    o.table_page_alloc(ctx, Component::Hyp, page);
+                },
+                &["separation-overlap"],
+            ),
+            (
+                OracleOptsBuilder::check_break_before_make,
+                |o, ctx| {
+                    // An SMC leaves the modelled state alone, so the trap's
+                    // own spec check stays quiet.
+                    o.trap_enter(ctx, Esr::smc64(), None, &GprFile::default(), None);
+                    o.pte_downgrade(ctx, 1, 0x8000, 2);
+                    o.trap_exit(ctx, &GprFile::default(), None);
+                },
+                &["break-before-make"],
+            ),
+            (
+                OracleOptsBuilder::check_transfer_protocol,
+                |o, ctx| {
+                    o.transfer(ctx, TransferEdge::UnshareHyp, 0x100, 1, false);
+                    o.transfer(ctx, TransferEdge::Reclaim, 0x200, 1, true);
+                },
+                &["transfer-protocol", "transfer-protocol", "reclaim-wipe"],
+            ),
+            (
+                OracleOptsBuilder::check_firmware_protection,
+                |o, ctx| {
+                    o.firmware_donated(ctx, 0x1000, 1, 0x400, 1);
+                    o.host_regain(ctx, 0x400, 1);
+                },
+                &["firmware-protection"],
+            ),
+        ];
         let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
         let ctx = HookCtx { mem: &mem, cpu: 0 };
-        o.transfer(&ctx, TransferEdge::UnshareHyp, 0x100, 1, false);
-        o.transfer(&ctx, TransferEdge::Reclaim, 0x200, 1, true);
-        o.firmware_donated(&ctx, 0x1000, 1, 0x400, 1);
-        o.host_regain(&ctx, 0x400, 1);
-        assert!(o.is_clean(), "{:?}", o.violations());
+        for (knob, trip, kinds) in cases {
+            let mut reports = Vec::new();
+            for mode in [CheckMode::Inline, CheckMode::pipelined()] {
+                for on in [true, false] {
+                    let opts = knob(OracleOpts::builder().check_mode(mode), on).build();
+                    let o = Oracle::new(&MachineConfig::default(), opts);
+                    trip(&o, &ctx);
+                    let vs = o.verdict().wait().violations();
+                    let got: Vec<&str> = vs.iter().map(Violation::kind).collect();
+                    let want: &[&str] = if on { kinds } else { &[] };
+                    assert_eq!(got, want, "{mode:?}, knob on: {on}");
+                    reports.push(vs.iter().map(Violation::to_string).collect::<Vec<_>>());
+                }
+            }
+            // Same reports, same anchors, in both modes.
+            assert_eq!(reports[0], reports[2], "{kinds:?}");
+        }
     }
 }

@@ -9,9 +9,6 @@
 pub use crate::abscache::CacheStats;
 pub use crate::check::Violation;
 pub use crate::checker::{CheckMode, Checker, StatsSnapshot, Verdict};
-pub use crate::oracle::{
-    Oracle, OracleBuilder, OracleOpts, OracleOptsBuilder, ResilienceSnapshot, TrapOutcome,
-    TrapRecord,
-};
+pub use crate::oracle::{Oracle, OracleOpts, OracleOptsBuilder, TrapOutcome, TrapRecord};
 pub use crate::spec::SpecVerdict;
 pub use crate::state::GhostState;

@@ -32,7 +32,7 @@ struct Rig {
 
 fn boot_with_oracle(faults: FaultSet) -> Rig {
     let config = MachineConfig::default();
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let machine = Machine::boot(config, oracle.clone(), Arc::new(faults));
     Rig { machine, oracle }
 }
@@ -490,7 +490,7 @@ fn catches_bug5_linear_map_overlap() {
     let faults = Arc::new(FaultSet::none());
     faults.inject(Fault::Bug5LinearMapOverlap);
     let config = MachineConfig::huge_dram();
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let machine = Machine::boot(config, oracle.clone(), faults);
     // The boot check compares against the *correct* layout and flags the
     // misplaced UART mapping.
@@ -509,7 +509,7 @@ fn catches_bug5_linear_map_overlap() {
 #[test]
 fn clean_huge_dram_passes_boot_check() {
     let config = MachineConfig::huge_dram();
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let _machine = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
     assert!(oracle.check_boot(), "{}", render(&oracle.violations()));
 }

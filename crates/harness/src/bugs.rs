@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE};
 use pkvm_aarch64::walk::Access;
-use pkvm_ghost::oracle::Oracle;
+use pkvm_ghost::oracle::{Oracle, OracleOpts};
 use pkvm_hyp::faults::{Fault, FaultSet};
 use pkvm_hyp::machine::{Machine, MachineConfig};
 
@@ -245,7 +245,7 @@ fn detect_bug5() -> (Detection, Option<String>) {
     let faults = Arc::new(FaultSet::none());
     faults.inject(Fault::Bug5LinearMapOverlap);
     let config = MachineConfig::huge_dram();
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let machine = Machine::boot(config, oracle.clone(), faults);
     let boot_ok = oracle.check_boot();
     let _ = machine;

@@ -26,10 +26,10 @@ use std::time::{Duration, Instant};
 
 use pkvm_aarch64::addr::PhysAddr;
 use pkvm_ghost::event::{Event, EventRecord};
-use pkvm_ghost::oracle::{OracleOpts, ResilienceSnapshot};
-use pkvm_ghost::{CheckMode, Violation};
+use pkvm_ghost::oracle::OracleOpts;
+use pkvm_ghost::{CheckMode, StatsSnapshot, Violation};
 use pkvm_hyp::faults::FaultSet;
-use pkvm_hyp::machine::MachineConfig;
+use pkvm_hyp::machine::{Machine, MachineConfig};
 
 use crate::chaos::{ChaosCfg, ChaosDriver, ChaosInjected};
 use crate::proxy::Proxy;
@@ -262,10 +262,10 @@ pub struct CampaignReport {
     pub hyp_panic: Option<String>,
     /// Wall-clock duration of the campaign.
     pub elapsed: Duration,
-    /// The oracle's resilience counters after the campaign: contained
-    /// panics, quarantine activity, budget degradation, dropped
+    /// The oracle's counters after the campaign, read for its resilience:
+    /// contained panics, quarantine activity, budget degradation, dropped
     /// violations (all zero without an oracle).
-    pub resilience: ResilienceSnapshot,
+    pub resilience: StatsSnapshot,
     /// What the chaos engine injected (`None` without chaos).
     pub chaos_injected: Option<ChaosInjected>,
     /// The replay trace, when recording was enabled.
@@ -496,7 +496,7 @@ pub fn run(cfg: &CampaignCfg) -> CampaignReport {
         violations,
         hyp_panic: machine.panicked(),
         elapsed: start.elapsed(),
-        resilience: verdict.as_ref().map(|v| v.resilience()).unwrap_or_default(),
+        resilience: verdict.as_ref().map(|v| v.stats()).unwrap_or_default(),
         chaos_injected: proxy.chaos_injected(),
         trace,
     }
@@ -594,32 +594,9 @@ impl ReplayMachine {
     /// the event actually executed. No RNG, model or allocator runs:
     /// every argument is already concrete in the event.
     pub fn step(&mut self, ev: &Event) -> bool {
-        let m = &self.proxy.machine;
-        if m.panicked().is_some() {
-            return false;
-        }
-        match ev {
-            Event::Hvc { cpu, func, args } => {
-                let _ = m.hvc(*cpu, *func, args);
-            }
-            Event::WriteMem { pa, value } => {
-                // Host privilege: through the host's stage 2, like the
-                // recording side (Proxy::write_mem).
-                let _ = m.host_write(0, *pa, *value);
-            }
-            Event::CorruptMem { pa, value } => {
-                let _ = m.mem.write_u64(PhysAddr::new(*pa), *value);
-            }
-            Event::HostAccess { cpu, addr, access } => {
-                let _ = m.host_access(*cpu, *addr, *access);
-            }
-            Event::PushGuestOp { handle, idx, op } => {
-                let _ = m.push_guest_op(*handle, *idx, *op);
-            }
-            _ => return false,
-        }
-        self.steps += 1;
-        true
+        let ran = execute_driver(&self.proxy.machine, ev);
+        self.steps += usize::from(ran);
+        ran
     }
 
     /// Driver events executed so far.
@@ -637,6 +614,38 @@ impl ReplayMachine {
             steps: self.steps,
         }
     }
+}
+
+/// Executes one recorded *driver* event on `m` — the one interpretation
+/// of a schedule that campaign replay and the fuzzer share. Oracle and
+/// chaos events are context, not instructions, and never execute;
+/// neither does anything after a hypervisor panic (the machine is dead).
+/// Returns `true` when the event executed.
+pub(crate) fn execute_driver(m: &Machine, ev: &Event) -> bool {
+    if m.panicked().is_some() {
+        return false;
+    }
+    match ev {
+        Event::Hvc { cpu, func, args } => {
+            let _ = m.hvc(*cpu, *func, args);
+        }
+        Event::WriteMem { pa, value } => {
+            // Host privilege: through the host's stage 2, like the
+            // recording side (Proxy::write_mem).
+            let _ = m.host_write(0, *pa, *value);
+        }
+        Event::CorruptMem { pa, value } => {
+            let _ = m.mem.write_u64(PhysAddr::new(*pa), *value);
+        }
+        Event::HostAccess { cpu, addr, access } => {
+            let _ = m.host_access(*cpu, *addr, *access);
+        }
+        Event::PushGuestOp { handle, idx, op } => {
+            let _ = m.push_guest_op(*handle, *idx, *op);
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// Replays a *streamed* schedule under `header`'s configuration in O(1)

@@ -36,16 +36,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use pkvm_aarch64::addr::PhysAddr;
 use pkvm_aarch64::sync::Mutex;
-use pkvm_ghost::event::{canonical_signature, Event, EventRecord};
+use pkvm_ghost::event::{canonical_signature, EventRecord};
 use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::{CheckMode, Violation};
 use pkvm_hyp::cov;
 use pkvm_hyp::faults::FaultSet;
 use pkvm_hyp::machine::{Machine, MachineConfig};
 
-use crate::campaign::{worker_seed, CampaignTrace};
+use crate::campaign::{execute_driver, worker_seed, CampaignTrace};
 use crate::chaos::ChaosCfg;
 use crate::coverage::CoverageSummary;
 use crate::proxy::Proxy;
@@ -525,36 +524,16 @@ impl Fuzzer {
     }
 }
 
-/// Executes the driver events on `m` in order (the same interpretation
-/// campaign replay uses), stopping at a hypervisor panic. Returns the
-/// steps executed.
+/// Executes the driver events on `m` in order (campaign replay's
+/// [`execute_driver`]), stopping at a hypervisor panic. Returns the steps
+/// executed.
 pub(crate) fn apply_driver(m: &Machine, events: &[EventRecord]) -> u64 {
     let mut steps = 0;
     for ev in events {
         if m.panicked().is_some() {
             break;
         }
-        match &ev.event {
-            Event::Hvc { cpu, func, args } => {
-                let _ = m.hvc(*cpu, *func, args);
-            }
-            Event::WriteMem { pa, value } => {
-                // Host privilege: through the host's stage 2, like the
-                // recording side (Proxy::write_mem).
-                let _ = m.host_write(0, *pa, *value);
-            }
-            Event::CorruptMem { pa, value } => {
-                let _ = m.mem.write_u64(PhysAddr::new(*pa), *value);
-            }
-            Event::HostAccess { cpu, addr, access } => {
-                let _ = m.host_access(*cpu, *addr, *access);
-            }
-            Event::PushGuestOp { handle, idx, op } => {
-                let _ = m.push_guest_op(*handle, *idx, *op);
-            }
-            _ => continue,
-        }
-        steps += 1;
+        steps += u64::from(execute_driver(m, &ev.event));
     }
     steps
 }

@@ -32,6 +32,7 @@
 //! - [`chaos`] — the chaos fault-injection engine: seeded corruption of
 //!   the oracle's inputs (and the machine under it) with a
 //!   detection-matrix sweep proving the oracle fails safe;
+//! - [`cli`] — the hex-or-decimal number parsing every example shares;
 //! - [`coverage`] — implementation and specification coverage reports
 //!   over the custom coverage registry;
 //! - [`bugs`] — the bug catalog: triggers and detection verdicts for the
@@ -41,6 +42,7 @@ pub mod android;
 pub mod bugs;
 pub mod campaign;
 pub mod chaos;
+pub mod cli;
 pub mod coverage;
 pub mod differential;
 pub mod fleet;

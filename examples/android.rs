@@ -32,17 +32,13 @@ use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::CheckMode;
 use pkvm_harness::android;
 use pkvm_harness::campaign::{replay, CampaignCfg, CampaignTrace};
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::proxy::Proxy;
 use pkvm_harness::tracefile::{load_trace, save_trace};
 use pkvm_hyp::faults::{Fault, FaultSet};
 use pkvm_hyp::vm::GuestOp;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
+const USAGE: &str = "usage: android <gate|replay> <file.pkvmtrace> [seed] [steps]";
 
 /// The canonical verdict line: derived from a replay of the trace plus
 /// the event-stream signature, so any process that loads the same file
@@ -204,7 +200,7 @@ fn gate(path: &str, seed: u64, steps: u64) -> ExitCode {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(mode) = args.next() else {
-        eprintln!("usage: android <gate|replay> <file.pkvmtrace> [seed] [steps]");
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     let Some(path) = args.next() else {
@@ -213,8 +209,8 @@ fn main() -> ExitCode {
     };
     match mode.as_str() {
         "gate" => {
-            let seed = args.next().as_deref().and_then(parse_u64).unwrap_or(0xe16);
-            let steps = args.next().as_deref().and_then(parse_u64).unwrap_or(1200);
+            let seed = num_arg(args.next().as_deref(), 0xe16, USAGE);
+            let steps = num_arg(args.next().as_deref(), 1200, USAGE);
             gate(&path, seed, steps)
         }
         "replay" => {

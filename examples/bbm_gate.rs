@@ -24,6 +24,7 @@ use std::process::ExitCode;
 use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::CheckMode;
 use pkvm_harness::chaos::ChaosCfg;
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::proxy::Proxy;
 use pkvm_harness::random::{RandomCfg, RandomTester};
 use pkvm_hyp::faults::{Fault, FaultSet};
@@ -63,10 +64,12 @@ fn bbm_count(violations: &[(&'static str, Option<u64>)]) -> usize {
         .count()
 }
 
+const USAGE: &str = "usage: bbm_gate [steps] [seed]";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let steps: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(400);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0xe13);
+    let steps = num_arg(args.next().as_deref(), 400, USAGE);
+    let seed = num_arg(args.next().as_deref(), 0xe13, USAGE);
 
     // Phase 1: the missing-TLBI bug is spec-detected in both modes.
     let inline = run(

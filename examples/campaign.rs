@@ -7,23 +7,15 @@
 //! Run with `cargo run --release --example campaign -- [workers] [steps-per-worker] [seed]`.
 
 use pkvm_harness::campaign::{minimize, replay, CampaignCfg};
+use pkvm_harness::cli::num_arg;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
+const USAGE: &str = "usage: campaign [workers] [steps-per-worker] [seed]";
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let steps: u64 = args.next().as_deref().and_then(parse_u64).unwrap_or(2_000);
-    let seed: u64 = args
-        .next()
-        .as_deref()
-        .and_then(parse_u64)
-        .unwrap_or(0xc0ffee);
+    let workers = num_arg(args.next().as_deref(), 4, USAGE) as usize;
+    let steps = num_arg(args.next().as_deref(), 2_000, USAGE);
+    let seed = num_arg(args.next().as_deref(), 0xc0ffee, USAGE);
 
     let report = CampaignCfg::builder()
         .workers(workers)

@@ -25,15 +25,15 @@
 
 use pkvm_harness::campaign::{replay, replay_stream, CampaignCfg, ReplayOutcome};
 use pkvm_harness::chaos::{detection_matrix, mutation_sweep, ChaosCfg, ChaosFamily, MatrixCfg};
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::tracefile::{save_trace, TraceReader};
 use pkvm_hyp::faults::Fault;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
+const USAGE: &str = "usage: chaos matrix [runs] [seed]\n\
+\x20      chaos campaign [seed] [steps]\n\
+\x20      chaos mutation [seed] [steps]\n\
+\x20      chaos record <file.pkvmtrace> [seed] [steps]\n\
+\x20      chaos replay <file.pkvmtrace>";
 
 /// The canonical verdict line: everything that must survive a trip
 /// through the trace file — violation count, kinds, the event sequence
@@ -79,8 +79,8 @@ fn main() {
     let mode = args.next().unwrap_or_else(|| "matrix".into());
     match mode.as_str() {
         "matrix" => {
-            let runs: u32 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
-            let seed = args.next().as_deref().and_then(parse_u64).unwrap_or(0xc405);
+            let runs = num_arg(args.next().as_deref(), 3, USAGE) as u32;
+            let seed = num_arg(args.next().as_deref(), 0xc405, USAGE);
             let matrix = detection_matrix(&MatrixCfg {
                 runs_per_family: runs,
                 base_seed: seed,
@@ -93,8 +93,8 @@ fn main() {
             }
         }
         "campaign" => {
-            let seed = args.next().as_deref().and_then(parse_u64).unwrap_or(0xc2);
-            let steps = args.next().as_deref().and_then(parse_u64).unwrap_or(400);
+            let seed = num_arg(args.next().as_deref(), 0xc2, USAGE);
+            let steps = num_arg(args.next().as_deref(), 400, USAGE);
             let chaos = all_families_chaos(seed);
             let report = CampaignCfg::builder()
                 .workers(2)
@@ -132,8 +132,8 @@ fn main() {
             println!("chaotic campaign survived and replays deterministically");
         }
         "mutation" => {
-            let seed = args.next().as_deref().and_then(parse_u64).unwrap_or(0xc3);
-            let steps = args.next().as_deref().and_then(parse_u64).unwrap_or(400);
+            let seed = num_arg(args.next().as_deref(), 0xc3, USAGE);
+            let steps = num_arg(args.next().as_deref(), 400, USAGE);
             let faults = [
                 Fault::SynShareWrongState,
                 Fault::SynShareHypExec,
@@ -160,11 +160,11 @@ fn main() {
         }
         "record" => {
             let Some(path) = args.next() else {
-                eprintln!("usage: chaos record <file.pkvmtrace> [seed] [steps]");
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             };
-            let seed = args.next().as_deref().and_then(parse_u64).unwrap_or(0xc2);
-            let steps = args.next().as_deref().and_then(parse_u64).unwrap_or(400);
+            let seed = num_arg(args.next().as_deref(), 0xc2, USAGE);
+            let steps = num_arg(args.next().as_deref(), 400, USAGE);
             let report = CampaignCfg::builder()
                 .workers(2)
                 .steps_per_worker(steps)
@@ -182,7 +182,7 @@ fn main() {
         }
         "replay" => {
             let Some(path) = args.next() else {
-                eprintln!("usage: chaos replay <file.pkvmtrace>");
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             };
             // Stream the trace straight from disk into the replay: the

@@ -25,24 +25,18 @@
 //! Run with `cargo run --release --example differential -- <mode> <args>`.
 
 use pkvm_harness::campaign::CampaignCfg;
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::differential::differential_matrix;
 use pkvm_harness::tracefile::save_trace;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
+const USAGE: &str = "usage: differential record <file.pkvmtrace> [seed] [steps]\n\
+\x20      differential matrix <file.pkvmtrace>\n\
+\x20      differential gate <file.pkvmtrace> [min-detected]";
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let Some(mode) = args.next() else {
-        eprintln!("usage: differential <record|matrix|gate> <file.pkvmtrace> [args]");
-        std::process::exit(2);
-    };
-    let Some(path) = args.next() else {
-        eprintln!("usage: differential {mode} <file.pkvmtrace> [args]");
+    let (Some(mode), Some(path)) = (args.next(), args.next()) else {
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
 
@@ -52,8 +46,8 @@ fn main() {
             // exactly and reproducibly: the single-worker recording is
             // deterministic, and 14/17 is the stable ceiling across
             // seeds (the three misses are structural, not schedule luck).
-            let seed = args.next().as_deref().and_then(parse_u64).unwrap_or(0x42);
-            let steps = args.next().as_deref().and_then(parse_u64).unwrap_or(2500);
+            let seed = num_arg(args.next().as_deref(), 0x42, USAGE);
+            let steps = num_arg(args.next().as_deref(), 2500, USAGE);
             let report = CampaignCfg::builder()
                 .workers(1)
                 .steps_per_worker(steps)
@@ -89,7 +83,7 @@ fn main() {
             print!("{}", matrix.render());
             println!("{}", matrix.matrix_line());
             if mode == "gate" {
-                let min: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(14);
+                let min = num_arg(args.next().as_deref(), 14, USAGE) as usize;
                 let clean = matrix.clean_row();
                 if clean.violations > 0 || clean.hyp_panic {
                     eprintln!(

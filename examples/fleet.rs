@@ -26,24 +26,20 @@
 
 use std::process::ExitCode;
 
+use pkvm_harness::cli::{num_arg, parse_u64};
 use pkvm_harness::fleet::{self, FleetCfg, FleetChaos, FleetReport, SupervisionCfg, WorkerCfg};
 use pkvm_harness::fuzz;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: fleet run   <root> <workers> <rounds> [seed]\n\
-         \x20      fleet soak  <root> <workers> <rounds> [seed]\n\
-         \x20      fleet chaos <root> <workers> <rounds> [seed]\n\
-         \x20      fleet gate  <root> <seed>\n\
-         \x20      fleet verify <root>\n\
-         \x20      fleet worker <root> <id>"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: fleet run   <root> <workers> <rounds> [seed]\n\
+\x20      fleet soak  <root> <workers> <rounds> [seed]\n\
+\x20      fleet chaos <root> <workers> <rounds> [seed]\n\
+\x20      fleet gate  <root> <seed>\n\
+\x20      fleet verify <root>\n\
+\x20      fleet worker <root> <id>";
 
-fn parse_u64(s: &str) -> Option<u64> {
-    s.strip_prefix("0x")
-        .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -80,7 +76,7 @@ fn cmd_fleet(args: &[String], mode: Mode) -> ExitCode {
     ) else {
         return usage();
     };
-    let seed = args.get(3).and_then(|s| parse_u64(s)).unwrap_or(0xf1ee7);
+    let seed = num_arg(args.get(3).map(String::as_str), 0xf1ee7, USAGE);
     let mut cfg = FleetCfg::builder()
         .root(root)
         .workers(workers as usize)

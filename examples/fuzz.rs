@@ -19,6 +19,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use pkvm_harness::cli::{num_arg, parse_u64};
 use pkvm_harness::coverage::CoverageSummary;
 use pkvm_harness::fuzz::{corpus, FuzzCfg, Fuzzer};
 use pkvm_harness::proxy::Proxy;
@@ -26,19 +27,14 @@ use pkvm_harness::random::{RandomCfg, RandomTester};
 use pkvm_hyp::cov;
 use pkvm_hyp::faults::{Fault, FaultSet};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: fuzz run <seed> <budget> [workers] [corpus_dir [crashes_dir]]\n\
-         \x20      fuzz gate <corpus_dir> <seed> <budget>\n\
-         \x20      fuzz verify <corpus_dir>\n\
-         \x20      fuzz sweep <seed> <budget>"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: fuzz run <seed> <budget> [workers] [corpus_dir [crashes_dir]]\n\
+\x20      fuzz gate <corpus_dir> <seed> <budget>\n\
+\x20      fuzz verify <corpus_dir>\n\
+\x20      fuzz sweep <seed> <budget>";
 
-fn parse_u64(s: &str) -> Option<u64> {
-    s.strip_prefix("0x")
-        .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
@@ -59,7 +55,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ) else {
         return usage();
     };
-    let workers = args.get(2).and_then(|s| parse_u64(s)).unwrap_or(1) as usize;
+    let workers = num_arg(args.get(2).map(String::as_str), 1, USAGE) as usize;
     let mut cfg = FuzzCfg::builder()
         .seed(seed)
         .step_budget(budget)

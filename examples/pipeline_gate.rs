@@ -24,6 +24,7 @@ use std::time::Instant;
 use pkvm_ghost::event::canonical_signature;
 use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::CheckMode;
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::proxy::Proxy;
 use pkvm_harness::random::{RandomCfg, RandomTester};
 
@@ -74,10 +75,12 @@ fn run(mode: Option<CheckMode>, steps: u64, seed: u64, record: bool) -> Outcome 
     }
 }
 
+const USAGE: &str = "usage: pipeline_gate [steps] [seed]";
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let steps: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0xe12);
+    let steps = num_arg(args.next().as_deref(), 1000, USAGE);
+    let seed = num_arg(args.next().as_deref(), 0xe12, USAGE);
 
     // Phase 1: equivalence at a fixed seed, recorded timelines.
     let eq_steps = steps.min(400);

@@ -39,7 +39,7 @@ fn main() {
     // Boot the machine with the ghost spec installed (the paper's
     // CONFIG_NVHE_GHOST_SPEC=y build).
     let config = MachineConfig::default();
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let machine = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
     assert!(oracle.check_boot(), "boot state must match the boot spec");
     println!("booted; boot-state check passed");

@@ -5,13 +5,16 @@
 
 use std::time::Instant;
 
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::proxy::Proxy;
 use pkvm_harness::random::{RandomCfg, RandomTester};
 
+const USAGE: &str = "usage: random_tester [steps] [seed]";
+
 fn main() {
     let mut args = std::env::args().skip(1);
-    let steps: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(20_000);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0xc0ffee);
+    let steps = num_arg(args.next().as_deref(), 20_000, USAGE);
+    let seed = num_arg(args.next().as_deref(), 0xc0ffee, USAGE);
 
     let proxy = Proxy::builder().boot();
     let mut tester = RandomTester::new(proxy, RandomCfg::builder().seed(seed).build());

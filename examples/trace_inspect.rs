@@ -32,7 +32,10 @@
 //! how E15 measures streaming vs materialized peak memory.
 
 use pkvm_ghost::event::{Event, EventRecord, TraceStats};
+use pkvm_harness::cli::num_arg;
 use pkvm_harness::tracefile::{compact_trace, load_trace, TraceReader};
+
+const USAGE: &str = "usage: trace_inspect <file.pkvmtrace> [summary | dump [lane] | stats | materialize | compact <dst> [family ...]]";
 
 /// Streams the whole file through `f`, exiting nonzero on the first
 /// decode error, and returns (events, violations).
@@ -108,9 +111,7 @@ fn maybe_print_peak_rss() {
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(path) = args.next() else {
-        eprintln!(
-            "usage: trace_inspect <file.pkvmtrace> [summary | dump [lane] | stats | materialize | compact <dst> [family ...]]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let mode = args.next().unwrap_or_else(|| "summary".to_string());
@@ -124,7 +125,7 @@ fn main() {
             print!("{}", stats.render());
         }
         "dump" => {
-            let lane_filter: Option<u32> = args.next().and_then(|s| s.parse().ok());
+            let lane_filter = args.next().map(|s| num_arg(Some(&s), 0, USAGE) as u32);
             print_header(&path);
             let (events, violations) = stream(&path, |rec| {
                 if lane_filter.is_some_and(|l| l != rec.lane) {

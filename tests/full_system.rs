@@ -168,7 +168,7 @@ fn multi_region_dram_configurations() {
         dram: vec![(0x4000_0000, 0x400_0000), (0x9000_0000, 0x400_0000)],
         ..MachineConfig::default()
     };
-    let oracle = Oracle::builder(&config).build();
+    let oracle = Oracle::new(&config, OracleOpts::default());
     let m = Machine::boot(config, oracle.clone(), Arc::new(FaultSet::none()));
     assert!(oracle.check_boot(), "{:?}", oracle.violations());
     // Host faults and shares in both regions.
