@@ -480,7 +480,7 @@ impl EventStream {
 
     /// Reports a violation into the timeline and the bounded log. Returns
     /// `false` when the log was full and the report was dropped (the
-    /// caller counts drops — see `OracleStats::violations_dropped`).
+    /// caller counts drops — see `StatsSnapshot::violations_dropped`).
     pub fn violation(&self, lane: u32, trap: Option<u64>, v: Violation) -> bool {
         self.append(lane, trap, Event::Violation(v)).1
     }

@@ -525,17 +525,13 @@ impl Fuzzer {
 }
 
 /// Executes the driver events on `m` in order (campaign replay's
-/// [`execute_driver`]), stopping at a hypervisor panic. Returns the steps
+/// [`execute_driver`]), none after a hypervisor panic. Returns the steps
 /// executed.
 pub(crate) fn apply_driver(m: &Machine, events: &[EventRecord]) -> u64 {
-    let mut steps = 0;
-    for ev in events {
-        if m.panicked().is_some() {
-            break;
-        }
-        steps += u64::from(execute_driver(m, &ev.event));
-    }
-    steps
+    events
+        .iter()
+        .filter(|ev| execute_driver(m, &ev.event))
+        .count() as u64
 }
 
 /// Runs `steps` fresh model-guided tester steps on `proxy` and returns
