@@ -40,6 +40,17 @@ echo "== benchmark tests (perf/, its own workspace) =="
 # breaks it fails here rather than at the next benchmark run.
 cargo test -q --manifest-path perf/Cargo.toml
 
+echo "== benchmark smoke (every workload, 5 s each) =="
+# Each run checks its outputs (clean verdicts, mode agreement, pinned
+# traffic digests) and exits non-zero on any failure, so a change that
+# alters a workload's traffic or verdicts fails here, not only at the
+# next benchmark comparison. Only the steps/s lines are shown.
+for w in random_e3 android_mix trace_replay fuzz_burst; do
+    echo "  $w"
+    cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+        run "$w" --seconds 5 | grep '^steps_per_s' | sed 's/^/    /'
+done
+
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -65,6 +65,7 @@ fn bench_small_delta(c: &mut Criterion) {
         let mut anomalies = Vec::new();
         let (_, meta) = interpret_pgtable_with_meta(&mem, Stage::Stage2, root, &mut anomalies);
         assert!(anomalies.is_empty());
+        let meta = meta.expect("no table page is reachable twice");
         let (&leaf_pfn, _) = meta
             .iter()
             .find(|(_, &(level, _))| level == 3)

@@ -49,8 +49,8 @@ fn bench_ablation(c: &mut Criterion) {
                 .build(),
         ),
         (
-            "incremental_abstraction",
-            OracleOpts::builder().incremental_abstraction(true).build(),
+            "full_walk",
+            OracleOpts::builder().incremental_abstraction(false).build(),
         ),
         (
             "shadow_validation",

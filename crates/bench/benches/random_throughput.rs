@@ -69,12 +69,12 @@ fn bench_random(c: &mut Criterion) {
             black_box(run(false, seed))
         })
     });
-    g.bench_function("with_incremental_oracle", |b| {
+    g.bench_function("full_walk", |b| {
         b.iter(|| {
             seed += 1;
             black_box(run_opts(
                 true,
-                OracleOpts::builder().incremental_abstraction(true).build(),
+                OracleOpts::builder().incremental_abstraction(false).build(),
                 seed,
             ))
         })

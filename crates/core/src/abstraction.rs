@@ -22,6 +22,7 @@ use pkvm_hyp::hooks::VmView;
 use pkvm_hyp::owner::{annotation_owner, OwnerId, PageState};
 
 use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
+use crate::mapping::{push_coalesce, Mapping};
 use crate::state::{AbstractPgtable, GhostGlobals, GhostHost, GhostPkvm, GhostVcpu, GhostVm};
 
 /// Something in the concrete state that no well-formed hypervisor state
@@ -88,26 +89,26 @@ pub fn interpret_pgtable(
     root: PhysAddr,
     anomalies: &mut Vec<Anomaly>,
 ) -> AbstractPgtable {
-    let mut meta = TableMeta::new();
-    interpret_subtree(mem, stage, root, START_LEVEL, 0, &mut meta, anomalies)
+    interpret_subtree(mem, stage, root, START_LEVEL, 0, anomalies).0
 }
 
 /// [`interpret_pgtable`], additionally returning the per-node
-/// [`TableMeta`] the incremental cache keys its invalidation on.
+/// [`TableMeta`] the incremental cache keys its invalidation on (`None`
+/// when a table page is reachable from two descriptors, so some node has
+/// no single location).
 pub fn interpret_pgtable_with_meta(
     mem: &PhysMem,
     stage: Stage,
     root: PhysAddr,
     anomalies: &mut Vec<Anomaly>,
-) -> (AbstractPgtable, TableMeta) {
-    let mut meta = TableMeta::new();
-    let out = interpret_subtree(mem, stage, root, START_LEVEL, 0, &mut meta, anomalies);
-    (out, meta)
+) -> (AbstractPgtable, Option<TableMeta>) {
+    interpret_subtree(mem, stage, root, START_LEVEL, 0, anomalies)
 }
 
 /// Interprets the subtree rooted at the table node `table`, which sits at
-/// `level` and maps input addresses from `ia_base`. The root call is
-/// `interpret_subtree(mem, stage, root, START_LEVEL, 0, ..)`; the
+/// `level` and maps input addresses from `ia_base`, returning it with its
+/// [`TableMeta`] (`None` if some table page is reached twice). The root
+/// call is `interpret_subtree(mem, stage, root, START_LEVEL, 0, ..)`; the
 /// incremental cache re-enters at interior nodes it knows were dirtied.
 pub fn interpret_subtree(
     mem: &PhysMem,
@@ -115,98 +116,111 @@ pub fn interpret_subtree(
     table: PhysAddr,
     level: u8,
     ia_base: u64,
-    meta: &mut TableMeta,
     anomalies: &mut Vec<Anomaly>,
-) -> AbstractPgtable {
-    let mut out = AbstractPgtable::default();
-    interpret_table(mem, stage, table, level, ia_base, &mut out, meta, anomalies);
-    out
+) -> (AbstractPgtable, Option<TableMeta>) {
+    let mut walk = Walk {
+        mem,
+        stage,
+        maplets: Vec::new(),
+        meta: TableMeta::new(),
+        aliased: false,
+        anomalies,
+    };
+    walk.table(table, level, ia_base);
+    let pgt = AbstractPgtable {
+        mapping: Mapping::from_canonical(walk.maplets),
+        table_pages: walk.meta.keys().copied().collect(),
+    };
+    (pgt, (!walk.aliased).then_some(walk.meta))
 }
 
-#[expect(clippy::too_many_arguments)]
-fn interpret_table(
-    mem: &PhysMem,
+/// One traversal in progress. The maplets accumulate in a plain vector
+/// that becomes the mapping once, at the end.
+struct Walk<'a> {
+    mem: &'a PhysMem,
     stage: Stage,
-    table: PhysAddr,
-    level: u8,
-    va_partial: u64,
-    out: &mut AbstractPgtable,
-    meta: &mut TableMeta,
-    anomalies: &mut Vec<Anomaly>,
-) {
-    out.table_pages.insert(table.pfn());
-    meta.insert(table.pfn(), (level, va_partial));
-    let nr_pages = level_pages(level);
-    // Read the whole table page at once: the walk touches every
-    // descriptor anyway, and a single bulk access avoids paying the
-    // region check and page lookup 512 times per table.
-    let ptes = match mem.read_table(table) {
-        Ok(p) => p,
-        Err(_) => {
-            anomalies.push(Anomaly::TableOutsideMemory {
-                table: table.bits(),
-            });
-            return;
+    maplets: Vec<Maplet>,
+    meta: TableMeta,
+    /// Some table page was reached from two descriptors.
+    aliased: bool,
+    anomalies: &'a mut Vec<Anomaly>,
+}
+
+impl Walk<'_> {
+    fn table(&mut self, table: PhysAddr, level: u8, va_partial: u64) {
+        if self.meta.insert(table.pfn(), (level, va_partial)).is_some() {
+            self.aliased = true;
         }
-    };
-    // Iterate over the current table entries.
-    for (idx, &pte) in ptes.iter().enumerate() {
-        // Compute the input address mapped by this entry.
-        let va_offset_in_region = idx as u64 * nr_pages * PAGE_SIZE;
-        let va_partial_new = va_partial | va_offset_in_region;
-        match pte.kind(level) {
-            EntryKind::Invalid => {
-                // Invalid entries may carry a software owner annotation;
-                // all-zero entries denote nothing and are skipped.
-                if pte.bits() != 0 {
-                    let owner = annotation_owner(pte);
-                    out.mapping.extend_coalesce(Maplet {
-                        ia: va_partial_new,
-                        nr_pages,
-                        target: MapletTarget::Annotated { owner },
+        let nr_pages = level_pages(level);
+        // Read the whole table page at once: the walk touches every
+        // descriptor anyway, and a single bulk access avoids paying the
+        // region check and page lookup 512 times per table.
+        let ptes = match self.mem.read_table(table) {
+            Ok(p) => p,
+            Err(_) => {
+                self.anomalies.push(Anomaly::TableOutsideMemory {
+                    table: table.bits(),
+                });
+                return;
+            }
+        };
+        // Iterate over the current table entries.
+        for (idx, &pte) in ptes.iter().enumerate() {
+            // Compute the input address mapped by this entry.
+            let va_offset_in_region = idx as u64 * nr_pages * PAGE_SIZE;
+            let va_partial_new = va_partial | va_offset_in_region;
+            match pte.kind(level) {
+                EntryKind::Invalid => {
+                    // Invalid entries may carry a software owner annotation;
+                    // all-zero entries denote nothing and are skipped.
+                    if pte.bits() != 0 {
+                        let owner = annotation_owner(pte);
+                        push_coalesce(
+                            &mut self.maplets,
+                            Maplet {
+                                ia: va_partial_new,
+                                nr_pages,
+                                target: MapletTarget::Annotated { owner },
+                            },
+                        );
+                    }
+                }
+                EntryKind::Table => {
+                    self.table(pte.table_addr(), level + 1, va_partial_new);
+                }
+                EntryKind::Block | EntryKind::Page => {
+                    // Compute output address and attributes, then extend the
+                    // mapping with a maplet, coalescing if possible.
+                    let oa = pte.leaf_oa(level);
+                    let attrs = pte.leaf_attrs(self.stage);
+                    let state = PageState::from_sw(attrs.sw);
+                    if state.is_none() {
+                        self.anomalies
+                            .push(Anomaly::IllegalPageState { ia: va_partial_new });
+                    }
+                    push_coalesce(
+                        &mut self.maplets,
+                        Maplet {
+                            ia: va_partial_new,
+                            nr_pages,
+                            target: MapletTarget::Mapped {
+                                oa: oa.bits(),
+                                attrs: AbsAttrs {
+                                    perms: attrs.perms,
+                                    memtype: attrs.memtype,
+                                    state,
+                                },
+                            },
+                        },
+                    );
+                }
+                EntryKind::Reserved => {
+                    self.anomalies.push(Anomaly::ReservedDescriptor {
+                        table: table.bits(),
+                        index: idx,
+                        level,
                     });
                 }
-            }
-            EntryKind::Table => {
-                interpret_table(
-                    mem,
-                    stage,
-                    pte.table_addr(),
-                    level + 1,
-                    va_partial_new,
-                    out,
-                    meta,
-                    anomalies,
-                );
-            }
-            EntryKind::Block | EntryKind::Page => {
-                // Compute output address and attributes, then extend the
-                // mapping with a maplet, coalescing if possible.
-                let oa = pte.leaf_oa(level);
-                let attrs = pte.leaf_attrs(stage);
-                let state = PageState::from_sw(attrs.sw);
-                if state.is_none() {
-                    anomalies.push(Anomaly::IllegalPageState { ia: va_partial_new });
-                }
-                out.mapping.extend_coalesce(Maplet {
-                    ia: va_partial_new,
-                    nr_pages,
-                    target: MapletTarget::Mapped {
-                        oa: oa.bits(),
-                        attrs: AbsAttrs {
-                            perms: attrs.perms,
-                            memtype: attrs.memtype,
-                            state,
-                        },
-                    },
-                });
-            }
-            EntryKind::Reserved => {
-                anomalies.push(Anomaly::ReservedDescriptor {
-                    table: table.bits(),
-                    index: idx,
-                    level,
-                });
             }
         }
     }
@@ -233,27 +247,26 @@ pub fn abstract_host(
     anomalies: &mut Vec<Anomaly>,
 ) -> GhostHost {
     let interp = interpret_pgtable(mem, Stage::Stage2, root, anomalies);
-    abstract_host_from_interp(interp, globals, anomalies)
+    abstract_host_from_interp(&interp, globals, anomalies)
 }
 
 /// The partitioning-and-checking half of [`abstract_host`], over an
 /// already-computed interpretation (possibly served by the incremental
-/// cache). The mapped-on-demand legality checks deliberately rerun on
-/// every call — they are per-event checks, not part of the cached value.
+/// cache). The result is a function of `interp` and `globals` alone, which
+/// is what lets the cache memoize it for as long as its interpretation
+/// stays unchanged and the check found nothing.
 pub fn abstract_host_from_interp(
-    interp: AbstractPgtable,
+    interp: &AbstractPgtable,
     globals: &GhostGlobals,
     anomalies: &mut Vec<Anomaly>,
 ) -> GhostHost {
-    let mut host = GhostHost {
-        table_pages: interp.table_pages,
-        ..GhostHost::default()
-    };
+    let mut annot = Vec::new();
+    let mut shared = Vec::new();
     for m in interp.mapping.iter() {
         match m.target {
             MapletTarget::Annotated { owner } => {
                 if owner != OwnerId::HOST {
-                    host.annot.extend_coalesce(*m);
+                    push_coalesce(&mut annot, *m);
                 }
                 // A zero-owner annotation never reaches here (zero PTEs are
                 // skipped during interpretation), but annotated-host would
@@ -261,12 +274,15 @@ pub fn abstract_host_from_interp(
             }
             MapletTarget::Mapped { oa, attrs } => match attrs.state {
                 Some(PageState::SharedOwned) | Some(PageState::SharedBorrowed) => {
-                    host.shared.extend_coalesce(*m);
+                    push_coalesce(&mut shared, *m);
                 }
                 _ => {
                     // The loose region: check legality page-range-wise.
                     if oa != m.ia {
                         anomalies.push(Anomaly::HostNotIdentity { ia: m.ia, oa });
+                    }
+                    if in_one_ram_region(globals, oa, m.nr_pages * PAGE_SIZE) {
+                        continue;
                     }
                     for i in 0..m.nr_pages {
                         let pa = oa + i * PAGE_SIZE;
@@ -289,7 +305,21 @@ pub fn abstract_host_from_interp(
             },
         }
     }
-    host
+    GhostHost {
+        annot: Mapping::from_canonical(annot),
+        shared: Mapping::from_canonical(shared),
+        table_pages: interp.table_pages.clone(),
+    }
+}
+
+/// `true` if the `len` bytes from `pa` lie inside one RAM region: every
+/// page of such a range passes the per-page legality check, so it can be
+/// skipped.
+fn in_one_ram_region(globals: &GhostGlobals, pa: u64, len: u64) -> bool {
+    globals
+        .ram
+        .iter()
+        .any(|&(base, size)| pa >= base && pa - base < size && len <= size - (pa - base))
 }
 
 /// Abstraction of one VM's lock-protected metadata, from the concrete
@@ -488,6 +518,89 @@ mod tests {
                 .any(|a| matches!(a, Anomaly::HostNotIdentity { ia, .. } if *ia == base + 0x1000)),
             "{anomalies:?}"
         );
+
+        // Identity-mapped owned runs through root index 0: one straddling
+        // the end of RAM (0x4800_0000) across two l3 nodes, and one over
+        // the MMIO page (0x900_0000) with normal-memory attributes.
+        let [l1b, l2b, l2c, l3b, l3c, l3d] = [
+            0x4400_4000,
+            0x4400_5000,
+            0x4400_6000,
+            0x4400_7000,
+            0x4400_8000,
+            0x4400_9000,
+        ]
+        .map(PhysAddr::new);
+        mem.write_pte(root, 0, Pte::table(l1b)).unwrap();
+        mem.write_pte(l1b, 0, Pte::table(l2c)).unwrap();
+        mem.write_pte(l1b, 1, Pte::table(l2b)).unwrap();
+        mem.write_pte(l2b, 63, Pte::table(l3b)).unwrap();
+        mem.write_pte(l2b, 64, Pte::table(l3c)).unwrap();
+        mem.write_pte(l2c, 72, Pte::table(l3d)).unwrap();
+        let identity = |table: PhysAddr, idx: usize, pa: u64| {
+            mem.write_pte(
+                table,
+                idx,
+                Pte::leaf(Stage::Stage2, 3, PhysAddr::new(pa), owned),
+            )
+            .unwrap();
+        };
+        identity(l3b, 511, 0x47ff_f000);
+        identity(l3c, 0, 0x4800_0000);
+        identity(l3c, 1, 0x4800_1000);
+        identity(l3d, 0, 0x900_0000);
+        identity(l3d, 1, 0x900_1000);
+        let mut anomalies = Vec::new();
+        let interp = interpret_pgtable(&mem, Stage::Stage2, root, &mut anomalies);
+        assert!(anomalies.is_empty(), "{anomalies:?}");
+        abstract_host_from_interp(&interp, &globals(), &mut anomalies);
+        assert_eq!(anomalies, per_page_legality(&interp, &globals()));
+        assert_eq!(
+            anomalies,
+            vec![
+                Anomaly::HostBadDeviceAttrs { ia: 0x900_0000 },
+                Anomaly::HostOutsideMemory { ia: 0x900_1000 },
+                Anomaly::HostOutsideMemory { ia: 0x4800_0000 },
+                Anomaly::HostOutsideMemory { ia: 0x4800_1000 },
+                Anomaly::HostNotIdentity {
+                    ia: base + 0x1000,
+                    oa: 0x4200_5000
+                },
+            ]
+        );
+    }
+
+    /// The legality check of the loose host region as a plain per-page
+    /// loop over every maplet: the reference the range-wise check must
+    /// reproduce, anomaly for anomaly and in order.
+    fn per_page_legality(interp: &AbstractPgtable, globals: &GhostGlobals) -> Vec<Anomaly> {
+        let mut out = Vec::new();
+        for m in interp.mapping.iter() {
+            let MapletTarget::Mapped { oa, attrs } = m.target else {
+                continue;
+            };
+            if matches!(
+                attrs.state,
+                Some(PageState::SharedOwned) | Some(PageState::SharedBorrowed)
+            ) {
+                continue;
+            }
+            if oa != m.ia {
+                out.push(Anomaly::HostNotIdentity { ia: m.ia, oa });
+            }
+            for i in 0..m.nr_pages {
+                let (pa, ia) = (oa + i * PAGE_SIZE, m.ia + i * PAGE_SIZE);
+                if globals.is_ram(pa) {
+                    continue;
+                }
+                if !globals.is_mmio(pa) {
+                    out.push(Anomaly::HostOutsideMemory { ia });
+                } else if attrs.memtype != MemType::Device || attrs.perms != Perms::RW {
+                    out.push(Anomaly::HostBadDeviceAttrs { ia });
+                }
+            }
+        }
+        out
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl PartialEq for Mapping {
     fn eq(&self, other: &Mapping) -> bool {
         // Undiverged snapshots still share storage; equality is then a
         // pointer compare instead of a maplet-by-maplet walk.
-        Arc::ptr_eq(&self.maplets, &other.maplets) || self.maplets == other.maplets
+        self.shares_storage(other) || self.maplets == other.maplets
     }
 }
 
@@ -55,6 +55,25 @@ impl Mapping {
     /// The empty mapping.
     pub fn new() -> Mapping {
         Mapping::default()
+    }
+
+    /// Wraps maplets built with [`push_coalesce`] (sorted, non-overlapping,
+    /// coalesced) into a mapping, without copying them.
+    pub(crate) fn from_canonical(maplets: Vec<Maplet>) -> Mapping {
+        if maplets.is_empty() {
+            return Mapping::default();
+        }
+        let map = Mapping {
+            maplets: Arc::new(maplets),
+        };
+        debug_assert_eq!(map.check_canonical(), Ok(()));
+        map
+    }
+
+    /// Returns `true` if both mappings are undiverged copies of one
+    /// storage (and therefore equal).
+    pub(crate) fn shares_storage(&self, other: &Mapping) -> bool {
+        Arc::ptr_eq(&self.maplets, &other.maplets)
     }
 
     /// A mapping containing a single maplet.
@@ -192,15 +211,7 @@ impl Mapping {
         if maplet.nr_pages == 0 {
             return;
         }
-        let maplets = Arc::make_mut(&mut self.maplets);
-        if let Some(last) = maplets.last_mut() {
-            assert!(maplet.ia >= last.end(), "extend_coalesce out of order");
-            if last.can_coalesce_with(&maplet) {
-                last.nr_pages += maplet.nr_pages;
-                return;
-            }
-        }
-        maplets.push(maplet);
+        push_coalesce(Arc::make_mut(&mut self.maplets), maplet);
     }
 
     /// Replaces the range `[ia, ia + nr_pages)` wholesale with
@@ -354,6 +365,28 @@ impl Mapping {
         }
         Ok(())
     }
+}
+
+/// [`Mapping::extend_coalesce`] on a plain vector: a traversal that
+/// builds a mapping in address order pushes here and wraps the result
+/// once ([`Mapping::from_canonical`]), instead of paying the
+/// copy-on-write check per maplet.
+///
+/// # Panics
+///
+/// Panics if `maplet` is not beyond the current maximum.
+pub(crate) fn push_coalesce(maplets: &mut Vec<Maplet>, maplet: Maplet) {
+    if maplet.nr_pages == 0 {
+        return;
+    }
+    if let Some(last) = maplets.last_mut() {
+        assert!(maplet.ia >= last.end(), "extend_coalesce out of order");
+        if last.can_coalesce_with(&maplet) {
+            last.nr_pages += maplet.nr_pages;
+            return;
+        }
+    }
+    maplets.push(maplet);
 }
 
 impl FromIterator<Maplet> for Mapping {
@@ -633,14 +666,14 @@ mod tests {
         let mut a = Mapping::new();
         a.insert(mapped(0x1000, 4, 0x8000));
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.maplets, &b.maplets));
+        assert!(a.shares_storage(&b));
         assert_eq!(a, b);
         // A no-op remove keeps the sharing; a real mutation diverges only
         // the mutated copy.
         a.remove(0x9000, 2);
-        assert!(Arc::ptr_eq(&a.maplets, &b.maplets));
+        assert!(a.shares_storage(&b));
         a.insert(annotated(0x2000, 1, OwnerId::HYP));
-        assert!(!Arc::ptr_eq(&a.maplets, &b.maplets));
+        assert!(!a.shares_storage(&b));
         assert_ne!(a, b);
         assert_eq!(b.nr_pages(), 4);
         assert_eq!(b.len(), 1);
@@ -652,7 +685,8 @@ mod tests {
     fn empty_mappings_do_not_allocate_distinct_storage() {
         let a = Mapping::new();
         let b = Mapping::default();
-        assert!(Arc::ptr_eq(&a.maplets, &b.maplets));
+        assert!(a.shares_storage(&b));
+        assert!(Mapping::from_canonical(Vec::new()).shares_storage(&a));
         assert_eq!(a, b);
     }
 

@@ -24,7 +24,7 @@
 //! checks. [`CheckMode`] selects whether the back half runs inline in the
 //! hook or on a pipelined checker thread.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -42,8 +42,7 @@ use pkvm_hyp::vm::Handle;
 
 use crate::abscache::{AbsCache, CacheKey, CacheStats};
 use crate::abstraction::{
-    abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
-    interpret_pgtable, Anomaly,
+    abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable, Anomaly,
 };
 use crate::calldata::GhostCallData;
 use crate::check::{check_trap, normalize, Violation};
@@ -54,6 +53,7 @@ use crate::containment::{contain, Disposition, Quarantine};
 use crate::diff::diff_states;
 use crate::event::{Event, EventSink, EventStream};
 use crate::maplet::{Maplet, MapletTarget};
+use crate::mapping::Mapping;
 use crate::spec::{abs_hyp_attrs, compute_post, SpecVerdict};
 use crate::state::{
     AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostLoadedVcpu, GhostPkvm, GhostState,
@@ -73,7 +73,8 @@ pub struct OracleOpts {
     /// Check the page-table footprint separation (§4.4 invariant 2).
     pub check_separation: bool,
     /// Serve component abstractions from the incremental cache
-    /// ([`AbsCache`]), re-interpreting only write-log-dirtied subtrees.
+    /// ([`AbsCache`]), re-interpreting only write-log-dirtied subtrees
+    /// (default on). Off, every lock event walks the whole table.
     pub incremental_abstraction: bool,
     /// Run the full and incremental abstractions side by side and report
     /// any divergence as an oracle self-check violation. Implies the
@@ -122,7 +123,7 @@ impl Default for OracleOpts {
         Self {
             check_noninterference: true,
             check_separation: true,
-            incremental_abstraction: false,
+            incremental_abstraction: true,
             shadow_validation: false,
             violation_cap: 4096,
             trap_check_budget: u64::MAX,
@@ -164,7 +165,8 @@ impl OracleOptsBuilder {
         self
     }
 
-    /// Toggle the incremental abstraction cache (default off).
+    /// Toggle the incremental abstraction cache (default on; off selects
+    /// the full walk at every lock event).
     pub fn incremental_abstraction(mut self, on: bool) -> Self {
         self.0.incremental_abstraction = on;
         self
@@ -690,7 +692,8 @@ impl Oracle {
     }
 
     /// Resolution counters of the incremental abstraction cache (all zero
-    /// unless `incremental_abstraction` or `shadow_validation` is on).
+    /// when both `incremental_abstraction` and `shadow_validation` are
+    /// off).
     pub fn cache_stats(&self) -> CacheStats {
         self.abscache.lock().stats
     }
@@ -960,7 +963,7 @@ impl Oracle {
     /// paper's memory-impact measurement).
     pub fn approx_ghost_bytes(&self) -> usize {
         fn state_bytes(s: &GhostState) -> usize {
-            let mapping = |m: &crate::mapping::Mapping| m.len() * core::mem::size_of::<Maplet>();
+            let mapping = |m: &Mapping| m.len() * core::mem::size_of::<Maplet>();
             let mut n = core::mem::size_of::<GhostState>();
             if let Some(h) = &s.host {
                 n += mapping(&h.annot) + mapping(&h.shared) + h.table_pages.len() * 8;
@@ -999,21 +1002,23 @@ impl Oracle {
         let mut anomalies = Vec::new();
         let mut reports = Vec::new();
         let value = match view {
-            ComponentView::Host { root } if cached => {
-                let interp = self.cached_interp(
-                    ctx,
-                    Stage::Stage2,
-                    *root,
-                    CacheKey::Host,
-                    &mut anomalies,
-                    &mut reports,
-                );
-                ComponentValue::Host(abstract_host_from_interp(
-                    interp,
-                    &self.globals,
-                    &mut anomalies,
-                ))
-            }
+            ComponentView::Host { root } if cached => ComponentValue::Host(self.shadowed(
+                CacheKey::Host,
+                &mut anomalies,
+                &mut reports,
+                |cache, a| cache.host(ctx.mem, *root, &self.globals, a),
+                |a| abstract_host(ctx.mem, *root, &self.globals, a),
+                |full, inc| {
+                    divergence(
+                        &[
+                            ("annot ", &full.annot, &inc.annot),
+                            ("shared ", &full.shared, &inc.shared),
+                        ],
+                        &full.table_pages,
+                        &inc.table_pages,
+                    )
+                },
+            )),
             ComponentView::Host { root } => {
                 ComponentValue::Host(abstract_host(ctx.mem, *root, &self.globals, &mut anomalies))
             }
@@ -1076,11 +1081,8 @@ impl Oracle {
         (value, reports)
     }
 
-    /// Interprets `root` through the incremental cache. Under shadow
-    /// validation the full walk also runs; a divergence is collected into
-    /// `reports` as an oracle self-check violation and the full result
-    /// wins, so a cache bug can never mask (or fabricate) a hypervisor
-    /// bug.
+    /// Interprets `root` through the incremental cache, shadowed by the
+    /// full walk under shadow validation.
     fn cached_interp(
         &self,
         ctx: &HookCtx<'_>,
@@ -1090,24 +1092,59 @@ impl Oracle {
         anomalies: &mut Vec<Anomaly>,
         reports: &mut Vec<Violation>,
     ) -> AbstractPgtable {
+        self.shadowed(
+            key,
+            anomalies,
+            reports,
+            |cache, a| cache.interp(ctx.mem, stage, root, key, a),
+            |a| interpret_pgtable(ctx.mem, stage, root, a),
+            |full, inc| {
+                divergence(
+                    &[("", &full.mapping, &inc.mapping)],
+                    &full.table_pages,
+                    &inc.table_pages,
+                )
+            },
+        )
+    }
+
+    /// Serves one abstraction through the incremental cache. Under shadow
+    /// validation the full computation also runs, and the value the cache
+    /// served (and its anomalies) must equal the full one; a divergence is
+    /// collected into `reports` as an oracle self-check violation and the
+    /// full result wins, so a cache bug can never mask (or fabricate) a
+    /// hypervisor bug.
+    fn shadowed<T: PartialEq>(
+        &self,
+        key: CacheKey,
+        anomalies: &mut Vec<Anomaly>,
+        reports: &mut Vec<Violation>,
+        incremental: impl FnOnce(&mut AbsCache, &mut Vec<Anomaly>) -> T,
+        full: impl FnOnce(&mut Vec<Anomaly>) -> T,
+        divergence: fn(&T, &T) -> String,
+    ) -> T {
         if !self.opts.shadow_validation {
-            return self
-                .abscache
-                .lock()
-                .interp(ctx.mem, stage, root, key, anomalies);
+            return incremental(&mut self.abscache.lock(), anomalies);
         }
         let mut inc_anomalies = Vec::new();
-        let inc = self
-            .abscache
-            .lock()
-            .interp(ctx.mem, stage, root, key, &mut inc_anomalies);
+        let inc = incremental(&mut self.abscache.lock(), &mut inc_anomalies);
         let before = anomalies.len();
-        let full = interpret_pgtable(ctx.mem, stage, root, anomalies);
-        if inc != full || inc_anomalies != anomalies[before..] {
+        let full = full(anomalies);
+        let full_anomalies = &anomalies[before..];
+        if inc != full || inc_anomalies != full_anomalies {
+            let mut diff = divergence(&full, &inc);
+            if inc_anomalies != full_anomalies {
+                diff.push_str(&format!(
+                    "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}\n"
+                ));
+            }
+            if diff.is_empty() {
+                diff.push_str("  (states compare equal after the fact; transient divergence)\n");
+            }
             reports.push(Violation::ShadowDivergence {
                 seq: None,
                 component: format!("{key:?}"),
-                diff: pgtable_divergence(&full, &inc, &anomalies[before..], &inc_anomalies),
+                diff,
             });
         }
         full
@@ -1402,41 +1439,29 @@ impl Oracle {
     }
 }
 
-/// Renders what differed between the full walk and the incremental
-/// replay, maplet by maplet, for the shadow-divergence report.
-fn pgtable_divergence(
-    full: &AbstractPgtable,
-    inc: &AbstractPgtable,
-    full_anomalies: &[Anomaly],
-    inc_anomalies: &[Anomaly],
+/// Renders what differed between the full walk and the cache, maplet by
+/// maplet over each named pair of mappings, then the table footprints,
+/// for the shadow-divergence report.
+fn divergence(
+    maps: &[(&str, &Mapping, &Mapping)],
+    full_pages: &BTreeSet<u64>,
+    inc_pages: &BTreeSet<u64>,
 ) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for m in full.mapping.iter() {
-        if !inc.mapping.iter().any(|n| n == m) {
-            let _ = writeln!(out, "  full only: {m:?}");
+    for (what, full, inc) in maps {
+        for m in full.iter().filter(|m| !inc.iter().any(|n| n == *m)) {
+            let _ = writeln!(out, "  full only: {what}{m:?}");
+        }
+        for m in inc.iter().filter(|m| !full.iter().any(|n| n == *m)) {
+            let _ = writeln!(out, "  incremental only: {what}{m:?}");
         }
     }
-    for m in inc.mapping.iter() {
-        if !full.mapping.iter().any(|n| n == m) {
-            let _ = writeln!(out, "  incremental only: {m:?}");
-        }
-    }
-    if full.table_pages != inc.table_pages {
+    if full_pages != inc_pages {
         let _ = writeln!(
             out,
-            "  table pages: full {:?} vs incremental {:?}",
-            full.table_pages, inc.table_pages
+            "  table pages: full {full_pages:?} vs incremental {inc_pages:?}"
         );
-    }
-    if full_anomalies != inc_anomalies {
-        let _ = writeln!(
-            out,
-            "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}"
-        );
-    }
-    if out.is_empty() {
-        out.push_str("  (states compare equal after the fact; transient divergence)\n");
     }
     out
 }

@@ -10,8 +10,8 @@
 //!    signatures ([`pkvm_ghost::event::canonical_signature`]).
 //! 2. **Throughput** (unrecorded, longer): steps/second of the tester
 //!    unchecked, inline-checked and pipeline-checked (both checked modes
-//!    with the incremental abstraction cache, the configuration the
-//!    pipeline is designed around). The pipelined clock stops only after
+//!    under the default switches, incremental abstraction included). The
+//!    pipelined clock stops only after
 //!    `Verdict::wait()` — checked throughput counts checking, not just
 //!    emission. The gate fails unless pipelined checked throughput is at
 //!    least a third of unchecked.
@@ -42,12 +42,7 @@ fn run(mode: Option<CheckMode>, steps: u64, seed: u64, record: bool) -> Outcome 
     let builder = Proxy::builder().record(record);
     let builder = match mode {
         None => builder.with_oracle(false),
-        Some(m) => builder.oracle_opts(
-            OracleOpts::builder()
-                .incremental_abstraction(true)
-                .check_mode(m)
-                .build(),
-        ),
+        Some(m) => builder.oracle_opts(OracleOpts::builder().check_mode(m).build()),
     };
     let proxy = builder.boot();
     let mut t = RandomTester::new(proxy, RandomCfg::builder().seed(seed).build());

@@ -518,40 +518,189 @@ fn vm_lifecycle_sequences_stay_clean() {
     }
 }
 
-/// The incremental abstraction is extensionally equal to the full walk:
-/// randomized hypercall sequences run with shadow validation on, so every
-/// lock event computes both and any divergence is reported as a
+/// Runs `steps` tester steps under shadow validation (every lock event
+/// computes both the cached and the full abstraction) and asserts that no
 /// [`ShadowDivergence`](pkvm_repro::prelude::Violation::ShadowDivergence)
-/// violation — of which there must be none, while the cache must actually
-/// serve (otherwise the property is vacuous).
+/// was reported while the cache actually served requests (otherwise the
+/// property is vacuous). `chaos` also steps the single-worker chaos
+/// driver, as a campaign worker would. Returns the run's violations.
+fn shadowed_run(
+    what: &str,
+    rcfg: pkvm_repro::harness::random::RandomCfg,
+    chaos: Option<pkvm_repro::harness::chaos::ChaosCfg>,
+    steps: u64,
+) -> Vec<pkvm_repro::prelude::Violation> {
+    use pkvm_repro::harness::chaos::ChaosDriver;
+    use pkvm_repro::harness::proxy::Proxy;
+    use pkvm_repro::harness::random::RandomTester;
+    use pkvm_repro::prelude::*;
+    let proxy = Proxy::builder()
+        .oracle_opts(OracleOpts::builder().shadow_validation(true).build())
+        .chaos(chaos)
+        .boot();
+    let mut t = RandomTester::new(proxy, rcfg);
+    let mut driver = chaos.map(|c| ChaosDriver::new(&c, 0));
+    for _ in 0..steps {
+        t.step();
+        if let Some(d) = driver.as_mut() {
+            d.step(&t.proxy);
+        }
+    }
+    let oracle = t.proxy.oracle.as_ref().expect("oracle installed");
+    let violations = t.proxy.violations();
+    let divergences: Vec<_> = violations
+        .iter()
+        .filter(|v| matches!(v, Violation::ShadowDivergence { .. }))
+        .collect();
+    assert!(divergences.is_empty(), "{what}:\n{divergences:#?}");
+    let stats = oracle.cache_stats();
+    assert!(
+        stats.clean_hits + stats.incremental > 0,
+        "{what}: cache never served a request: {stats:?}"
+    );
+    let injected = t.proxy.chaos_injected().map_or(0, |c| c.total());
+    assert_eq!(injected > 0, chaos.is_some(), "{what}: {injected} injected");
+    violations
+}
+
+/// The incremental abstraction is extensionally equal to the full walk,
+/// on every traffic the oracle's default path serves: randomized
+/// hypercall sequences of the default and the Android mix (VM churn,
+/// firmware, guest stage 2s) must stay clean, and runs whose page tables
+/// the chaos engine corrupts (bit flips in live tables, duplicated host
+/// pages) must at least never make the two abstractions disagree.
 #[test]
 fn incremental_abstraction_matches_full_walk() {
+    use pkvm_repro::harness::android::android_weights;
+    use pkvm_repro::harness::chaos::{ChaosCfg, ChaosFamily};
+    use pkvm_repro::harness::random::RandomCfg;
+    for seed in [5u64, 11, 23] {
+        let v = shadowed_run(
+            &format!("default mix, seed {seed}"),
+            RandomCfg::builder().seed(seed).build(),
+            None,
+            800,
+        );
+        assert!(v.is_empty(), "seed {seed}: {v:?}");
+    }
+    for seed in [7u64, 31] {
+        let v = shadowed_run(
+            &format!("android mix, seed {seed}"),
+            RandomCfg::builder()
+                .seed(seed)
+                .op_weights(android_weights())
+                .build(),
+            None,
+            800,
+        );
+        assert!(v.is_empty(), "android seed {seed}: {v:?}");
+    }
+    for family in [ChaosFamily::BitFlip, ChaosFamily::AllocChaos] {
+        for seed in [3u64, 19] {
+            shadowed_run(
+                &format!("{} chaos, seed {seed}", family.name()),
+                RandomCfg::builder().seed(seed).build(),
+                Some(ChaosCfg::only(family).reseeded(0xab5 + seed)),
+                400,
+            );
+        }
+    }
+}
+
+/// Replays `trace` with the incremental abstraction off and on, each
+/// against `fault_bits`, asserts the two verdicts are identical, and
+/// returns whether they found anything.
+fn same_verdict_with_and_without_cache(
+    trace: &pkvm_repro::harness::campaign::CampaignTrace,
+    fault_bits: u32,
+) -> bool {
+    use pkvm_repro::harness::campaign::ReplayMachine;
+    use pkvm_repro::harness::tracefile::TraceHeader;
+    let outcome = |incremental: bool| {
+        let mut header = TraceHeader::of(trace);
+        header.oracle_opts.incremental_abstraction = incremental;
+        let mut rm = ReplayMachine::boot_with_faults(&header, fault_bits);
+        for ev in &trace.events {
+            rm.step(&ev.event);
+        }
+        rm.outcome()
+    };
+    let (full, cached) = (outcome(false), outcome(true));
+    assert_eq!(full.violations, cached.violations, "faults {fault_bits:#x}");
+    assert_eq!(full.hyp_panic, cached.hyp_panic, "faults {fault_bits:#x}");
+    assert_eq!(full.steps, cached.steps, "faults {fault_bits:#x}");
+    cached.violated()
+}
+
+/// The verdict does not depend on the abstraction path: a recorded
+/// chaotic campaign with an injected bug, and a clean schedule replayed
+/// against every cataloged fault (the differential matrix), report the
+/// same violations, in the same order and at the same seqs, whether
+/// each lock event walks the whole table or is served by the cache.
+#[test]
+fn verdicts_do_not_depend_on_the_abstraction_path() {
+    use pkvm_repro::harness::campaign::CampaignCfg;
+    use pkvm_repro::harness::chaos::ChaosCfg;
+    use pkvm_repro::hyp::faults::{Fault, FaultSet};
+    let faults = FaultSet::none();
+    faults.inject(Fault::SynShareWrongState);
+    let chaos = ChaosCfg::builder()
+        .seed(0x0dd5)
+        .bit_flip(0.02)
+        .torn_read_once(0.05)
+        .drop_lock_event(0.01)
+        .delay_hook(0.02)
+        .alloc_chaos(0.05)
+        .build();
+    let chaotic = CampaignCfg::builder()
+        .workers(2)
+        .steps_per_worker(200)
+        .base_seed(0xb0b1)
+        .stop_on_violation(false)
+        .faults(&faults)
+        .chaos(chaos)
+        .run()
+        .trace
+        .expect("trace recorded");
+    assert!(same_verdict_with_and_without_cache(
+        &chaotic,
+        chaotic.fault_bits
+    ));
+
+    let clean = CampaignCfg::builder()
+        .workers(2)
+        .steps_per_worker(150)
+        .base_seed(0x42)
+        .stop_on_violation(false)
+        .run()
+        .trace
+        .expect("trace recorded");
+    assert!(!same_verdict_with_and_without_cache(&clean, 0));
+    let detected = Fault::ALL
+        .iter()
+        .filter(|&&fault| same_verdict_with_and_without_cache(&clean, fault as u32))
+        .count();
+    assert!(detected > 0, "no fault row diverged");
+}
+
+/// The cache is fed by the machine's write log, which the machine turns
+/// on only when its hooks ask for it. A default run must never find the
+/// log unavailable: a hooks decorator that stopped forwarding
+/// `wants_write_log` would silently demote every request to a full walk.
+#[test]
+fn default_runs_keep_the_write_log_feeding_the_cache() {
+    use pkvm_repro::harness::chaos::{ChaosCfg, ChaosFamily};
     use pkvm_repro::harness::proxy::Proxy;
     use pkvm_repro::harness::random::{RandomCfg, RandomTester};
-    use pkvm_repro::prelude::*;
-    for seed in [5u64, 11, 23] {
-        let proxy = Proxy::builder()
-            .oracle_opts(OracleOpts::builder().shadow_validation(true).build())
-            .boot();
-        let mut t = RandomTester::new(proxy, RandomCfg::builder().seed(seed).build());
-        t.run(800);
-        let oracle = t.proxy.oracle.as_ref().expect("oracle installed");
-        let divergences: Vec<_> = oracle
-            .violations()
-            .into_iter()
-            .filter(|v| matches!(v, Violation::ShadowDivergence { .. }))
-            .collect();
-        assert!(divergences.is_empty(), "seed {seed}:\n{divergences:#?}");
-        assert!(
-            t.proxy.all_clear(),
-            "seed {seed}: {:?}",
-            t.proxy.violations()
-        );
-        let stats = oracle.cache_stats();
-        assert!(
-            stats.clean_hits + stats.incremental > 0,
-            "seed {seed}: cache never served a request: {stats:?}"
-        );
+    let inert = ChaosCfg::default();
+    let delayed = ChaosCfg::only(ChaosFamily::DelayedHooks);
+    for chaos in [None, Some(inert), Some(delayed)] {
+        let proxy = Proxy::builder().chaos(chaos).boot();
+        let mut t = RandomTester::new(proxy, RandomCfg::builder().seed(0x106).build());
+        t.run(200);
+        let stats = t.proxy.oracle.as_ref().expect("oracle").cache_stats();
+        assert!(stats.requests() > 0, "{chaos:?}: {stats:?}");
+        assert_eq!(stats.full_log_unavailable, 0, "{chaos:?}: {stats:?}");
     }
 }
 
