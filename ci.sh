@@ -54,6 +54,10 @@ done
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# A deleted or renamed item that a doc comment still links to fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== rustfmt =="
 cargo fmt --all -- --check
 

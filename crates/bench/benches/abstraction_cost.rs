@@ -13,7 +13,8 @@ use std::hint::black_box;
 use pkvm_aarch64::addr::PhysAddr;
 use pkvm_aarch64::attrs::Stage;
 use pkvm_bench::{build_block_table, build_page_table};
-use pkvm_ghost::{interpret_pgtable, interpret_pgtable_with_meta, AbsCache, CacheKey};
+use pkvm_ghost::{interpret_pgtable, interpret_pgtable_with_meta, AbsCache};
+use pkvm_hyp::hooks::Component;
 
 fn bench_interpret_pages(c: &mut Criterion) {
     let mut g = c.benchmark_group("F2_interpret_page_grain");
@@ -84,7 +85,7 @@ fn bench_small_delta(c: &mut Criterion) {
 
         let mut cache = AbsCache::new();
         let mut a = Vec::new();
-        cache.interp(&mem, Stage::Stage2, root, CacheKey::Host, &mut a); // warm
+        cache.interp(&mem, Stage::Stage2, root, Component::Host, &mut a); // warm
         g.bench_with_input(
             BenchmarkId::new("incremental", nr_pages),
             &nr_pages,
@@ -92,7 +93,7 @@ fn bench_small_delta(c: &mut Criterion) {
                 b.iter(|| {
                     mem.write_pte(leaf, 0, pte).unwrap();
                     let mut a = Vec::new();
-                    black_box(cache.interp(&mem, Stage::Stage2, root, CacheKey::Host, &mut a))
+                    black_box(cache.interp(&mem, Stage::Stage2, root, Component::Host, &mut a))
                 })
             },
         );

@@ -47,22 +47,12 @@ use std::collections::HashMap;
 use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE, START_LEVEL};
 use pkvm_aarch64::attrs::Stage;
 use pkvm_aarch64::memory::PhysMem;
+use pkvm_hyp::hooks::Component;
 
 use crate::abstraction::{
     abstract_host_from_interp, interpret_subtree, table_span_pages, Anomaly, TableMeta,
 };
 use crate::state::{AbstractPgtable, GhostGlobals, GhostHost};
-
-/// Which component's interpretation a cache entry holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CacheKey {
-    /// pKVM's own stage 1.
-    Hyp,
-    /// The host's stage 2.
-    Host,
-    /// A guest VM's stage 2, by handle.
-    Vm(u32),
-}
 
 /// If more than one table in `4^-1` of the footprint is dirty, replaying
 /// subtrees stops paying; take the full walk.
@@ -127,7 +117,7 @@ struct CacheEntry {
 /// The per-oracle incremental abstraction cache.
 #[derive(Default)]
 pub struct AbsCache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<Component, CacheEntry>,
     /// Resolution counters (exposed for benches, tests and reports).
     pub stats: CacheStats,
 }
@@ -140,7 +130,7 @@ impl AbsCache {
 
     /// Drops every cached interpretation (e.g. when a VM is torn down its
     /// entry must not survive handle reuse).
-    pub fn invalidate(&mut self, key: CacheKey) {
+    pub fn invalidate(&mut self, key: Component) {
         self.entries.remove(&key);
     }
 
@@ -149,7 +139,7 @@ impl AbsCache {
     /// (now dangling) interpretations resident.
     pub fn retain_vms(&mut self, live: impl Fn(u32) -> bool) {
         self.entries.retain(|k, _| match k {
-            CacheKey::Vm(h) => live(*h),
+            Component::Vm(h) => live(*h),
             _ => true,
         });
     }
@@ -164,7 +154,7 @@ impl AbsCache {
         mem: &PhysMem,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
     ) -> AbstractPgtable {
         match self.resolve(mem, stage, root, key, anomalies) {
@@ -190,7 +180,7 @@ impl AbsCache {
         globals: &GhostGlobals,
         anomalies: &mut Vec<Anomaly>,
     ) -> GhostHost {
-        let e = match self.resolve(mem, Stage::Stage2, root, CacheKey::Host, anomalies) {
+        let e = match self.resolve(mem, Stage::Stage2, root, Component::Host, anomalies) {
             Served::Entry(e) => e,
             Served::Uncached(interp) => {
                 return abstract_host_from_interp(&interp, globals, anomalies)
@@ -214,7 +204,7 @@ impl AbsCache {
         mem: &PhysMem,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
     ) -> Served<'_> {
         // Snapshot before reading any table state: writes racing with
@@ -274,7 +264,7 @@ impl AbsCache {
     }
 
     /// Files `e`, current as of write-log snapshot `snap`, under `key`.
-    fn keep(&mut self, key: CacheKey, mut e: CacheEntry, snap: u64) -> Served<'_> {
+    fn keep(&mut self, key: Component, mut e: CacheEntry, snap: u64) -> Served<'_> {
         e.gen = snap;
         Served::Entry(self.entries.entry(key).insert_entry(e).into_mut())
     }
@@ -431,7 +421,7 @@ mod tests {
 
     fn check_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) {
         let mut a1 = Vec::new();
-        let inc = cache.interp(m, Stage::Stage2, root, CacheKey::Host, &mut a1);
+        let inc = cache.interp(m, Stage::Stage2, root, Component::Host, &mut a1);
         let mut a2 = Vec::new();
         let full = interpret_pgtable(m, Stage::Stage2, root, &mut a2);
         assert_eq!(inc, full);
@@ -502,7 +492,7 @@ mod tests {
         check_agrees(&mut cache, &m, root);
         // The stale l3 must not have been replayed as a subtree.
         let mut a = Vec::new();
-        let now = cache.interp(&m, Stage::Stage2, root, CacheKey::Host, &mut a);
+        let now = cache.interp(&m, Stage::Stage2, root, Component::Host, &mut a);
         assert!(!now.table_pages.contains(&l3.pfn()));
     }
 
@@ -515,7 +505,7 @@ mod tests {
         let root2 = PhysAddr::new(0x4500_0000);
         m.write_pte(root2, 0, annotation_pte(OwnerId::HYP)).unwrap();
         let mut a = Vec::new();
-        cache.interp(&m, Stage::Stage2, root2, CacheKey::Host, &mut a);
+        cache.interp(&m, Stage::Stage2, root2, Component::Host, &mut a);
         assert_eq!(cache.stats.full_root_changed, 1);
         check_agrees(&mut cache, &m, root2);
     }
@@ -713,7 +703,7 @@ mod tests {
         let root = build(&m);
         let mut cache = AbsCache::new();
         check_agrees(&mut cache, &m, root);
-        cache.invalidate(CacheKey::Host);
+        cache.invalidate(Component::Host);
         check_agrees(&mut cache, &m, root);
         assert_eq!(cache.stats.full_cold, 2);
     }

@@ -10,7 +10,7 @@ use pkvm_hyp::hooks::TransferEdge;
 
 use crate::abstraction::Anomaly;
 use crate::diff::diff_states;
-use crate::state::GhostState;
+use crate::state::{GhostState, GhostVcpu, Part};
 
 /// One detected disagreement between implementation and specification (or
 /// a broken runtime invariant).
@@ -88,7 +88,7 @@ pub enum Violation {
         reason: String,
     },
     /// Oracle self-check: the oracle's own bookkeeping hit a state it
-    /// cannot interpret (e.g. a malformed internal component name). The
+    /// cannot interpret (e.g. a trap exit with no recorded call data). The
     /// run continues — one confused record must not poison a whole
     /// campaign — but the confusion itself is surfaced as a finding.
     OracleSelfCheck {
@@ -381,12 +381,13 @@ impl std::fmt::Display for Violation {
 /// The outcome of checking one trap.
 #[derive(Clone, Debug, Default)]
 pub struct CheckOutcome {
-    /// Violations found (empty means the trap passed).
-    pub violations: Vec<Violation>,
-    /// Components the spec defined but the handler never recorded (no lock
+    /// Violations found, each with the part it concerns (empty means the
+    /// trap passed).
+    pub violations: Vec<(Part, Violation)>,
+    /// Parts the spec defined but the handler never recorded (no lock
     /// cycle): their computed values seed the oracle's shared copy so the
     /// *next* acquisition validates them.
-    pub deferred: Vec<String>,
+    pub deferred: Vec<Part>,
 }
 
 /// Normalises a ghost state for comparison: memory-management details —
@@ -397,6 +398,21 @@ pub struct CheckOutcome {
 /// them); they just do not participate in equality.
 pub fn normalize(state: &GhostState) -> GhostState {
     let mut s = state.clone();
+    erase_allocation(&mut s);
+    s
+}
+
+/// One part of `state`, normalised (see [`normalize`]), as a state
+/// holding only that part — empty if `state` lacks it. The ternary and
+/// non-interference checks compare these, so the diff renderer is reused
+/// untouched.
+pub(crate) fn project(state: &GhostState, part: Part) -> GhostState {
+    let mut s = state.only(part);
+    erase_allocation(&mut s);
+    s
+}
+
+fn erase_allocation(s: &mut GhostState) {
     if let Some(h) = s.host.as_mut() {
         h.table_pages.clear();
     }
@@ -406,7 +422,7 @@ pub fn normalize(state: &GhostState) -> GhostState {
     for vm in s.vms.values_mut() {
         vm.pgt.table_pages.clear();
         for v in vm.vcpus.iter_mut() {
-            if let crate::state::GhostVcpu::Present { memcache, .. } = v {
+            if let GhostVcpu::Present { memcache, .. } = v {
                 memcache.clear();
             }
         }
@@ -416,147 +432,76 @@ pub fn normalize(state: &GhostState) -> GhostState {
             lv.memcache.clear();
         }
     }
-    s
-}
-
-// Extracts the index out of a bracketed component name like "vm[3]" or
-// "locals[0]". `None` on malformed names: component names are generated
-// internally, but under chaos injection the check path must stay total, so
-// a name it cannot parse degrades to "not present" instead of panicking.
-fn bracket_index<T: std::str::FromStr>(name: &str, prefix: &str) -> Option<T> {
-    name.strip_prefix(prefix)?.strip_suffix(']')?.parse().ok()
-}
-
-// The component comparison is done on projected single-component states so
-// the diff renderer can be reused untouched.
-fn project(state: &GhostState, component: &str) -> GhostState {
-    let state = &normalize(state);
-    let mut s = GhostState::default();
-    match component {
-        "host" => s.host = state.host.clone(),
-        "pkvm" => s.pkvm = state.pkvm.clone(),
-        "vm_table" => s.vm_table = state.vm_table.clone(),
-        c if c.starts_with("vm[") => {
-            if let Some(h) = bracket_index::<u32>(c, "vm[") {
-                if let Some(vm) = state.vms.get(&h) {
-                    s.vms.insert(h, vm.clone());
-                }
-            }
-        }
-        c if c.starts_with("locals[") => {
-            if let Some(cpu) = bracket_index::<usize>(c, "locals[") {
-                if let Some(l) = state.locals.get(&cpu) {
-                    s.locals.insert(cpu, l.clone());
-                }
-            }
-        }
-        // An unknown name projects to the empty state: both sides of the
-        // comparison see the same nothing, so it can never fabricate a
-        // violation — and never panics mid-campaign.
-        _ => {}
-    }
-    s
-}
-
-fn component_present(state: &GhostState, component: &str) -> bool {
-    match component {
-        "host" => state.host.is_some(),
-        "pkvm" => state.pkvm.is_some(),
-        "vm_table" => state.vm_table.is_some(),
-        c if c.starts_with("vm[") => {
-            bracket_index::<u32>(c, "vm[").is_some_and(|h| state.vms.contains_key(&h))
-        }
-        c if c.starts_with("locals[") => {
-            bracket_index::<usize>(c, "locals[").is_some_and(|cpu| state.locals.contains_key(&cpu))
-        }
-        _ => false,
-    }
-}
-
-fn all_components(states: [&GhostState; 3]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut push = |c: String| {
-        if !out.contains(&c) {
-            out.push(c);
-        }
-    };
-    for s in states {
-        if s.host.is_some() {
-            push("host".into());
-        }
-        if s.pkvm.is_some() {
-            push("pkvm".into());
-        }
-        if s.vm_table.is_some() {
-            push("vm_table".into());
-        }
-        for h in s.vms.keys() {
-            push(format!("vm[{h}]"));
-        }
-        for c in s.locals.keys() {
-            push(format!("locals[{c}]"));
-        }
-    }
-    out
 }
 
 /// The ternary check for one trap: `pre` and `recorded` come from the
 /// recording machinery, `computed` from the specification function.
+/// Parts are visited in first-seen order over pre, recorded, computed
+/// (each in [`GhostState::parts`] order), which fixes the order of the
+/// reports.
 pub fn check_trap(
     trap: &str,
     pre: &GhostState,
     recorded: &GhostState,
     computed: &GhostState,
 ) -> CheckOutcome {
+    let mut parts: Vec<Part> = Vec::new();
+    for part in [pre, recorded, computed]
+        .into_iter()
+        .flat_map(GhostState::parts)
+    {
+        if !parts.contains(&part) {
+            parts.push(part);
+        }
+    }
     let mut out = CheckOutcome::default();
-    for comp in all_components([pre, recorded, computed]) {
-        let in_computed = component_present(computed, &comp);
-        let in_recorded = component_present(recorded, &comp);
-        let in_pre = component_present(pre, &comp);
-        match (in_computed, in_recorded) {
-            (true, true) => {
-                let c = project(computed, &comp);
-                let r = project(recorded, &comp);
-                if c != r {
-                    out.violations.push(Violation::SpecMismatch {
-                        seq: None,
-                        trap: trap.into(),
-                        component: comp.clone(),
-                        uniq: None,
-                        diff: diff_states(&c, &r),
-                    });
-                }
-            }
+    for part in parts {
+        // What the recorded post must equal: the computed post where the
+        // spec defined the part, else the pre.
+        let (expected, spec_defined) = match (computed.has(part), recorded.has(part)) {
+            (true, true) => (computed, true),
             (true, false) => {
                 // The spec defined a component the handler never recorded
                 // (e.g. the initial state of a freshly created VM): defer
                 // it to the next acquisition's non-interference check.
-                out.deferred.push(comp.clone());
+                out.deferred.push(part);
+                continue;
             }
-            (false, true) => {
-                // The spec left it alone: it must not have changed.
-                if in_pre {
-                    let p = project(pre, &comp);
-                    let r = project(recorded, &comp);
-                    if p != r {
-                        out.violations.push(Violation::UnexpectedChange {
-                            seq: None,
-                            trap: trap.into(),
-                            component: comp.clone(),
-                            uniq: None,
-                            diff: diff_states(&p, &r),
-                        });
-                    }
-                }
-                // A post-only recording with no pre cannot happen through
-                // the paired lock helpers; nothing to check if it does.
-            }
-            (false, false) => {
-                // Present only in pre: locked but the spec says nothing and
-                // the release recorded nothing — unreachable through the
-                // paired helpers.
-            }
+            // The spec left it alone: it must not have changed. (A
+            // post-only recording with no pre cannot happen through the
+            // paired lock helpers; nothing to check if it does.)
+            (false, true) if pre.has(part) => (pre, false),
+            // Present only in pre: locked, but the spec says nothing and
+            // the release recorded nothing — unreachable through the
+            // paired helpers.
+            _ => continue,
+        };
+        let e = project(expected, part);
+        let r = project(recorded, part);
+        if e == r {
+            continue;
         }
+        let (trap, component, diff) = (trap.to_string(), part.to_string(), diff_states(&e, &r));
+        out.violations.push((
+            part,
+            if spec_defined {
+                Violation::SpecMismatch {
+                    seq: None,
+                    trap,
+                    component,
+                    uniq: None,
+                    diff,
+                }
+            } else {
+                Violation::UnexpectedChange {
+                    seq: None,
+                    trap,
+                    component,
+                    uniq: None,
+                    diff,
+                }
+            },
+        ));
     }
     out
 }
@@ -565,7 +510,7 @@ pub fn check_trap(
 mod tests {
     use super::*;
     use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
-    use crate::state::{GhostGlobals, GhostHost};
+    use crate::state::{GhostGlobals, GhostHost, GhostPkvm, GhostVm};
     use pkvm_aarch64::attrs::{MemType, Perms};
     use pkvm_hyp::owner::PageState;
 
@@ -606,9 +551,10 @@ mod tests {
         let computed = host_state(&[0x4000_1000]);
         let o = check_trap("host_share_hyp", &pre, &recorded, &computed);
         assert_eq!(o.violations.len(), 1);
-        assert!(
-            matches!(&o.violations[0], Violation::SpecMismatch { component, .. } if component == "host")
-        );
+        assert!(matches!(
+            &o.violations[0],
+            (Part::Host, Violation::SpecMismatch { component, .. }) if component == "host"
+        ));
     }
 
     #[test]
@@ -620,7 +566,7 @@ mod tests {
         assert_eq!(o.violations.len(), 1);
         assert!(matches!(
             &o.violations[0],
-            Violation::UnexpectedChange { .. }
+            (Part::Host, Violation::UnexpectedChange { .. })
         ));
     }
 
@@ -640,7 +586,7 @@ mod tests {
         let computed = host_state(&[0x4000_0000]);
         let o = check_trap("init", &pre, &recorded, &computed);
         assert!(o.violations.is_empty());
-        assert_eq!(o.deferred, vec!["host".to_string()]);
+        assert_eq!(o.deferred, vec![Part::Host]);
     }
 
     #[test]
@@ -690,15 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_component_names_do_not_panic_the_check() {
-        let s = GhostState::blank(&GhostGlobals::default());
-        for name in ["vm[bogus]", "vm[", "locals[x]", "wat"] {
-            assert!(!component_present(&s, name), "{name}");
-            assert_eq!(project(&s, name), GhostState::default(), "{name}");
-        }
-    }
-
-    #[test]
     fn locals_mismatch_detected() {
         let mut pre = GhostState::blank(&GhostGlobals::default());
         pre.write_gpr(0, 1, 7);
@@ -708,8 +645,65 @@ mod tests {
         computed.write_gpr(0, 1, (-1i64) as u64); // spec expected EPERM
         let o = check_trap("host_share_hyp", &pre, &recorded, &computed);
         assert_eq!(o.violations.len(), 1);
-        assert!(
-            matches!(&o.violations[0], Violation::SpecMismatch { component, .. } if component == "locals[0]")
+        assert!(matches!(
+            &o.violations[0],
+            (Part::Locals(0), Violation::SpecMismatch { component, .. }) if component == "locals[0]"
+        ));
+    }
+
+    fn vm(handle: u32, donated: &[u64]) -> GhostVm {
+        GhostVm {
+            handle,
+            slot: 0,
+            protected: false,
+            pgt: Default::default(),
+            donated: donated.to_vec(),
+            firmware: Vec::new(),
+            vcpus: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn reports_come_in_first_seen_order_over_pre_recorded_computed() {
+        // Every part mismatches at once. The report order fixes the
+        // derived seqs the verdict digests pin.
+        let g = GhostGlobals::default();
+        let mut pre = GhostState::blank(&g);
+        pre.write_gpr(3, 0, 1);
+        pre.vms.insert(0x3000, vm(0x3000, &[]));
+        pre.vm_table = Some(vec![(0x3000, 0)]);
+        let mut recorded = host_state(&[0x4000_0000]);
+        recorded.pkvm = Some(GhostPkvm::default());
+        recorded.vm_table = Some(vec![(0x1000, 1), (0x3000, 0)]);
+        recorded.vms.insert(0x1000, vm(0x1000, &[0x44007]));
+        recorded.vms.insert(0x3000, vm(0x3000, &[0x44008]));
+        recorded.write_gpr(0, 0, 2);
+        recorded.write_gpr(3, 0, 2);
+        let mut computed = host_state(&[0x4000_1000]);
+        let mut pkvm = GhostPkvm::default();
+        pkvm.pgt.mapping = computed.host.clone().unwrap().shared;
+        computed.pkvm = Some(pkvm);
+        computed.vms.insert(0x1000, vm(0x1000, &[]));
+        computed.write_gpr(0, 0, 3);
+        let o = check_trap("t", &pre, &recorded, &computed);
+        let got: Vec<(Part, &str)> = o.violations.iter().map(|(p, v)| (*p, v.kind())).collect();
+        assert_eq!(
+            got,
+            [
+                // pre's parts first...
+                (Part::VmTable, "unexpected-change"),
+                (Part::Vm(0x3000), "unexpected-change"),
+                (Part::Locals(3), "unexpected-change"),
+                // ...then those recorded adds, in `parts()` order.
+                (Part::Host, "spec-mismatch"),
+                (Part::Pkvm, "spec-mismatch"),
+                (Part::Vm(0x1000), "spec-mismatch"),
+                (Part::Locals(0), "spec-mismatch"),
+            ]
         );
+        for (part, v) in &o.violations {
+            assert_eq!(v.component(), Some(part.to_string().as_str()));
+        }
+        assert!(o.deferred.is_empty());
     }
 }

@@ -5,9 +5,9 @@
 //! callbacks: it emits the hook's event into the stream, computes the
 //! component abstraction **while the component's lock is held** (the one
 //! thing that cannot be deferred — the paper's recording discipline), and
-//! packages both into a [`CheckMsg`]. Hooks that only observe (table
+//! packages both into a `CheckMsg`. Hooks that only observe (table
 //! pages, TLB maintenance, ownership transfers) send the recorded event
-//! itself, as [`CheckMsg::Observe`]. The *back half* applies the message:
+//! itself, as `CheckMsg::Observe`. The *back half* applies the message:
 //! it maintains the shared ghost copy and the per-trap pre/post records,
 //! runs the non-interference check, feeds observations to the trackers
 //! (`crate::trackers`), and at trap exit computes the spec and compares
@@ -36,13 +36,12 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 
 use pkvm_aarch64::sysreg::GprFile;
-use pkvm_hyp::hooks::Component;
 
 use crate::calldata::GhostCallData;
 use crate::check::Violation;
 use crate::event::Event;
 use crate::oracle::{ComponentValue, Oracle, TrapRecord};
-use crate::state::GhostCpu;
+use crate::state::{GhostCpu, Part};
 
 /// Where the oracle's back half (ghost-copy maintenance and spec checks)
 /// runs, relative to the hypervisor code that triggered it.
@@ -122,7 +121,6 @@ pub(crate) enum CheckMsg {
     LockAcquired {
         cpu: usize,
         trap: Option<u64>,
-        comp: Component,
         value: ComponentValue,
         /// Abstraction anomalies / shadow divergences collected while
         /// abstracting (reported by the back half, in order).
@@ -133,7 +131,6 @@ pub(crate) enum CheckMsg {
     LockReleasing {
         cpu: usize,
         trap: Option<u64>,
-        comp: Component,
         value: ComponentValue,
         reports: Vec<Violation>,
     },
@@ -142,7 +139,7 @@ pub(crate) enum CheckMsg {
     Evict {
         cpu: usize,
         trap: Option<u64>,
-        comp: Component,
+        part: Part,
         /// Quarantine eviction also marks the component interleaved for
         /// the running trap; budget eviction does not (the whole trap's
         /// check is already being skipped).

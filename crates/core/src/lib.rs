@@ -61,7 +61,7 @@ pub mod spec;
 pub mod state;
 mod trackers;
 
-pub use abscache::{AbsCache, CacheKey, CacheStats};
+pub use abscache::{AbsCache, CacheStats};
 pub use abstraction::{
     abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
     interpret_pgtable, interpret_pgtable_with_meta, interpret_subtree, Anomaly, TableMeta,
@@ -82,5 +82,5 @@ pub use print::render_state;
 pub use spec::{compute_post, SpecVerdict};
 pub use state::{
     AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostLoadedVcpu, GhostPkvm, GhostState,
-    GhostVcpu, GhostVm,
+    GhostVcpu, GhostVm, Part,
 };

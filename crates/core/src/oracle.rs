@@ -17,10 +17,10 @@
 //! are the back-half trackers (`crate::trackers`), fed the recorded
 //! [`Event`]s.
 //!
-//! Since the [`Checker`](crate::checker::Checker) redesign the hooks are
-//! split into a *front half* that runs on the hypervisor thread (event
-//! emission, lock-held abstraction, degradation gating) and a *back half*
-//! ([`Oracle::apply_msg`]) that maintains the shared copy and runs the
+//! Since the [`Checker`] redesign the hooks are split into a *front
+//! half* that runs on the hypervisor thread (event emission, lock-held
+//! abstraction, degradation gating) and a *back half*
+//! (`Oracle::apply_msg`) that maintains the shared copy and runs the
 //! checks. [`CheckMode`] selects whether the back half runs inline in the
 //! hook or on a pipelined checker thread.
 
@@ -40,12 +40,12 @@ use pkvm_hyp::mm::compute_layout;
 use pkvm_hyp::owner::PageState;
 use pkvm_hyp::vm::Handle;
 
-use crate::abscache::{AbsCache, CacheKey, CacheStats};
+use crate::abscache::{AbsCache, CacheStats};
 use crate::abstraction::{
     abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable, Anomaly,
 };
 use crate::calldata::GhostCallData;
-use crate::check::{check_trap, normalize, Violation};
+use crate::check::{check_trap, normalize, project, Violation};
 use crate::checker::{
     checker_loop, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
 };
@@ -57,6 +57,7 @@ use crate::mapping::Mapping;
 use crate::spec::{abs_hyp_attrs, compute_post, SpecVerdict};
 use crate::state::{
     AbstractPgtable, GhostCpu, GhostGlobals, GhostHost, GhostLoadedVcpu, GhostPkvm, GhostState,
+    Part,
 };
 use crate::trackers::{trackers, transfer_point, Tracker};
 
@@ -273,71 +274,12 @@ struct Counters {
     budget_degraded_events: AtomicU64,
 }
 
-/// Key of one shared-copy component (the update-stamp granularity).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum CompKey {
-    Host,
-    Pkvm,
-    VmTable,
-    Vm(Handle),
-}
-
-/// The spec's component naming for a lock-protected [`Component`]: the
-/// same strings `check_trap` produces (`host`, `pkvm`, `vm_table`,
-/// `vm[<handle>]`), so every report — and every quarantine key — greps
-/// the same way.
-fn comp_name(comp: Component) -> String {
-    match comp {
-        Component::Host => "host".into(),
-        Component::Hyp => "pkvm".into(),
-        Component::VmTable => "vm_table".into(),
-        Component::Vm(h) => format!("vm[{h}]"),
-    }
-}
-
-/// The shared-copy key of a lock-protected [`Component`].
-fn comp_key_of(comp: Component) -> CompKey {
-    match comp {
-        Component::Host => CompKey::Host,
-        Component::Hyp => CompKey::Pkvm,
-        Component::VmTable => CompKey::VmTable,
-        Component::Vm(h) => CompKey::Vm(h),
-    }
-}
-
-/// Parses the spec's component naming (`host`, `pkvm`, `vm_table`,
-/// `vm[<handle>]`) into a shared-copy key. `locals[..]` and malformed
-/// names yield `None`.
-fn comp_key_of_name(name: &str) -> Option<CompKey> {
-    match name {
-        "host" => Some(CompKey::Host),
-        "pkvm" => Some(CompKey::Pkvm),
-        "vm_table" => Some(CompKey::VmTable),
-        c => c
-            .strip_prefix("vm[")
-            .and_then(|rest| rest.strip_suffix(']'))
-            .and_then(|h| h.parse::<Handle>().ok())
-            .map(CompKey::Vm),
-    }
-}
-
-impl ComponentValue {
-    fn key(&self) -> CompKey {
-        match self {
-            ComponentValue::Host(_) => CompKey::Host,
-            ComponentValue::Pkvm(_) => CompKey::Pkvm,
-            ComponentValue::VmTable(..) => CompKey::VmTable,
-            ComponentValue::Vm(h, ..) => CompKey::Vm(*h),
-        }
-    }
-}
-
 /// The single shared copy of the ghost state (§4.4 invariant 1), plus a
 /// monotonic update stamp per component so concurrent traps can tell
 /// whether a component moved underneath them while they ran.
 struct SharedGhost {
     state: GhostState,
-    versions: HashMap<CompKey, u64>,
+    versions: HashMap<Part, u64>,
     tick: u64,
     /// Incarnation id ([`pkvm_hyp::vm::Vm::uniq`]) of the VM whose state
     /// `state.vms[handle]` currently holds. Handles are slot-derived and
@@ -358,8 +300,9 @@ impl SharedGhost {
     /// VM's state. Recording the VM table prunes the state of every VM
     /// that left it.
     fn set(&mut self, value: &ComponentValue) {
-        match value {
-            ComponentValue::VmTable(vms, uniqs) => {
+        match value.part {
+            Part::VmTable => {
+                let vms = value.state.vm_table.as_deref().unwrap_or_default();
                 let dead: Vec<Handle> = self
                     .state
                     .vms
@@ -369,29 +312,29 @@ impl SharedGhost {
                     .collect();
                 for h in dead {
                     self.state.vms.remove(&h);
-                    self.stamp(CompKey::Vm(h));
+                    self.stamp(Part::Vm(h));
                 }
                 self.vm_uniq
                     .retain(|h, _| vms.iter().any(|&(live, _)| live == *h));
-                for &(h, uniq) in uniqs {
+                for &(h, uniq) in &value.live {
                     if let Some(old) = self.vm_uniq.insert(h, uniq) {
                         if old != uniq && self.state.vms.remove(&h).is_some() {
                             // The stored state belonged to a previous
                             // incarnation of this handle; not comparable.
-                            self.stamp(CompKey::Vm(h));
+                            self.stamp(Part::Vm(h));
                         }
                     }
                 }
             }
-            ComponentValue::Vm(h, uniq, _) => {
-                match self.vm_uniq.get(h) {
-                    Some(&stored) if stored > *uniq => return,
+            Part::Vm(h) => {
+                match self.vm_uniq.get(&h) {
+                    Some(&stored) if stored > value.uniq => return,
                     None => {
                         let live = self
                             .state
                             .vm_table
                             .as_ref()
-                            .is_none_or(|t| t.iter().any(|&(lh, _)| lh == *h));
+                            .is_none_or(|t| t.iter().any(|&(lh, _)| lh == h));
                         if !live {
                             // The tail of a teardown: the table no longer
                             // lists this VM, so its dying abstraction must
@@ -401,20 +344,18 @@ impl SharedGhost {
                     }
                     _ => {}
                 }
-                self.vm_uniq.insert(*h, *uniq);
+                self.vm_uniq.insert(h, value.uniq);
             }
             _ => {}
         }
-        self.tick += 1;
-        self.versions.insert(value.key(), self.tick);
-        Oracle::set_component(&mut self.state, value, false);
+        self.stamp(value.part);
+        self.state.copy_part(&value.state, value.part);
     }
 
-    /// Bumps the stamp of `key` without going through a component value
-    /// (deferred seeding writes the spec-computed state directly).
-    fn stamp(&mut self, key: CompKey) {
+    /// Bumps the stamp of `part` (every write to the shared copy does).
+    fn stamp(&mut self, part: Part) {
         self.tick += 1;
-        self.versions.insert(key, self.tick);
+        self.versions.insert(part, self.tick);
     }
 }
 
@@ -451,18 +392,18 @@ struct CpuRecord {
     /// trap's legitimate update would be overwritten with a stale
     /// expectation, and the next acquisition would report a spurious
     /// non-interference violation).
-    versions_at_entry: HashMap<CompKey, u64>,
+    versions_at_entry: HashMap<Part, u64>,
     /// Shared-copy stamp left by this trap's most recent release of each
     /// component, so a re-acquisition can tell whether a *foreign* trap
     /// updated the component between two of this trap's own critical
     /// sections.
-    last_release: HashMap<CompKey, u64>,
+    last_release: HashMap<Part, u64>,
     /// Components a foreign trap updated between two of this trap's
     /// critical sections. The per-trap check pretends the handler ran
     /// atomically; for these components it did not, so their comparison
     /// is skipped (the ternary check's "unchecked" answer) instead of
     /// reporting a spurious mismatch.
-    interleaved: HashSet<CompKey>,
+    interleaved: HashSet<Part>,
     /// Event-stream sequence id of this trap's `TrapEnter`, so every
     /// event and violation produced inside the trap links back to it.
     trap_seq: Option<u64>,
@@ -666,8 +607,8 @@ impl Oracle {
         let key = match &msg {
             CheckMsg::TrapEnter { .. } => "trap_enter".to_string(),
             CheckMsg::TrapExit { .. } => "trap_exit".to_string(),
-            CheckMsg::LockAcquired { comp, .. } | CheckMsg::LockReleasing { comp, .. } => {
-                comp_name(*comp)
+            CheckMsg::LockAcquired { value, .. } | CheckMsg::LockReleasing { value, .. } => {
+                value.part.to_string()
             }
             CheckMsg::ReadOnce { .. } => "read_once".to_string(),
             _ => "checker".to_string(),
@@ -755,37 +696,12 @@ impl Oracle {
         self.report_all_at(cpu, trap, vec![v]);
     }
 
-    fn report_all_at(&self, cpu: usize, trap: Option<u64>, mut new: Vec<Violation>) {
-        self.annotate_vm_uniq(&mut new);
+    fn report_all_at(&self, cpu: usize, trap: Option<u64>, new: Vec<Violation>) {
         for v in new {
             if !self.events.violation(cpu as u32, trap, v) {
                 self.stats
                     .violations_dropped
                     .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Fills in the VM incarnation id on reports about a `vm[<handle>]`
-    /// component, from the shared copy's incarnation table. (Reports that
-    /// already know their incarnation keep it.)
-    fn annotate_vm_uniq(&self, vs: &mut [Violation]) {
-        let wants = |v: &Violation| {
-            v.vm_uniq().is_none()
-                && matches!(
-                    v.component().and_then(comp_key_of_name),
-                    Some(CompKey::Vm(_))
-                )
-        };
-        if !vs.iter().any(wants) {
-            return;
-        }
-        let guard = self.shared.lock();
-        for v in vs.iter_mut() {
-            if let Some(CompKey::Vm(h)) = v.component().and_then(comp_key_of_name) {
-                if let Some(&u) = guard.vm_uniq.get(&h) {
-                    v.set_vm_uniq(u);
-                }
             }
         }
     }
@@ -852,10 +768,11 @@ impl Oracle {
             Event::LockReleasing { cpu, comp }
         };
         self.events.emit(cpu as u32, trap, event);
-        let key = comp_name(comp);
+        let part = Part::from(comp);
+        let key = part.to_string();
         let check_ni = match self.quarantine.disposition(&key) {
             Disposition::Skip => {
-                self.note_quarantine_skip(cpu, trap, comp);
+                self.note_quarantine_skip(cpu, trap, part);
                 return;
             }
             // Recovery from quarantine: re-seed the shared copy from a
@@ -877,7 +794,7 @@ impl Oracle {
             self.dispatch(CheckMsg::Evict {
                 cpu,
                 trap,
-                comp,
+                part,
                 quarantine: false,
             });
             return;
@@ -888,7 +805,6 @@ impl Oracle {
                 CheckMsg::LockAcquired {
                     cpu,
                     trap,
-                    comp,
                     value,
                     reports,
                     check_ni,
@@ -897,7 +813,6 @@ impl Oracle {
                 CheckMsg::LockReleasing {
                     cpu,
                     trap,
-                    comp,
                     value,
                     reports,
                 }
@@ -910,18 +825,11 @@ impl Oracle {
     /// stale is ever compared later. Used when the component is
     /// quarantined or the per-trap budget ran out — the cheap-but-safe
     /// fallback.
-    fn evict_shared(&self, comp: Component) {
-        let key = comp_key_of(comp);
+    fn evict_shared(&self, part: Part) {
         let mut shared = self.shared.lock();
-        match key {
-            CompKey::Host => shared.state.host = None,
-            CompKey::Pkvm => shared.state.pkvm = None,
-            CompKey::VmTable => shared.state.vm_table = None,
-            CompKey::Vm(h) => {
-                shared.state.vms.remove(&h);
-            }
-        }
-        shared.stamp(key);
+        // Copying from the empty state removes the part.
+        shared.state.copy_part(&GhostState::default(), part);
+        shared.stamp(part);
     }
 
     /// Accounts one lock event against the per-trap check budget. `true`
@@ -944,12 +852,12 @@ impl Oracle {
     /// then have the back half evict the component so nothing stale is
     /// compared, marking it interleaved so the running trap's check
     /// ignores it.
-    fn note_quarantine_skip(&self, cpu: usize, trap: Option<u64>, comp: Component) {
+    fn note_quarantine_skip(&self, cpu: usize, trap: Option<u64>, part: Part) {
         self.stats.quarantined_skips.fetch_add(1, Ordering::Relaxed);
         self.dispatch(CheckMsg::Evict {
             cpu,
             trap,
-            comp,
+            part,
             quarantine: true,
         });
     }
@@ -1001,40 +909,48 @@ impl Oracle {
         let cached = self.opts.uses_cache();
         let mut anomalies = Vec::new();
         let mut reports = Vec::new();
-        let value = match view {
-            ComponentView::Host { root } if cached => ComponentValue::Host(self.shadowed(
-                CacheKey::Host,
-                &mut anomalies,
-                &mut reports,
-                |cache, a| cache.host(ctx.mem, *root, &self.globals, a),
-                |a| abstract_host(ctx.mem, *root, &self.globals, a),
-                |full, inc| {
-                    divergence(
-                        &[
-                            ("annot ", &full.annot, &inc.annot),
-                            ("shared ", &full.shared, &inc.shared),
-                        ],
-                        &full.table_pages,
-                        &inc.table_pages,
-                    )
-                },
-            )),
+        let mut state = GhostState::default();
+        let (mut uniq, mut live) = (0, Vec::new());
+        let part = match view {
             ComponentView::Host { root } => {
-                ComponentValue::Host(abstract_host(ctx.mem, *root, &self.globals, &mut anomalies))
-            }
-            ComponentView::Hyp { root } if cached => {
-                let pgt = self.cached_interp(
-                    ctx,
-                    Stage::Stage1,
-                    *root,
-                    CacheKey::Hyp,
-                    &mut anomalies,
-                    &mut reports,
-                );
-                ComponentValue::Pkvm(GhostPkvm { pgt })
+                state.host = Some(if cached {
+                    self.shadowed(
+                        Component::Host,
+                        &mut anomalies,
+                        &mut reports,
+                        |cache, a| cache.host(ctx.mem, *root, &self.globals, a),
+                        |a| abstract_host(ctx.mem, *root, &self.globals, a),
+                        |full, inc| {
+                            divergence(
+                                &[
+                                    ("annot ", &full.annot, &inc.annot),
+                                    ("shared ", &full.shared, &inc.shared),
+                                ],
+                                &full.table_pages,
+                                &inc.table_pages,
+                            )
+                        },
+                    )
+                } else {
+                    abstract_host(ctx.mem, *root, &self.globals, &mut anomalies)
+                });
+                Part::Host
             }
             ComponentView::Hyp { root } => {
-                ComponentValue::Pkvm(abstract_hyp(ctx.mem, *root, &mut anomalies))
+                state.pkvm = Some(if cached {
+                    let pgt = self.cached_interp(
+                        ctx,
+                        Stage::Stage1,
+                        *root,
+                        Component::Hyp,
+                        &mut anomalies,
+                        &mut reports,
+                    );
+                    GhostPkvm { pgt }
+                } else {
+                    abstract_hyp(ctx.mem, *root, &mut anomalies)
+                });
+                Part::Pkvm
             }
             ComponentView::VmTable { vms, uniqs } => {
                 let mut v = vms.clone();
@@ -1049,24 +965,28 @@ impl Oracle {
                         .lock()
                         .retain_vms(|h| v.iter().any(|&(live, _)| live == h));
                 }
-                ComponentValue::VmTable(v, u)
+                state.vm_table = Some(v);
+                live = u;
+                Part::VmTable
             }
-            ComponentView::Vm(view) if cached => {
-                let pgt = self.cached_interp(
-                    ctx,
-                    Stage::Stage2,
-                    view.s2_root,
-                    CacheKey::Vm(view.handle),
-                    &mut anomalies,
-                    &mut reports,
-                );
-                ComponentValue::Vm(view.handle, view.uniq, abstract_vm_with_pgt(view, pgt))
+            ComponentView::Vm(view) => {
+                let vm = if cached {
+                    let pgt = self.cached_interp(
+                        ctx,
+                        Stage::Stage2,
+                        view.s2_root,
+                        Component::Vm(view.handle),
+                        &mut anomalies,
+                        &mut reports,
+                    );
+                    abstract_vm_with_pgt(view, pgt)
+                } else {
+                    abstract_vm(ctx.mem, view, &mut anomalies)
+                };
+                state.vms.insert(view.handle, vm);
+                uniq = view.uniq;
+                Part::Vm(view.handle)
             }
-            ComponentView::Vm(view) => ComponentValue::Vm(
-                view.handle,
-                view.uniq,
-                abstract_vm(ctx.mem, view, &mut anomalies),
-            ),
         };
         let context = format!("{comp:?}");
         reports.extend(
@@ -1078,6 +998,12 @@ impl Oracle {
                     anomaly: a,
                 }),
         );
+        let value = ComponentValue {
+            part,
+            state,
+            uniq,
+            live,
+        };
         (value, reports)
     }
 
@@ -1088,7 +1014,7 @@ impl Oracle {
         ctx: &HookCtx<'_>,
         stage: Stage,
         root: PhysAddr,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
         reports: &mut Vec<Violation>,
     ) -> AbstractPgtable {
@@ -1116,7 +1042,7 @@ impl Oracle {
     /// hypervisor bug.
     fn shadowed<T: PartialEq>(
         &self,
-        key: CacheKey,
+        key: Component,
         anomalies: &mut Vec<Anomaly>,
         reports: &mut Vec<Violation>,
         incremental: impl FnOnce(&mut AbsCache, &mut Vec<Anomaly>) -> T,
@@ -1150,112 +1076,40 @@ impl Oracle {
         full
     }
 
-    fn set_component(state: &mut GhostState, value: &ComponentValue, only_if_absent: bool) {
-        match value {
-            ComponentValue::Host(h) => {
-                if !(only_if_absent && state.host.is_some()) {
-                    state.host = Some(h.clone());
-                }
-            }
-            ComponentValue::Pkvm(p) => {
-                if !(only_if_absent && state.pkvm.is_some()) {
-                    state.pkvm = Some(p.clone());
-                }
-            }
-            ComponentValue::VmTable(t, _) => {
-                if !(only_if_absent && state.vm_table.is_some()) {
-                    state.vm_table = Some(t.clone());
-                }
-            }
-            ComponentValue::Vm(h, _, vm) => {
-                if !(only_if_absent && state.vms.contains_key(h)) {
-                    state.vms.insert(*h, vm.clone());
-                }
-            }
-        }
-    }
-
-    fn noninterference_check(
-        &self,
-        cpu: usize,
-        trap: Option<u64>,
-        comp: Component,
-        value: &ComponentValue,
-    ) {
+    /// The §4.4 non-interference check at an acquisition: the part must
+    /// equal its shared copy, last recorded when its lock was released.
+    fn noninterference_check(&self, cpu: usize, trap: Option<u64>, value: &ComponentValue) {
         if !self.opts.check_noninterference {
             return;
         }
+        let part = value.part;
         let guard = self.shared.lock();
-        let shared = &guard.state;
-        let (prev, now): (GhostState, GhostState) = match value {
-            ComponentValue::Host(h) => {
-                let Some(p) = &shared.host else { return };
-                (
-                    GhostState {
-                        host: Some(p.clone()),
-                        ..GhostState::default()
-                    },
-                    GhostState {
-                        host: Some(h.clone()),
-                        ..GhostState::default()
-                    },
-                )
+        if let Part::Vm(h) = part {
+            if guard
+                .vm_uniq
+                .get(&h)
+                .is_some_and(|&stored| stored != value.uniq)
+            {
+                // The stored state belongs to a different incarnation of
+                // this (reused) handle; nothing comparable.
+                return;
             }
-            ComponentValue::Pkvm(p2) => {
-                let Some(p) = &shared.pkvm else { return };
-                (
-                    GhostState {
-                        pkvm: Some(p.clone()),
-                        ..GhostState::default()
-                    },
-                    GhostState {
-                        pkvm: Some(p2.clone()),
-                        ..GhostState::default()
-                    },
-                )
-            }
-            ComponentValue::VmTable(t, _) => {
-                let Some(p) = &shared.vm_table else { return };
-                (
-                    GhostState {
-                        vm_table: Some(p.clone()),
-                        ..GhostState::default()
-                    },
-                    GhostState {
-                        vm_table: Some(t.clone()),
-                        ..GhostState::default()
-                    },
-                )
-            }
-            ComponentValue::Vm(h, uniq, vm) => {
-                if guard.vm_uniq.get(h).is_some_and(|&stored| stored != *uniq) {
-                    // The stored state belongs to a different incarnation
-                    // of this (reused) handle; nothing comparable.
-                    return;
-                }
-                let Some(p) = shared.vms.get(h) else { return };
-                let mut a = GhostState::default();
-                a.vms.insert(*h, p.clone());
-                let mut b = GhostState::default();
-                b.vms.insert(*h, vm.clone());
-                (a, b)
-            }
-        };
+        }
+        if !guard.state.has(part) {
+            return;
+        }
+        let prev = project(&guard.state, part);
         drop(guard);
-        let (prev_n, now_n) = (normalize(&prev), normalize(&now));
-        if prev_n != now_n {
-            let uniq = match value {
-                ComponentValue::Vm(_, u, _) => Some(*u),
-                _ => None,
-            };
+        let now = project(&value.state, part);
+        if prev != now {
             self.report_at(
                 cpu,
                 trap,
                 Violation::NonInterference {
                     seq: None,
-                    component: comp_name(comp),
-                    uniq,
-                    diff: diff_states(&prev_n, &now_n),
+                    component: part.to_string(),
+                    uniq: matches!(part, Part::Vm(_)).then_some(value.uniq),
+                    diff: diff_states(&prev, &now),
                 },
             );
         }
@@ -1335,15 +1189,12 @@ impl Oracle {
         let expected = normalize(&self.spec_boot_state());
         let recorded = normalize(&self.shared.lock().state.clone());
         let mut ok = true;
-        for (name, exp_has, rec_has) in [
-            ("host", expected.host.is_some(), recorded.host.is_some()),
-            ("pkvm", expected.pkvm.is_some(), recorded.pkvm.is_some()),
-        ] {
-            if exp_has && !rec_has {
+        for part in [Part::Host, Part::Pkvm] {
+            if expected.has(part) && !recorded.has(part) {
                 self.report(Violation::SpecMismatch {
                     seq: None,
                     trap: "boot".into(),
-                    component: name.into(),
+                    component: part.to_string(),
                     uniq: None,
                     diff: "component never recorded during boot".into(),
                 });
@@ -1367,74 +1218,29 @@ impl Oracle {
         ok
     }
 
-    /// Seeds spec-defined but never-recorded components into the shared
-    /// copy after a checked trap, so the *next* acquisition validates
-    /// them. Two hardening rules apply. First, seeding runs without the
-    /// component's lock, so a computed value only lands if the component
-    /// has not moved since this trap entered — otherwise a concurrent
-    /// trap's legitimate update would be overwritten with a stale
-    /// expectation and the next acquisition would report a spurious
-    /// non-interference violation. Second, a malformed component name is
-    /// an oracle bug, not a hypervisor bug: it is surfaced as an
-    /// [`Violation::OracleSelfCheck`] instead of panicking the run.
+    /// Seeds the parts of `computed` that `deferred` names — defined by
+    /// the spec but never recorded — into the shared copy after a checked
+    /// trap, so the *next* acquisition validates them. Seeding runs
+    /// without the component's lock, so a computed value only lands if the
+    /// component has not moved since this trap entered — otherwise a
+    /// concurrent trap's legitimate update would be overwritten with a
+    /// stale expectation and the next acquisition would report a spurious
+    /// non-interference violation. Locals have no shared copy.
     fn seed_deferred(
         &self,
-        trap: &str,
-        deferred: &[String],
+        deferred: &[Part],
         computed: &GhostState,
-        versions_at_entry: &HashMap<CompKey, u64>,
+        versions_at_entry: &HashMap<Part, u64>,
     ) {
-        let mut self_check = Vec::new();
         let mut shared = self.shared.lock();
-        for comp in deferred {
-            let key = match comp_key_of_name(comp) {
-                Some(k) => k,
-                None => {
-                    if comp.starts_with("vm[") {
-                        self_check.push(Violation::OracleSelfCheck {
-                            seq: None,
-                            context: format!("deferred seeding after {trap}"),
-                            detail: format!("malformed component name {comp:?}"),
-                        });
-                    }
-                    continue;
-                }
-            };
-            if shared.versions.get(&key) != versions_at_entry.get(&key) {
-                // The component moved while this trap ran; the concurrent
-                // recording is fresher than our computed expectation.
+        for &part in deferred {
+            if matches!(part, Part::Locals(_))
+                || shared.versions.get(&part) != versions_at_entry.get(&part)
+            {
                 continue;
             }
-            match key {
-                CompKey::Host => {
-                    if let Some(h) = &computed.host {
-                        shared.state.host = Some(h.clone());
-                        shared.stamp(key);
-                    }
-                }
-                CompKey::Pkvm => {
-                    if let Some(p) = &computed.pkvm {
-                        shared.state.pkvm = Some(p.clone());
-                        shared.stamp(key);
-                    }
-                }
-                CompKey::VmTable => {
-                    if let Some(t) = &computed.vm_table {
-                        shared.state.vm_table = Some(t.clone());
-                        shared.stamp(key);
-                    }
-                }
-                CompKey::Vm(h) => {
-                    if let Some(vm) = computed.vms.get(&h) {
-                        shared.state.vms.insert(h, vm.clone());
-                        shared.stamp(key);
-                    }
-                }
-            }
-        }
-        drop(shared);
-        if !self_check.is_empty() {
-            self.report_all_at(0, None, self_check);
+            shared.state.copy_part(computed, part);
+            shared.stamp(part);
         }
     }
 }
@@ -1468,14 +1274,16 @@ fn divergence(
 
 /// One component's abstraction, as recorded at a lock event. Computed by
 /// the front half under the component's lock, consumed by the back half.
-pub(crate) enum ComponentValue {
-    Host(GhostHost),
-    Pkvm(GhostPkvm),
-    /// Live (handle, slot) pairs, plus (handle, incarnation) pairs so the
+pub(crate) struct ComponentValue {
+    /// Which component it is.
+    part: Part,
+    /// A state holding only that component.
+    state: GhostState,
+    /// The VM's incarnation id ([`pkvm_hyp::vm::Vm::uniq`]), for a VM.
+    uniq: u64,
+    /// (handle, incarnation id) of every live VM, for the VM table, so the
     /// shared copy can detect handle reuse across a teardown.
-    VmTable(Vec<(Handle, usize)>, Vec<(Handle, u64)>),
-    /// Handle, incarnation id, abstract state.
-    Vm(Handle, u64, crate::state::GhostVm),
+    live: Vec<(Handle, u64)>,
 }
 
 impl Oracle {
@@ -1489,46 +1297,45 @@ impl Oracle {
         match compute_post(&rec.pre, call, &mut computed) {
             SpecVerdict::Checked => {
                 self.stats.traps_checked.fetch_add(1, Ordering::Relaxed);
-                let mut outcome = check_trap(name, &rec.pre, &rec.post, &computed);
-                if !rec.interleaved.is_empty() {
-                    // Foreign traps updated these components between two of
-                    // our critical sections; their recorded post is not
-                    // "pre plus this handler's effect", so comparing it is
-                    // meaningless. Drop their findings (counted, so a
-                    // campaign can see how often the check degraded).
-                    let interleaved = &rec.interleaved;
-                    outcome.violations.retain(|v| {
-                        let comp = match v {
-                            Violation::SpecMismatch { component, .. }
-                            | Violation::UnexpectedChange { component, .. } => component,
-                            _ => return true,
-                        };
-                        let skip = comp_key_of_name(comp).is_some_and(|k| interleaved.contains(&k));
-                        if skip {
-                            self.stats.interleaved_skips.fetch_add(1, Ordering::Relaxed);
+                let outcome = check_trap(name, &rec.pre, &rec.post, &computed);
+                let mut violations = Vec::new();
+                for (part, mut v) in outcome.violations {
+                    if rec.interleaved.contains(&part) {
+                        // Foreign traps updated this component between two
+                        // of our critical sections; its recorded post is
+                        // not "pre plus this handler's effect", so comparing
+                        // it is meaningless. Drop the finding (counted, so a
+                        // campaign can see how often the check degraded).
+                        self.stats.interleaved_skips.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    if let Part::Vm(h) = part {
+                        // Name the VM incarnation the report is about.
+                        if let Some(&u) = self.shared.lock().vm_uniq.get(&h) {
+                            v.set_vm_uniq(u);
                         }
-                        !skip
-                    });
+                    }
+                    violations.push(v);
                 }
                 self.push_trace(
                     rec.trap_seq,
                     TrapRecord {
                         cpu,
                         name: name.to_string(),
-                        outcome: if outcome.violations.is_empty() {
+                        outcome: if violations.is_empty() {
                             TrapOutcome::Clean
                         } else {
-                            TrapOutcome::Violated(outcome.violations.len())
+                            TrapOutcome::Violated(violations.len())
                         },
                     },
                 );
-                if !outcome.violations.is_empty() {
-                    self.report_all_at(cpu, rec.trap_seq, outcome.violations);
+                if !violations.is_empty() {
+                    self.report_all_at(cpu, rec.trap_seq, violations);
                 }
                 // Seed spec-defined but never-recorded components into the
                 // shared copy: the next acquisition validates them.
                 if !outcome.deferred.is_empty() {
-                    self.seed_deferred(name, &outcome.deferred, &computed, &rec.versions_at_entry);
+                    self.seed_deferred(&outcome.deferred, &computed, &rec.versions_at_entry);
                 }
             }
             SpecVerdict::Unchecked(why) => {
@@ -1592,7 +1399,6 @@ impl Oracle {
             CheckMsg::LockAcquired {
                 cpu,
                 trap,
-                comp,
                 value,
                 reports,
                 check_ni,
@@ -1602,27 +1408,29 @@ impl Oracle {
                 }
                 self.track_host(cpu, trap, &value);
                 if check_ni {
-                    self.noninterference_check(cpu, trap, comp, &value);
+                    self.noninterference_check(cpu, trap, &value);
                 }
-                let key = value.key();
+                let part = value.part;
                 // Safe to read outside the rec lock: the mutator holds the
                 // component's lock across this message, so no foreign trap
                 // can stamp this component right now.
-                let version = self.shared.lock().versions.get(&key).copied();
+                let version = self.shared.lock().versions.get(&part).copied();
                 let mut rec = self.cpus[cpu].lock();
                 if trap.is_some() {
                     // A re-acquisition after one of our own releases: if
                     // the stamp moved in between, a foreign trap updated
                     // the component and the atomic per-trap check no
                     // longer applies to it.
-                    if let Some(&last) = rec.last_release.get(&key) {
+                    if let Some(&last) = rec.last_release.get(&part) {
                         if version != Some(last) {
-                            rec.interleaved.insert(key);
+                            rec.interleaved.insert(part);
                         }
                     }
                     // First acquisition within the trap defines the
                     // pre-state.
-                    Self::set_component(&mut rec.pre, &value, true);
+                    if !rec.pre.has(part) {
+                        rec.pre.copy_part(&value.state, part);
+                    }
                 } else {
                     drop(rec);
                     self.shared.lock().set(&value);
@@ -1639,33 +1447,33 @@ impl Oracle {
                     self.report_all_at(cpu, trap, reports);
                 }
                 self.track_host(cpu, trap, &value);
-                let key = value.key();
+                let part = value.part;
                 let version = {
                     let mut shared = self.shared.lock();
                     shared.set(&value);
-                    shared.versions.get(&key).copied()
+                    shared.versions.get(&part).copied()
                 };
                 let mut rec = self.cpus[cpu].lock();
                 if trap.is_some() {
                     // Last release within the trap defines the post-state.
-                    Self::set_component(&mut rec.post, &value, false);
+                    rec.post.copy_part(&value.state, part);
                     if let Some(v) = version {
-                        rec.last_release.insert(key, v);
+                        rec.last_release.insert(part, v);
                     }
                 }
             }
             CheckMsg::Evict {
                 cpu,
                 trap,
-                comp,
+                part,
                 quarantine,
             } => {
-                self.evict_shared(comp);
+                self.evict_shared(part);
                 // Quarantine skips additionally blind the running trap's
                 // check to the component; budget evictions skip the whole
                 // trap's check anyway.
                 if quarantine && trap.is_some() {
-                    self.cpus[cpu].lock().interleaved.insert(comp_key_of(comp));
+                    self.cpus[cpu].lock().interleaved.insert(part);
                 }
             }
             CheckMsg::ReadOnce { cpu, tag, value } => {
@@ -1718,7 +1526,7 @@ impl Oracle {
     /// Shows every freshly abstracted host component to the trackers
     /// (the firmware-protection backstop).
     fn track_host(&self, cpu: usize, trap: Option<u64>, value: &ComponentValue) {
-        if let ComponentValue::Host(h) = value {
+        if let Some(h) = &value.state.host {
             self.track(cpu, trap, |t| t.host(h));
         }
     }
@@ -2137,6 +1945,34 @@ mod tests {
         }
     }
 
+    /// The recorded VM table listing `live` (handle, incarnation) pairs,
+    /// in slot order.
+    fn table(live: &[(Handle, u64)]) -> ComponentValue {
+        let slots = live.iter().enumerate().map(|(slot, &(h, _))| (h, slot));
+        ComponentValue {
+            part: Part::VmTable,
+            state: GhostState {
+                vm_table: Some(slots.collect()),
+                ..GhostState::default()
+            },
+            uniq: 0,
+            live: live.to_vec(),
+        }
+    }
+
+    /// The recorded state of VM incarnation `uniq`.
+    fn vm_value(uniq: u64, vm: crate::state::GhostVm) -> ComponentValue {
+        let part = Part::Vm(vm.handle);
+        let mut state = GhostState::default();
+        state.vms.insert(vm.handle, vm);
+        ComponentValue {
+            part,
+            state,
+            uniq,
+            live: Vec::new(),
+        }
+    }
+
     #[test]
     fn stalled_checker_bounds_memory_and_drains_on_release() {
         // Backpressure: a pipelined oracle whose checker cannot make
@@ -2205,21 +2041,21 @@ mod tests {
         let o = oracle();
         let h: Handle = 0x1000;
         let mut shared = o.shared.lock();
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 1)]));
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
+        shared.set(&table(&[(h, 1)]));
+        shared.set(&vm_value(1, ghost_vm(h, &[0x44007])));
         assert!(shared.state.vms.contains_key(&h));
         // Teardown: table recorded without the VM prunes its entry...
-        shared.set(&ComponentValue::VmTable(Vec::new(), Vec::new()));
+        shared.set(&table(&[]));
         assert!(!shared.state.vms.contains_key(&h));
         // ...and the dying VM's trailing lock release is dropped.
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
+        shared.set(&vm_value(1, ghost_vm(h, &[0x44007])));
         assert!(!shared.state.vms.contains_key(&h), "dead VM resurrected");
         // A new incarnation reusing the handle records normally.
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 2)]));
-        shared.set(&ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44e07])));
+        shared.set(&table(&[(h, 2)]));
+        shared.set(&vm_value(2, ghost_vm(h, &[0x44e07])));
         assert_eq!(shared.state.vms[&h].donated, vec![0x44e07]);
         // An even later stale release from the old incarnation still loses.
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
+        shared.set(&vm_value(1, ghost_vm(h, &[0x44007])));
         assert_eq!(shared.state.vms[&h].donated, vec![0x44e07]);
     }
 
@@ -2229,25 +2065,15 @@ mod tests {
         let h: Handle = 0x1000;
         {
             let mut shared = o.shared.lock();
-            shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 2)]));
-            shared.set(&ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44e07])));
+            shared.set(&table(&[(h, 2)]));
+            shared.set(&vm_value(2, ghost_vm(h, &[0x44e07])));
         }
         // A different incarnation's view differing from the stored state
         // is not interference — the two states describe different VMs.
-        o.noninterference_check(
-            0,
-            None,
-            Component::Vm(h),
-            &ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])),
-        );
+        o.noninterference_check(0, None, &vm_value(1, ghost_vm(h, &[0x44007])));
         assert!(o.is_clean(), "{:?}", o.violations());
         // The same incarnation differing is the real §4.4 violation.
-        o.noninterference_check(
-            0,
-            None,
-            Component::Vm(h),
-            &ComponentValue::Vm(h, 2, ghost_vm(h, &[0x44007])),
-        );
+        o.noninterference_check(0, None, &vm_value(2, ghost_vm(h, &[0x44007])));
         assert!(matches!(
             &o.violations()[0],
             Violation::NonInterference { .. }
@@ -2263,12 +2089,12 @@ mod tests {
         let o = oracle();
         let h: Handle = 0x1000;
         let mut shared = o.shared.lock();
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 1)]));
-        shared.set(&ComponentValue::Vm(h, 1, ghost_vm(h, &[0x44007])));
-        let stamp_before = shared.versions[&CompKey::Vm(h)];
-        shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 5)]));
+        shared.set(&table(&[(h, 1)]));
+        shared.set(&vm_value(1, ghost_vm(h, &[0x44007])));
+        let stamp_before = shared.versions[&Part::Vm(h)];
+        shared.set(&table(&[(h, 5)]));
         assert!(!shared.state.vms.contains_key(&h));
-        assert!(shared.versions[&CompKey::Vm(h)] > stamp_before);
+        assert!(shared.versions[&Part::Vm(h)] > stamp_before);
         assert_eq!(shared.vm_uniq[&h], 5);
     }
 
@@ -2320,27 +2146,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_deferred_name_reports_a_self_check_violation() {
-        let o = oracle();
-        let computed = GhostState::blank(&o.globals);
-        o.seed_deferred(
-            "init_vm",
-            &["vm[bogus]".to_string(), "vm[".to_string()],
-            &computed,
-            &HashMap::new(),
-        );
-        let vs = o.violations();
-        assert_eq!(vs.len(), 2, "{vs:?}");
-        for v in &vs {
-            assert!(
-                matches!(v, Violation::OracleSelfCheck { context, detail, .. }
-                    if context.contains("init_vm") && detail.contains("malformed")),
-                "{v}"
-            );
-        }
-    }
-
-    #[test]
     fn contained_panics_report_and_then_quarantine() {
         let o = Oracle::new(
             &MachineConfig::default(),
@@ -2388,26 +2193,89 @@ mod tests {
 
     #[test]
     fn reports_are_annotated_with_the_vm_incarnation() {
-        let o = oracle();
+        // One zeroed page: the guest's (empty) stage 2 root.
+        let mem = pkvm_aarch64::memory::PhysMem::new(vec![pkvm_aarch64::memory::MemRegion::ram(
+            0x4000_0000,
+            PAGE_SIZE,
+        )]);
+        let ctx = HookCtx { mem: &mem, cpu: 0 };
         let h: Handle = 0x1000;
-        {
-            let mut shared = o.shared.lock();
-            shared.set(&ComponentValue::VmTable(vec![(h, 0)], vec![(h, 7)]));
-        }
-        o.report(Violation::SpecMismatch {
-            seq: None,
-            trap: "vcpu_run".into(),
-            component: format!("vm[{h}]"),
-            uniq: None,
-            diff: "d".into(),
-        });
-        let v = &o.violations()[0];
-        assert_eq!(v.vm_uniq(), Some(7));
-        let line = v.to_string();
+        let view = |donated: &[u64]| {
+            ComponentView::Vm(pkvm_hyp::hooks::VmView {
+                handle: h,
+                uniq: 7,
+                slot: 0,
+                s2_root: PhysAddr::new(0x4000_0000),
+                protected: false,
+                donated: donated
+                    .iter()
+                    .map(|&pfn| PhysAddr::new(pfn << 12))
+                    .collect(),
+                firmware: Vec::new(),
+                vcpus: Vec::new(),
+            })
+        };
+        // An SMC leaves every component alone, so the VM changing inside
+        // it is an unexpected change of `vm[4096]`.
+        let o = oracle();
+        o.trap_enter(&ctx, Esr::smc64(), None, &GprFile::default(), None);
+        o.lock_acquired(&ctx, Component::Vm(h), &view(&[]));
+        o.lock_releasing(&ctx, Component::Vm(h), &view(&[0x44007]));
+        o.trap_exit(&ctx, &GprFile::default(), None);
+        let vs = o.violations();
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].vm_uniq(), Some(7));
+        let line = vs[0].to_string();
         assert!(
-            line.starts_with("violation kind=spec-mismatch trap=vcpu_run comp=vm[4096] uniq=7"),
+            line.starts_with("violation kind=unexpected-change trap=smc comp=vm[4096] uniq=7"),
             "{line}"
         );
+    }
+
+    #[test]
+    fn a_foreign_update_between_two_critical_sections_is_skipped_not_reported() {
+        // The VM table needs no memory to abstract.
+        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
+        let (cpu0, cpu1) = (HookCtx { mem: &mem, cpu: 0 }, HookCtx { mem: &mem, cpu: 1 });
+        let empty = ComponentView::VmTable {
+            vms: Vec::new(),
+            uniqs: Vec::new(),
+        };
+        let one = ComponentView::VmTable {
+            vms: vec![(0x1000, 0)],
+            uniqs: vec![(0x1000, 1)],
+        };
+        let run = |foreign: bool| {
+            let o = oracle();
+            // CPU 0's SMC takes and releases the table...
+            o.trap_enter(&cpu0, Esr::smc64(), None, &GprFile::default(), None);
+            o.lock_acquired(&cpu0, Component::VmTable, &empty);
+            o.lock_releasing(&cpu0, Component::VmTable, &empty);
+            if foreign {
+                // ...CPU 1 changes it with no trap open...
+                o.lock_acquired(&cpu1, Component::VmTable, &empty);
+                o.lock_releasing(&cpu1, Component::VmTable, &one);
+                // ...and CPU 0 re-acquires the changed table.
+                o.lock_acquired(&cpu0, Component::VmTable, &one);
+            } else {
+                // ...or CPU 0 changes it itself in a second section.
+                o.lock_acquired(&cpu0, Component::VmTable, &empty);
+            }
+            o.lock_releasing(&cpu0, Component::VmTable, &one);
+            o.trap_exit(&cpu0, &GprFile::default(), None);
+            (o.violations(), o.stats_snapshot().interleaved_skips)
+        };
+        // Either way the trap's recorded post differs from its pre. With
+        // the foreign update in between, the per-trap check does not apply
+        // to the table: the finding is dropped and counted.
+        let (vs, skips) = run(true);
+        assert!(vs.is_empty(), "{vs:?}");
+        assert_eq!(skips, 1);
+        // Without it, the same change is the trap's own and is reported.
+        let (vs, skips) = run(false);
+        let got: Vec<(&str, Option<&str>)> = vs.iter().map(|v| (v.kind(), v.component())).collect();
+        assert_eq!(got, [("unexpected-change", Some("vm_table"))]);
+        assert_eq!(skips, 0);
     }
 
     #[test]
@@ -2433,7 +2301,7 @@ mod tests {
         {
             let mut shared = o.shared.lock();
             shared.state.host = Some(concurrent.clone());
-            shared.stamp(CompKey::Host);
+            shared.stamp(Part::Host);
         }
         let mut computed = GhostState::blank(&o.globals);
         let mut stale = GhostHost::default();
@@ -2445,7 +2313,7 @@ mod tests {
             },
         });
         computed.host = Some(stale);
-        o.seed_deferred("share", &["host".to_string()], &computed, &HashMap::new());
+        o.seed_deferred(&[Part::Host], &computed, &HashMap::new());
         // The stale expectation must not overwrite the fresher recording.
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), Some(&concurrent));
@@ -2454,7 +2322,7 @@ mod tests {
 
         // With matching versions the seed lands.
         let versions = o.shared.lock().versions.clone();
-        o.seed_deferred("share", &["host".to_string()], &computed, &versions);
+        o.seed_deferred(&[Part::Host], &computed, &versions);
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), computed.host.as_ref());
     }
@@ -2634,8 +2502,15 @@ mod tests {
         o.apply_msg(CheckMsg::LockAcquired {
             cpu: 0,
             trap: None,
-            comp: Component::Host,
-            value: ComponentValue::Host(GhostHost::default()),
+            value: ComponentValue {
+                part: Part::Host,
+                state: GhostState {
+                    host: Some(GhostHost::default()),
+                    ..GhostState::default()
+                },
+                uniq: 0,
+                live: Vec::new(),
+            },
             reports: Vec::new(),
             check_ni: false,
         });

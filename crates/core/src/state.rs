@@ -9,8 +9,10 @@
 //! structure.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use pkvm_aarch64::sysreg::GprFile;
+use pkvm_hyp::hooks::Component;
 use pkvm_hyp::machine::Machine;
 use pkvm_hyp::vm::Handle;
 
@@ -167,6 +169,52 @@ pub struct GhostCpu {
     pub loaded: Option<GhostLoadedVcpu>,
 }
 
+/// One component of a (partial) ghost state: the unit a lock hook
+/// records, the shared copy stamps, and the ternary check compares.
+///
+/// Its [`Display`](fmt::Display) form — `host`, `pkvm`, `vm_table`,
+/// `vm[<handle>]` and `locals[<cpu>]`, in decimal — is the component name
+/// every spec-mismatch, unexpected-change and non-interference report
+/// carries. `.pkvmtrace` violation records store it and fuzz-triage crash
+/// signatures are keyed on it, so it never changes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Part {
+    /// The host's stage 2 ([`GhostState::host`]).
+    Host,
+    /// pKVM's stage 1 ([`GhostState::pkvm`]).
+    Pkvm,
+    /// The VM table ([`GhostState::vm_table`]).
+    VmTable,
+    /// One VM, by handle ([`GhostState::vms`]).
+    Vm(Handle),
+    /// One hardware thread's local state ([`GhostState::locals`]).
+    Locals(usize),
+}
+
+/// The ghost part a hypervisor lock protects.
+impl From<Component> for Part {
+    fn from(comp: Component) -> Part {
+        match comp {
+            Component::Host => Part::Host,
+            Component::Hyp => Part::Pkvm,
+            Component::VmTable => Part::VmTable,
+            Component::Vm(h) => Part::Vm(h),
+        }
+    }
+}
+
+impl fmt::Display for Part {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Part::Host => f.write_str("host"),
+            Part::Pkvm => f.write_str("pkvm"),
+            Part::VmTable => f.write_str("vm_table"),
+            Part::Vm(h) => write!(f, "vm[{h}]"),
+            Part::Locals(cpu) => write!(f, "locals[{cpu}]"),
+        }
+    }
+}
+
 /// The (partial) ghost state: the `struct ghost_state` of §3.1.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct GhostState {
@@ -191,6 +239,61 @@ impl GhostState {
             globals: globals.clone(),
             ..GhostState::default()
         }
+    }
+
+    /// The parts this state holds, in a fixed order: host, pkvm, the VM
+    /// table, then VMs by handle and locals by CPU.
+    pub fn parts(&self) -> impl Iterator<Item = Part> + '_ {
+        [
+            (self.host.is_some(), Part::Host),
+            (self.pkvm.is_some(), Part::Pkvm),
+            (self.vm_table.is_some(), Part::VmTable),
+        ]
+        .into_iter()
+        .filter_map(|(held, part)| held.then_some(part))
+        .chain(self.vms.keys().map(|&h| Part::Vm(h)))
+        .chain(self.locals.keys().map(|&cpu| Part::Locals(cpu)))
+    }
+
+    /// Whether this state holds `part`.
+    pub fn has(&self, part: Part) -> bool {
+        match part {
+            Part::Host => self.host.is_some(),
+            Part::Pkvm => self.pkvm.is_some(),
+            Part::VmTable => self.vm_table.is_some(),
+            Part::Vm(h) => self.vms.contains_key(&h),
+            Part::Locals(cpu) => self.locals.contains_key(&cpu),
+        }
+    }
+
+    /// Makes `part` of this state what it is in `src`: a copy where `src`
+    /// holds it, absent where `src` does not.
+    pub fn copy_part(&mut self, src: &GhostState, part: Part) {
+        fn copy_entry<K: Ord + Copy, V: Clone>(
+            dst: &mut BTreeMap<K, V>,
+            src: &BTreeMap<K, V>,
+            k: K,
+        ) {
+            match src.get(&k) {
+                Some(v) => dst.insert(k, v.clone()),
+                None => dst.remove(&k),
+            };
+        }
+        match part {
+            Part::Host => self.host = src.host.clone(),
+            Part::Pkvm => self.pkvm = src.pkvm.clone(),
+            Part::VmTable => self.vm_table = src.vm_table.clone(),
+            Part::Vm(h) => copy_entry(&mut self.vms, &src.vms, h),
+            Part::Locals(cpu) => copy_entry(&mut self.locals, &src.locals, cpu),
+        }
+    }
+
+    /// A state holding only `part` of this one (nothing, if this one
+    /// lacks it) and default globals.
+    pub fn only(&self, part: Part) -> GhostState {
+        let mut s = GhostState::default();
+        s.copy_part(self, part);
+        s
     }
 
     /// Copies the host component from `src` (the `copy_abstraction_host`
@@ -328,6 +431,72 @@ mod tests {
         let src = GhostState::blank(&globals());
         let mut dst = GhostState::blank(&globals());
         dst.copy_pkvm_from(&src);
+    }
+
+    #[test]
+    fn component_names_are_pinned() {
+        // `.pkvmtrace` violation records store these strings and fuzz
+        // triage keys crash signatures on them.
+        let names: Vec<String> = [
+            Part::Host,
+            Part::Pkvm,
+            Part::VmTable,
+            Part::Vm(0x1000),
+            Part::Locals(1),
+        ]
+        .iter()
+        .map(Part::to_string)
+        .collect();
+        assert_eq!(names, ["host", "pkvm", "vm_table", "vm[4096]", "locals[1]"]);
+        let locked: Vec<String> = [
+            Component::Host,
+            Component::Hyp,
+            Component::VmTable,
+            Component::Vm(0x1000),
+        ]
+        .into_iter()
+        .map(|c| Part::from(c).to_string())
+        .collect();
+        assert_eq!(locked, ["host", "pkvm", "vm_table", "vm[4096]"]);
+    }
+
+    #[test]
+    fn parts_come_in_a_fixed_order_and_copy_one_at_a_time() {
+        let mut s = GhostState::blank(&globals());
+        s.write_gpr(1, 0, 9);
+        s.vms.insert(
+            0x2000,
+            GhostVm {
+                handle: 0x2000,
+                slot: 1,
+                protected: false,
+                pgt: AbstractPgtable::default(),
+                donated: Vec::new(),
+                firmware: Vec::new(),
+                vcpus: Vec::new(),
+            },
+        );
+        s.vm_table = Some(vec![(0x2000, 1)]);
+        s.host = Some(GhostHost::default());
+        let parts: Vec<Part> = s.parts().collect();
+        assert_eq!(
+            parts,
+            [Part::Host, Part::VmTable, Part::Vm(0x2000), Part::Locals(1)]
+        );
+        assert!(parts.iter().all(|&p| s.has(p)) && !s.has(Part::Pkvm));
+        let vm = s.only(Part::Vm(0x2000));
+        assert_eq!(vm.parts().collect::<Vec<_>>(), [Part::Vm(0x2000)]);
+        assert_eq!(vm.globals, GhostGlobals::default());
+        // Copying from a state that lacks the part removes it.
+        let mut t = s.clone();
+        t.copy_part(&GhostState::default(), Part::Locals(1));
+        t.copy_part(&GhostState::default(), Part::Host);
+        assert_eq!(
+            t.parts().collect::<Vec<_>>(),
+            [Part::VmTable, Part::Vm(0x2000)]
+        );
+        t.copy_part(&s, Part::Locals(1));
+        assert_eq!(t.read_gpr(1, 0), 9);
     }
 
     #[test]

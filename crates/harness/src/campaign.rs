@@ -655,7 +655,8 @@ pub(crate) fn execute_driver(m: &Machine, ev: &Event) -> bool {
 /// every replay — but the stream is still drained to its end, so a
 /// truncated or bit-rotted tail fails the whole replay even when the
 /// panic comes first: a streamed replay accepts exactly the trace files
-/// [`load_trace`](crate::tracefile::load_trace) accepts.
+/// [`TraceReader::into_trace`](crate::tracefile::TraceReader::into_trace)
+/// accepts.
 ///
 /// # Errors
 ///

@@ -104,7 +104,7 @@ impl ChaosFamily {
 
 /// Seeded chaos configuration: per-family injection probabilities.
 ///
-/// `Copy` on purpose — the config travels into [`CampaignTrace`]
+/// `Copy` on purpose — the config travels into the campaign trace
 /// (see [`crate::campaign::CampaignTrace::chaos`]) so a violating
 /// chaotic campaign replays with the same chaos stream re-seeded.
 /// Construct with [`ChaosCfg::builder`] or [`ChaosCfg::only`]; the

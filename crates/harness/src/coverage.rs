@@ -86,12 +86,12 @@ impl CoverageSummary {
     }
 
     /// The spec points that remain after discounting the manually
-    /// identified unreachable list. Both [`spec_percent_reachable`]
-    /// (CoverageSummary::spec_percent_reachable) and [`render`]
-    /// (CoverageSummary::render) derive from this one filtered set, so
-    /// the reported denominator cannot drift from the percentage when
-    /// the unreachable list and the registry diverge (e.g. a stale entry
-    /// naming a point that no longer exists).
+    /// identified unreachable list. Both
+    /// [`spec_percent_reachable`](CoverageSummary::spec_percent_reachable)
+    /// and [`render`](CoverageSummary::render) derive from this one
+    /// filtered set, so the reported denominator cannot drift from the
+    /// percentage when the unreachable list and the registry diverge
+    /// (e.g. a stale entry naming a point that no longer exists).
     pub fn spec_reachable_points(&self) -> Vec<(&'static str, u64)> {
         self.spec
             .points

@@ -13,12 +13,11 @@
 //! smallest violation anchor ([`Violation::event_seq`]) — says how far
 //! into the schedule the variant first left the specification.
 //!
-//! Every row streams the trace through its own
-//! [`TraceReader`](crate::tracefile::TraceReader), so the matrix runs in
-//! O(1) memory per row and never materializes the timeline. Replay is
-//! deterministic, so the matrix is bit-identical across processes —
-//! [`DiffMatrix::matrix_line`] renders the canonical digest line ci.sh
-//! compares between two independent computations.
+//! Every row streams the trace through its own [`TraceReader`], so the
+//! matrix runs in O(1) memory per row and never materializes the
+//! timeline. Replay is deterministic, so the matrix is bit-identical
+//! across processes — [`DiffMatrix::matrix_line`] renders the canonical
+//! digest line ci.sh compares between two independent computations.
 //!
 //! Not every fault is detectable this way, by design: replay is
 //! single-threaded, so race-window bugs (Bug3, Bug4) rarely fire, and
@@ -168,9 +167,8 @@ impl DiffMatrix {
 
 /// Computes the differential matrix for the trace at `path`: the clean
 /// hypervisor plus every [`Fault::ALL`] variant, each replaying the
-/// recorded schedule streamed through a fresh
-/// [`TraceReader`](crate::tracefile::TraceReader). The trace should be a
-/// clean recording — the row faults *replace* the header's recorded
+/// recorded schedule streamed through a fresh [`TraceReader`]. The trace
+/// should be a clean recording — the row faults *replace* the header's recorded
 /// fault bits, so the clean row really is fault-free.
 ///
 /// # Errors

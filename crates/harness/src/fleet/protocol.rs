@@ -508,7 +508,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let p = inject_torn_seed(&dir, "seed-000000.pkvmtrace").unwrap();
-        assert!(crate::tracefile::load_trace(&p).is_err());
+        let reader = crate::tracefile::TraceReader::open(&p);
+        assert!(reader.and_then(|r| r.into_trace()).is_err());
         let scan = crate::fuzz::scan_dir(&dir);
         assert_eq!((scan.loaded.len(), scan.skipped.len()), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);

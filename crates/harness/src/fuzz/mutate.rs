@@ -8,9 +8,10 @@
 //! mid-group — truncation and splicing preserve trap-boundary
 //! well-formedness by construction. The `insert` mutator grows inputs
 //! with model-plausible ops: it replays the prefix on a throwaway
-//! machine, then lets a fresh [`RandomTester`] (optionally with a biased
-//! per-op weight mix) drive a handful of steps whose recorded driver
-//! events are spliced in. Parameter mutation perturbs hypercall
+//! machine, then lets a fresh
+//! [`RandomTester`](crate::random::RandomTester) (optionally with a
+//! biased per-op weight mix) drive a handful of steps whose recorded
+//! driver events are spliced in. Parameter mutation perturbs hypercall
 //! arguments with values harvested from the sequence itself, biased
 //! toward handle- and pfn-shaped constants.
 

@@ -5,7 +5,7 @@
 //! diverging spec coverage point (the deepest `spec/<trap>/…` point the
 //! execution's coverage delta reached for the violating trap). The first
 //! execution of each signature is greedily minimized with the shared
-//! [`crate::minimize`] helper and written to the crashes directory as a
+//! [`crate::minimize()`] helper and written to the crashes directory as a
 //! minimal reproducer trace; repeats only bump a counter.
 
 use std::collections::HashMap;

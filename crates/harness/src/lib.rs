@@ -9,8 +9,8 @@
 //!   prediction, reproducible per seed;
 //! - [`campaign`] — parallel multi-worker random-testing campaigns with
 //!   recorded schedules and deterministic replay;
-//! - [`minimize`] — the budgeted greedy trace minimizer shared by
-//!   campaign post-mortems and fuzzer crash triage;
+//! - [`minimize`](mod@minimize) — the budgeted greedy trace minimizer
+//!   shared by campaign post-mortems and fuzzer crash triage;
 //! - [`fuzz`] — the coverage-guided fuzzer: corpus of persisted seeds,
 //!   structure-aware mutation, rarity-weighted scheduling and violation
 //!   triage, fed back by per-input coverage deltas and a ghost-state
@@ -76,6 +76,6 @@ pub use random::{RandomCfg, RandomTester, RunStats};
 pub use rng::Rng;
 pub use scenarios::{all as all_scenarios, run_all, Kind, Scenario, SuiteResult};
 pub use tracefile::{
-    atomic_write, compact_trace, load_trace, save_trace, set_fsync_before_rename, validate_bytes,
-    CompactError, CompactStats, TraceFileError, TraceHeader, TraceReader, TraceWriter,
+    atomic_write, compact_trace, save_trace, set_fsync_before_rename, validate_bytes, CompactError,
+    CompactStats, TraceFileError, TraceHeader, TraceReader, TraceWriter,
 };

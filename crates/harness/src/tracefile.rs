@@ -17,8 +17,8 @@
 //! torn file. [`TraceReader`] is the dual: a fallible iterator that
 //! decodes one [`EventRecord`] at a time in O(1) memory with the
 //! [`TraceHeader`] (machine config, oracle switches, chaos, seeds)
-//! available up front. [`load_trace`]/[`decode_trace`] survive as thin
-//! compatibility shims that drain the reader into a [`CampaignTrace`].
+//! available up front; [`TraceReader::into_trace`] drains it into a
+//! materialized [`CampaignTrace`] where a caller needs the whole timeline.
 //!
 //! Format: the 8-byte magic `PKVMTRCE`, a varint format version
 //! ([`FORMAT_VERSION`]), the header sections in a fixed order, then the
@@ -1158,8 +1158,8 @@ impl<'a> TraceReader<'a> {
         self.events_read
     }
 
-    /// Drains the stream into a materialized [`CampaignTrace`] —
-    /// the compatibility path [`load_trace`]/[`decode_trace`] ride on.
+    /// Drains the stream into a materialized [`CampaignTrace`], for
+    /// callers that need the whole timeline at once.
     ///
     /// # Errors
     ///
@@ -1333,7 +1333,7 @@ impl Drop for TraceWriter {
 /// Streams an in-memory `.pkvmtrace` buffer end to end without
 /// materializing the timeline, returning the event count. The fleet's
 /// pull/merge paths use this to vet candidate files — same acceptance
-/// set as [`decode_trace`], O(1) memory.
+/// set as [`TraceReader::into_trace`], O(1) memory.
 ///
 /// # Errors
 ///
@@ -1513,29 +1513,6 @@ pub fn save_trace<P: AsRef<Path>>(path: P, trace: &CampaignTrace) -> Res<()> {
     w.finish()
 }
 
-/// Reads a `.pkvmtrace` file back into a materialized [`CampaignTrace`].
-/// Compatibility shim over [`TraceReader::open`]; streaming consumers
-/// iterate the reader instead.
-///
-/// # Errors
-///
-/// Returns a [`TraceFileError`] for I/O failures and for any malformed,
-/// truncated or version-mismatched content; never panics.
-pub fn load_trace<P: AsRef<Path>>(path: P) -> Res<CampaignTrace> {
-    TraceReader::open(path)?.into_trace()
-}
-
-/// Decodes a `.pkvmtrace` byte buffer back into a [`CampaignTrace`].
-/// Compatibility shim over [`TraceReader::from_bytes`].
-///
-/// # Errors
-///
-/// Any malformed, truncated or version-mismatched input returns a
-/// [`TraceFileError`]; this function never panics.
-pub fn decode_trace(bytes: &[u8]) -> Res<CampaignTrace> {
-    TraceReader::from_bytes(bytes)?.into_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1623,7 +1600,9 @@ mod tests {
             events,
         };
         let bytes = encode_trace(&trace);
-        let decoded = decode_trace(&bytes).expect("round trip");
+        let decoded = TraceReader::from_bytes(&bytes)
+            .and_then(TraceReader::into_trace)
+            .expect("round trip");
         assert!(!decoded.oracle_opts.check_firmware_protection);
         assert!(!decoded.oracle_opts.check_transfer_protocol);
         assert_eq!(decoded.events.len(), trace.events.len());
@@ -1676,16 +1655,19 @@ mod tests {
 
     #[test]
     fn empty_and_foreign_buffers_fail_cleanly() {
-        assert!(matches!(decode_trace(&[]), Err(TraceFileError::BadMagic)));
         assert!(matches!(
-            decode_trace(b"ELF\x7f----------"),
+            TraceReader::from_bytes(&[]),
+            Err(TraceFileError::BadMagic)
+        ));
+        assert!(matches!(
+            TraceReader::from_bytes(b"ELF\x7f----------"),
             Err(TraceFileError::BadMagic)
         ));
         // Right magic, hostile version.
         let mut bytes = MAGIC.to_vec();
         bytes.push(99);
         assert!(matches!(
-            decode_trace(&bytes),
+            TraceReader::from_bytes(&bytes),
             Err(TraceFileError::BadVersion(99))
         ));
     }

@@ -34,7 +34,7 @@ use pkvm_harness::android;
 use pkvm_harness::campaign::{replay, CampaignCfg, CampaignTrace};
 use pkvm_harness::cli::num_arg;
 use pkvm_harness::proxy::Proxy;
-use pkvm_harness::tracefile::{load_trace, save_trace};
+use pkvm_harness::tracefile::{save_trace, TraceReader};
 use pkvm_hyp::faults::{Fault, FaultSet};
 use pkvm_hyp::vm::GuestOp;
 
@@ -214,7 +214,7 @@ fn main() -> ExitCode {
             gate(&path, seed, steps)
         }
         "replay" => {
-            let trace = match load_trace(&path) {
+            let trace = match TraceReader::open(&path).and_then(TraceReader::into_trace) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("cannot load {path}: {e}");

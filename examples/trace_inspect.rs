@@ -22,10 +22,10 @@
 //! one lane (worker). `stats` adds the trace-scale analytics: per-handler
 //! latency percentiles (p50/p90/p99 off the log2 histogram) and the
 //! spec-coverage-over-time curve. `materialize` computes the same stats
-//! through `load_trace` — the whole-timeline baseline the E15 peak-memory
-//! comparison measures the iterator against. `compact` rewrites the trace
-//! to `<dst>` dropping the named observation-only event families
-//! (default: `read-once`), refusing replay-critical ones.
+//! through `TraceReader::into_trace` — the whole-timeline baseline the
+//! E15 peak-memory comparison measures the iterator against. `compact`
+//! rewrites the trace to `<dst>` dropping the named observation-only
+//! event families (default: `read-once`), refusing replay-critical ones.
 //!
 //! With `PKVM_PRINT_PEAK_RSS=1` in the environment, every mode appends a
 //! `peak-rss: <kB> kB` line read from `/proc/self/status` (Linux only) —
@@ -33,7 +33,7 @@
 
 use pkvm_ghost::event::{Event, EventRecord, TraceStats};
 use pkvm_harness::cli::num_arg;
-use pkvm_harness::tracefile::{compact_trace, load_trace, TraceReader};
+use pkvm_harness::tracefile::{compact_trace, TraceReader};
 
 const USAGE: &str = "usage: trace_inspect <file.pkvmtrace> [summary | dump [lane] | stats | materialize | compact <dst> [family ...]]";
 
@@ -150,11 +150,11 @@ fn main() {
         }
         "materialize" => {
             // The whole-timeline baseline: identical output to `stats`,
-            // but through load_trace's Vec<EventRecord>. Exists so the
+            // but through into_trace's Vec<EventRecord>. Exists so the
             // peak-RSS comparison in EXPERIMENTS.md E15 has something
             // honest to measure the streaming path against.
             print_header(&path);
-            let trace = match load_trace(&path) {
+            let trace = match TraceReader::open(&path).and_then(TraceReader::into_trace) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("trace_inspect: cannot load {path}: {e}");

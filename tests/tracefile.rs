@@ -6,8 +6,8 @@
 use pkvm_repro::harness::campaign::{replay, CampaignCfg, CampaignTrace};
 use pkvm_repro::harness::chaos::ChaosCfg;
 use pkvm_repro::harness::tracefile::{
-    compact_trace, decode_trace, encode_trace, load_trace, save_trace, CompactError,
-    TraceFileError, TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION, MAGIC,
+    compact_trace, encode_trace, save_trace, CompactError, TraceFileError, TraceHeader,
+    TraceReader, TraceWriter, FORMAT_VERSION, MAGIC,
 };
 use pkvm_repro::hyp::faults::{Fault, FaultSet};
 
@@ -50,7 +50,9 @@ fn round_trip_preserves_clean_and_chaotic_campaigns_across_seeds() {
             !trace.events.is_empty(),
             "seed {seed}: campaign recorded nothing"
         );
-        let decoded = decode_trace(&encode_trace(&trace)).expect("round trip decodes");
+        let decoded = TraceReader::from_bytes(&encode_trace(&trace))
+            .and_then(TraceReader::into_trace)
+            .expect("round trip decodes");
         assert_eq!(decoded, trace, "seed {seed} (chaotic={chaotic})");
     }
 }
@@ -65,7 +67,9 @@ fn violating_trace_survives_disk_and_replays_to_the_same_verdict() {
     let path =
         std::env::temp_dir().join(format!("pkvmtrace-test-{}.pkvmtrace", std::process::id()));
     save_trace(&path, &trace).expect("save");
-    let loaded = load_trace(&path).expect("load");
+    let loaded = TraceReader::open(&path)
+        .and_then(TraceReader::into_trace)
+        .expect("load");
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded, trace);
 
@@ -117,7 +121,9 @@ fn v3_tlb_records_round_trip() {
         Some(0.5),
         "the stale knob travels in the config"
     );
-    let decoded = decode_trace(&encode_trace(&chaotic)).expect("round trip decodes");
+    let decoded = TraceReader::from_bytes(&encode_trace(&chaotic))
+        .and_then(TraceReader::into_trace)
+        .expect("round trip decodes");
     assert_eq!(decoded, chaotic);
 
     // Missing-TLBI bug: the spec check's break-before-make verdict is a
@@ -130,7 +136,9 @@ fn v3_tlb_records_round_trip() {
         )),
         "missing-TLBI campaign recorded no break-before-make violation"
     );
-    let decoded = decode_trace(&encode_trace(&faulted)).expect("round trip decodes");
+    let decoded = TraceReader::from_bytes(&encode_trace(&faulted))
+        .and_then(TraceReader::into_trace)
+        .expect("round trip decodes");
     assert_eq!(decoded, faulted);
 
     // The chaos stream itself tags each suppressed delivery.
@@ -157,7 +165,7 @@ fn every_truncation_fails_cleanly() {
         .chain((64..bytes.len()).step_by(97))
         .collect();
     for cut in cuts {
-        match decode_trace(&bytes[..cut]) {
+        match TraceReader::from_bytes(&bytes[..cut]).and_then(TraceReader::into_trace) {
             Ok(_) => panic!("a {cut}-byte prefix of a {}-byte file decoded", bytes.len()),
             Err(
                 TraceFileError::Truncated | TraceFileError::BadMagic | TraceFileError::Malformed(_),
@@ -179,19 +187,19 @@ fn corrupted_bytes_never_panic_the_decoder() {
         let mut evil = bytes.clone();
         evil[pos] ^= 0xa5;
         // Decoding must terminate without panicking; both outcomes fine.
-        let _ = decode_trace(&evil);
+        let _ = TraceReader::from_bytes(&evil).and_then(TraceReader::into_trace);
     }
     // Header corruption specifically must be rejected, not reinterpreted.
     let mut bad_magic = bytes.clone();
     bad_magic[0] ^= 0xff;
     assert!(matches!(
-        decode_trace(&bad_magic),
+        TraceReader::from_bytes(&bad_magic),
         Err(TraceFileError::BadMagic)
     ));
     let mut bad_version = bytes.clone();
     bad_version[MAGIC.len()] = (FORMAT_VERSION + 1) as u8;
     assert!(matches!(
-        decode_trace(&bad_version),
+        TraceReader::from_bytes(&bad_version),
         Err(TraceFileError::BadVersion(_))
     ));
 }
@@ -202,7 +210,7 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 
 /// The streaming reader and the materialized loader are the same codec:
 /// over clean, chaotic and violating campaigns across seeds, iterating a
-/// [`TraceReader`] yields exactly the records `load_trace` materializes,
+/// [`TraceReader`] yields exactly the records of the recorded trace,
 /// the header matches the trace's campaign configuration, and
 /// `into_trace` reassembles the original trace field for field.
 #[test]
@@ -226,14 +234,12 @@ fn streaming_reader_equals_materialized_loader_across_seeds() {
         let streamed: Vec<_> = reader.map(|r| r.expect("record decodes")).collect();
         assert_eq!(streamed, trace.events, "case {i}");
 
-        // And reassembling gives back load_trace's (and the original) trace.
-        let materialized = load_trace(&path).expect("load");
-        let reassembled = TraceReader::open(&path)
+        // And materializing gives back the original trace.
+        let materialized = TraceReader::open(&path)
             .and_then(TraceReader::into_trace)
             .expect("into_trace");
         let _ = std::fs::remove_file(&path);
         assert_eq!(materialized, trace, "case {i}");
-        assert_eq!(reassembled, trace, "case {i}");
     }
 }
 
@@ -383,7 +389,9 @@ fn compaction_preserves_verdict_and_violation_anchors() {
     assert!(stats.dropped > 0, "the chaotic trace had nothing to drop");
     assert_eq!(stats.kept + stats.dropped, trace.events.len() as u64);
 
-    let compacted = load_trace(&dst).expect("load compacted");
+    let compacted = TraceReader::open(&dst)
+        .and_then(TraceReader::into_trace)
+        .expect("load compacted");
     let _ = std::fs::remove_file(&src);
     let _ = std::fs::remove_file(&dst);
     assert!(compacted
