@@ -35,6 +35,14 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test --workspace -q
 
+echo "== benchmark-length shadow validation (release) =="
+# The ignored property: 10k-step episodes of the Android and default mixes
+# at the benchmark's first worker seeds, every lock event abstracted both
+# by the incremental cache and by the full walk. Fails on any
+# ShadowDivergence or violation; the 800-step shadow runs of the default
+# test pass never grow the table footprint a 10k-step episode reaches.
+cargo test --release --test properties -- --ignored
+
 echo "== benchmark tests (perf/, its own workspace) =="
 # The benchmark builds against the crates' public API; an API change that
 # breaks it fails here rather than at the next benchmark run.

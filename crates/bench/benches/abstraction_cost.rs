@@ -12,6 +12,7 @@ use std::hint::black_box;
 
 use pkvm_aarch64::addr::PhysAddr;
 use pkvm_aarch64::attrs::Stage;
+use pkvm_aarch64::desc::Pte;
 use pkvm_bench::{build_block_table, build_page_table};
 use pkvm_ghost::{interpret_pgtable, interpret_pgtable_with_meta, AbsCache};
 use pkvm_hyp::hooks::Component;
@@ -61,8 +62,10 @@ fn bench_small_delta(c: &mut Criterion) {
         mem.write_log().set_enabled(true);
 
         // Locate one leaf-level table node and its first descriptor; the
-        // per-iteration "critical section" rewrites that descriptor (same
-        // value — the write alone dirties the page).
+        // per-iteration "critical section" toggles that descriptor between
+        // its value and an unmapped one, so every re-abstraction sees a
+        // one-descriptor delta (the cache diffs a same-value rewrite to
+        // nothing).
         let mut anomalies = Vec::new();
         let (_, meta) = interpret_pgtable_with_meta(&mem, Stage::Stage2, root, &mut anomalies);
         assert!(anomalies.is_empty());
@@ -72,12 +75,17 @@ fn bench_small_delta(c: &mut Criterion) {
             .find(|(_, &(level, _))| level == 3)
             .expect("page-grain table has leaf tables");
         let leaf = PhysAddr::from_pfn(leaf_pfn);
-        let pte = mem.read_pte(leaf, 0).unwrap();
+        let values = [mem.read_pte(leaf, 0).unwrap(), Pte(0)];
+        let mut toggle = 0;
+        let mut critical_section = || {
+            toggle ^= 1;
+            mem.write_pte(leaf, 0, values[toggle]).unwrap();
+        };
 
         g.throughput(Throughput::Elements(1));
         g.bench_with_input(BenchmarkId::new("full", nr_pages), &nr_pages, |b, _| {
             b.iter(|| {
-                mem.write_pte(leaf, 0, pte).unwrap();
+                critical_section();
                 let mut a = Vec::new();
                 black_box(interpret_pgtable(&mem, Stage::Stage2, root, &mut a))
             })
@@ -91,7 +99,7 @@ fn bench_small_delta(c: &mut Criterion) {
             &nr_pages,
             |b, _| {
                 b.iter(|| {
-                    mem.write_pte(leaf, 0, pte).unwrap();
+                    critical_section();
                     let mut a = Vec::new();
                     black_box(cache.interp(&mem, Stage::Stage2, root, Component::Host, &mut a))
                 })

@@ -1,61 +1,82 @@
 //! Incremental abstraction: caching page-table interpretations between
-//! lock events and re-interpreting only dirtied subtrees.
+//! lock events and re-interpreting only the descriptors that changed.
 //!
 //! Full interpretation ([`interpret_pgtable`]) walks the entire tree at
 //! every lock acquisition *and* release — the dominant per-event cost of
 //! the oracle (§4, Fig. 6 steps (2)–(5)) — even when the critical section
-//! wrote a handful of PTEs. This module keeps, per component, the last
-//! interpretation keyed by `(root, write-log generation)` plus the
-//! [`TableMeta`] locating every table node, and on the next event:
+//! wrote a handful of descriptors. This module keeps, per component, the
+//! last interpretation keyed by `(root, write-log generation)` together
+//! with every table node it read: where the node sits in the tree, and its
+//! 512 descriptors as read (the page copy [`PhysMem::read_table`] makes
+//! for the walk anyway, kept: 4 KiB per cached table node). On the next
+//! event it
 //!
 //! 1. asks the [`WriteLog`](pkvm_aarch64::memory::WriteLog) which pages
 //!    were written since the cached snapshot;
-//! 2. intersects them with the cached table footprint — writes to
-//!    non-table pages cannot change the interpretation;
-//! 3. re-interprets only the subtrees rooted at dirtied table nodes
-//!    (keeping the shallowest when nested) and splices each delta over
-//!    its span in the cached map ([`Mapping::splice`]);
+//! 2. intersects them with the cached table nodes — writes to non-table
+//!    pages cannot change the interpretation;
+//! 3. diffs each dirty node against its kept descriptors, shallowest
+//!    first, and re-interprets only the runs of changed entries, splicing
+//!    each run's maplets over the run's own span of the cached map
+//!    ([`Mapping::splice`]); a changed table entry forgets the subtree
+//!    below its old value and walks the one below its new value;
 //! 4. falls back to a full walk when the root moved, the log was trimmed,
-//!    the dirty ratio is high, or a replayed subtree reports an anomaly
-//!    or reaches a table page located elsewhere in the tree.
+//!    the dirty ratio is high, or a re-interpreted run reports an anomaly
+//!    or reaches a table page filed elsewhere in the tree.
 //!
 //! For the host it also memoizes the partition and legality check
-//! ([`abstract_host_from_interp`]) against the cached interpretation: a
+//! ([`abstract_host_from_interp`]) against the cached interpretation. A
 //! clean hit hands back the previous [`GhostHost`] itself, whose mappings
-//! share storage with every copy the checks already hold.
+//! share storage with every copy the checks already hold. A replay
+//! partitions and checks only the ranges it rewrote and splices the
+//! results into the memo; if that delta finds anything, the memo is
+//! dropped and the whole check reruns, so anomalies are still reported
+//! in address order and an anomalous partition is never memoized.
 //!
-//! ## Why the dirty intersection is sound
+//! ## Why entry-level replay is sound
 //!
-//! The cached snapshot generation is taken *before* the walk it
-//! describes, so writes racing with that walk are re-reported next time
-//! (the log over-approximates). A table node leaves or joins the tree
-//! only by a PTE write in its (cached) parent node, so a stale footprint
-//! entry whose page was re-used is always shadowed by a dirtied ancestor
-//! and dropped by the shallowest-subtree filter. That argument needs each
-//! table page to sit at one place in the tree: a page reachable from two
-//! descriptors (a double-allocated table page, a corrupted descriptor)
-//! has two spans, and a write to it would replay only one. Such aliased
-//! states, like anomalous ones, are never cached: every event over them
-//! takes the full walk and re-reports the anomalies, exactly like the
-//! non-incremental oracle.
+//! The cached snapshot generation is taken *before* any descriptor is
+//! read, so a write racing with a read is re-reported next time (the log
+//! over-approximates): a node the log does not name still holds the
+//! descriptors kept for it, and the cached map is the interpretation of
+//! exactly the kept descriptors. Each input address is translated along
+//! one path of entries from the root, so an entry's span of the map
+//! depends on that entry's subtree alone, and splicing the
+//! re-interpretation of the changed entries over their spans updates the
+//! map exactly. A node joins or leaves the tree only by a write to an
+//! entry of its parent. Diffing shallowest first, every changed table
+//! entry forgets its old subtree — dirty nodes in it included, which are
+//! then skipped, whatever was scribbled over their pages — before any
+//! new subtree is walked; so a dirty node still filed when its turn
+//! comes is linked at its cached place by unchanged entries, and must be
+//! diffed on its own, even under a dirty ancestor. That argument needs
+//! each table page to sit at one place in the tree: a page reachable
+//! from two descriptors (a double-allocated table page, a corrupted
+//! descriptor) has two spans, and a write to it would replay only one.
+//! Such aliased states, like anomalous ones, are never cached: every
+//! event over them takes the full walk and re-reports the anomalies,
+//! exactly like the non-incremental oracle.
 //!
 //! [`interpret_pgtable`]: crate::abstraction::interpret_pgtable
 //! [`Mapping::splice`]: crate::mapping::Mapping::splice
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE, START_LEVEL};
+use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE};
 use pkvm_aarch64::attrs::Stage;
+use pkvm_aarch64::desc::{EntryKind, Pte};
 use pkvm_aarch64::memory::PhysMem;
 use pkvm_hyp::hooks::Component;
 
 use crate::abstraction::{
-    abstract_host_from_interp, interpret_subtree, table_span_pages, Anomaly, TableMeta,
+    abstract_host_from_interp, interpret_tree, partition_host, Anomaly, Nodes, Walk,
 };
+use crate::maplet::Maplet;
 use crate::state::{AbstractPgtable, GhostGlobals, GhostHost};
 
 /// If more than one table in `4^-1` of the footprint is dirty, replaying
-/// subtrees stops paying; take the full walk.
+/// entries stops paying; take the full walk.
 const DIRTY_RATIO_DEN: usize = 4;
 
 /// Counters describing how the cache resolved requests.
@@ -63,9 +84,11 @@ const DIRTY_RATIO_DEN: usize = 4;
 pub struct CacheStats {
     /// Served unchanged (no dirty table pages).
     pub clean_hits: u64,
-    /// Served by replaying dirty subtrees into the cached map.
+    /// Served by replaying the changed entries of dirty table nodes into
+    /// the cached map.
     pub incremental: u64,
-    /// Subtrees replayed across all incremental serves.
+    /// Dirty table nodes brought up to date (diffed against their kept
+    /// descriptors) across all incremental serves.
     pub subtrees_replayed: u64,
     /// Full walks: no cache entry yet.
     pub full_cold: u64,
@@ -75,8 +98,8 @@ pub struct CacheStats {
     pub full_log_unavailable: u64,
     /// Full walks: dirty ratio above threshold.
     pub full_dirty_ratio: u64,
-    /// Full walks: a replayed subtree reported an anomaly or reached a
-    /// table page located outside its span.
+    /// Full walks: a re-interpreted run reported an anomaly or reached a
+    /// table page filed elsewhere in the tree.
     pub full_anomaly: u64,
 }
 
@@ -108,9 +131,11 @@ struct CacheEntry {
     /// Write-log snapshot taken before the walk that produced `interp`.
     gen: u64,
     interp: AbstractPgtable,
-    meta: TableMeta,
-    /// The host partition of `interp` (host entry only), kept once its
-    /// legality check found nothing; every change to `interp` drops it.
+    /// Every table node of `interp`, with the descriptors it was
+    /// interpreted from.
+    nodes: Nodes,
+    /// The host partition of `interp` (host entry only), kept while its
+    /// legality check finds nothing; a replay splices its delta in.
     host: Option<GhostHost>,
 }
 
@@ -157,7 +182,7 @@ impl AbsCache {
         key: Component,
         anomalies: &mut Vec<Anomaly>,
     ) -> AbstractPgtable {
-        match self.resolve(mem, stage, root, key, anomalies) {
+        match self.resolve(mem, stage, root, key, None, anomalies) {
             Served::Entry(e) => e.interp.clone(),
             Served::Uncached(interp) => interp,
         }
@@ -167,10 +192,10 @@ impl AbsCache {
     /// interpretation of the host stage 2 rooted at `root`. Appends
     /// anomalies exactly as [`abstract_host`] would. While the
     /// interpretation is served unchanged, the partition that last checked
-    /// clean is returned as is, sharing its mappings' storage; a partition
-    /// that reported anomalies is never kept, so its check reruns (and
-    /// re-reports) on every event. `globals` must be the same on every
-    /// call.
+    /// clean is returned as is, sharing its mappings' storage; a replay
+    /// updates it over the ranges it rewrote. A partition that reported
+    /// anomalies is never kept, so its check reruns (and re-reports) on
+    /// every event. `globals` must be the same on every call.
     ///
     /// [`abstract_host`]: crate::abstraction::abstract_host
     pub fn host(
@@ -180,7 +205,8 @@ impl AbsCache {
         globals: &GhostGlobals,
         anomalies: &mut Vec<Anomaly>,
     ) -> GhostHost {
-        let e = match self.resolve(mem, Stage::Stage2, root, Component::Host, anomalies) {
+        let key = Component::Host;
+        let e = match self.resolve(mem, Stage::Stage2, root, key, Some(globals), anomalies) {
             Served::Entry(e) => e,
             Served::Uncached(interp) => {
                 return abstract_host_from_interp(&interp, globals, anomalies)
@@ -198,13 +224,15 @@ impl AbsCache {
     }
 
     /// Brings the entry for `key` up to date with the table rooted at
-    /// `root`, or reports the state uncacheable.
+    /// `root`, or reports the state uncacheable. A host memo follows a
+    /// replay only given the `globals` it is checked against.
     fn resolve(
         &mut self,
         mem: &PhysMem,
         stage: Stage,
         root: PhysAddr,
         key: Component,
+        globals: Option<&GhostGlobals>,
         anomalies: &mut Vec<Anomaly>,
     ) -> Served<'_> {
         // Snapshot before reading any table state: writes racing with
@@ -221,13 +249,13 @@ impl AbsCache {
                     self.stats.clean_hits += 1;
                     return self.keep(key, e, snap);
                 }
-                Plan::Replay(subtrees) => {
-                    if e.replay(mem, &subtrees) {
+                Plan::Replay(dirty) => {
+                    if let Some(diffed) = e.replay(mem, &dirty, globals) {
                         self.stats.incremental += 1;
-                        self.stats.subtrees_replayed += subtrees.len() as u64;
+                        self.stats.subtrees_replayed += diffed;
                         return self.keep(key, e, snap);
                     }
-                    // A replayed subtree was anomalous or aliased; take
+                    // A re-interpreted run was anomalous or aliased; take
                     // the full walk so anomalies are reported once,
                     // coherently.
                     FullReason::Anomaly
@@ -243,15 +271,15 @@ impl AbsCache {
             FullReason::Anomaly => &mut self.stats.full_anomaly,
         } += 1;
         let before = anomalies.len();
-        let (interp, meta) = interpret_subtree(mem, stage, root, START_LEVEL, 0, anomalies);
-        match meta {
-            Some(meta) if anomalies.len() == before => {
+        let (interp, nodes) = interpret_tree(mem, stage, root, anomalies);
+        match nodes {
+            Some(nodes) if anomalies.len() == before => {
                 let e = CacheEntry {
                     root,
                     stage,
                     gen: snap,
                     interp,
-                    meta,
+                    nodes,
                     host: None,
                 };
                 self.keep(key, e, snap)
@@ -280,83 +308,159 @@ impl CacheEntry {
         };
         // Only writes to pages that were table nodes can change the
         // interpretation; everything else is data.
-        let mut dirty_tables: Vec<(u64, u8, u64)> = dirty
+        let mut dirty_nodes: Vec<(u8, u64, u64)> = dirty
             .iter()
-            .filter_map(|pfn| self.meta.get(pfn).map(|&(level, ia)| (*pfn, level, ia)))
+            .filter_map(|&pfn| self.nodes.get(&pfn).map(|n| (n.level, n.ia, pfn)))
             .collect();
-        if dirty_tables.is_empty() {
+        if dirty_nodes.is_empty() {
             return Plan::Clean;
         }
-        if dirty_tables.len() * DIRTY_RATIO_DEN > self.meta.len() {
+        if dirty_nodes.len() * DIRTY_RATIO_DEN > self.nodes.len() {
             return Plan::Full(FullReason::DirtyRatio);
         }
-        // Keep only the shallowest dirty nodes: a dirty node inside
-        // another dirty node's span is covered by replaying the ancestor
-        // (and a *stale* node — freed and reused — is always covered by
-        // the ancestor whose PTE write unlinked it).
-        dirty_tables.sort_by_key(|&(_, level, ia)| (level, ia));
-        let mut kept: Vec<(u64, u8, u64)> = Vec::with_capacity(dirty_tables.len());
-        for &(pfn, level, ia) in &dirty_tables {
-            if !kept
-                .iter()
-                .any(|&(_, klevel, kia)| within(klevel, kia, level, ia))
-            {
-                kept.push((pfn, level, ia));
-            }
-        }
-        Plan::Replay(kept)
+        // Shallowest first: a node's parent is diffed before the node.
+        dirty_nodes.sort_unstable();
+        Plan::Replay(dirty_nodes)
     }
 
-    /// Replays `subtrees` (disjoint spans) into this entry. `false` leaves
-    /// the entry unusable: a subtree was anomalous, or reached a table
-    /// page already located elsewhere in the tree.
-    fn replay(&mut self, mem: &PhysMem, subtrees: &[(u64, u8, u64)]) -> bool {
-        // Forget every node inside a replayed span first: what remains
-        // still sits where it was (neither it nor any ancestor is dirty),
-        // so a replayed node found among it is reachable twice.
-        self.meta.retain(|_, &mut (level, ia)| {
-            !subtrees
-                .iter()
-                .any(|&(_, slevel, sia)| within(slevel, sia, level, ia))
-        });
-        for &(pfn, level, ia_base) in subtrees {
-            let mut sub_anomalies = Vec::new();
-            let (sub, sub_meta) = interpret_subtree(
-                mem,
-                self.stage,
-                PhysAddr::new(pfn * PAGE_SIZE),
-                level,
-                ia_base,
-                &mut sub_anomalies,
-            );
-            let Some(sub_meta) = sub_meta else {
-                return false;
+    /// Brings this entry up to date with the dirty table nodes `dirty`
+    /// (`(level, ia, pfn)`, shallowest first), returning how many were
+    /// still in the tree and got diffed. `None` leaves the entry unusable:
+    /// a re-interpreted run was anomalous, or reached a table page already
+    /// filed elsewhere in the tree.
+    fn replay(
+        &mut self,
+        mem: &PhysMem,
+        dirty: &[(u8, u64, u64)],
+        globals: Option<&GhostGlobals>,
+    ) -> Option<u64> {
+        // Diff every dirty node before walking anything, so that a table
+        // page unlinked here and linked there is forgotten at its old
+        // place before the walk reaches it at its new one.
+        let mut runs: Vec<Run> = Vec::new();
+        let mut changed: Vec<Pte> = Vec::new();
+        // A table entry changed, so the footprint may have.
+        let mut relinked = false;
+        let mut diffed = 0;
+        for &(level, ia, pfn) in dirty {
+            // Gone if a changed entry above it was forgotten already.
+            let Some(node) = self.nodes.get_mut(&pfn) else {
+                continue;
             };
-            if !sub_anomalies.is_empty() {
-                return false;
+            diffed += 1;
+            let table = PhysAddr::from_pfn(pfn);
+            let old = std::mem::replace(&mut node.ptes, mem.read_table(table).ok()?);
+            let first_run = runs.len();
+            for span in changed_runs(&old[..], &node.ptes[..]) {
+                let new = &node.ptes[span.clone()];
+                runs.push(Run {
+                    table,
+                    level,
+                    node_ia: ia,
+                    first: span.start,
+                    ptes: changed.len()..changed.len() + new.len(),
+                });
+                changed.extend_from_slice(new);
+                relinked |= new.iter().any(|pte| is_table(*pte, level));
             }
-            for (node, loc) in sub_meta {
-                if self.meta.insert(node, loc).is_some() {
-                    return false;
+            for run in &runs[first_run..] {
+                for &pte in &old[run.first..run.first + run.ptes.len()] {
+                    if is_table(pte, level) {
+                        forget(&mut self.nodes, pte.table_addr().pfn());
+                        relinked = true;
+                    }
                 }
             }
-            // Splice the subtree's extension over its span.
-            self.interp.mapping.splice(
-                ia_base,
-                table_span_pages(level),
-                sub.mapping.iter().copied(),
-            );
         }
-        self.interp.table_pages = self.meta.keys().copied().collect();
-        self.host = None;
-        true
+        let mut anomalies = Vec::new();
+        let mut walk = Walk::new(mem, self.stage, &mut self.nodes, &mut anomalies);
+        for run in &runs {
+            let ptes = &changed[run.ptes.clone()];
+            walk.entries(run.table, run.level, run.node_ia, run.first, ptes);
+            if walk.aliased || !walk.anomalies.is_empty() {
+                return None;
+            }
+            let entry_pages = level_pages(run.level);
+            let ia = run.node_ia | (run.first as u64 * entry_pages * PAGE_SIZE);
+            let nr_pages = run.ptes.len() as u64 * entry_pages;
+            splice_host(&mut self.host, globals, ia, nr_pages, &walk.maplets);
+            self.interp
+                .mapping
+                .splice(ia, nr_pages, walk.maplets.drain(..));
+        }
+        if relinked {
+            self.interp.table_pages = self.nodes.keys().copied().collect();
+            if let Some(host) = &mut self.host {
+                host.table_pages = self.interp.table_pages.clone();
+            }
+        }
+        Some(diffed)
     }
 }
 
-/// `true` if the node at `(level, ia)` lies in the span of the node at
-/// `(at_level, at_ia)`, the node itself included.
-fn within(at_level: u8, at_ia: u64, level: u8, ia: u64) -> bool {
-    level >= at_level && ia >= at_ia && ia - at_ia < table_span_pages(at_level) * PAGE_SIZE
+/// A run of changed entries of one table node, due for re-interpretation.
+struct Run {
+    table: PhysAddr,
+    level: u8,
+    /// Input address of the node's first entry.
+    node_ia: u64,
+    /// Index of the run's first entry in the node.
+    first: usize,
+    /// Where the run's new descriptors sit in the replay's buffer.
+    ptes: Range<usize>,
+}
+
+/// The maximal runs of indices at which `old` and `new` differ.
+fn changed_runs<'p>(old: &'p [Pte], new: &'p [Pte]) -> impl Iterator<Item = Range<usize>> + 'p {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let differ = |i: &usize| old[*i] != new[*i];
+        let start = (at..old.len()).find(differ)?;
+        at = (start..old.len()).find(|i| !differ(i)).unwrap_or(old.len());
+        Some(start..at)
+    })
+}
+
+fn is_table(pte: Pte, level: u8) -> bool {
+    matches!(pte.kind(level), EntryKind::Table)
+}
+
+/// Drops the node `pfn` and every node below it from `nodes`.
+fn forget(nodes: &mut Nodes, pfn: u64) {
+    if let Some(node) = nodes.remove(&pfn) {
+        for &pte in node.ptes.iter() {
+            if is_table(pte, node.level) {
+                forget(nodes, pte.table_addr().pfn());
+            }
+        }
+    }
+}
+
+/// Splices the host partition of `maplets`, the new interpretation of
+/// `[ia, ia + nr_pages)`, into the memo. The memo is dropped instead if the
+/// delta's legality check finds anything (the whole check then reruns,
+/// reporting in address order) or there are no `globals` to check it
+/// against.
+fn splice_host(
+    memo: &mut Option<GhostHost>,
+    globals: Option<&GhostGlobals>,
+    ia: u64,
+    nr_pages: u64,
+    maplets: &[Maplet],
+) {
+    let Some(host) = memo else {
+        return;
+    };
+    if let Some(globals) = globals {
+        let (mut annot, mut shared, mut found) = (Vec::new(), Vec::new(), Vec::new());
+        partition_host(maplets, globals, &mut annot, &mut shared, &mut found);
+        if found.is_empty() {
+            host.annot.splice(ia, nr_pages, annot);
+            host.shared.splice(ia, nr_pages, shared);
+            return;
+        }
+    }
+    *memo = None;
 }
 
 /// Where a resolved request's interpretation lives.
@@ -369,7 +473,7 @@ enum Served<'a> {
 
 enum Plan {
     Clean,
-    Replay(Vec<(u64, u8, u64)>),
+    Replay(Vec<(u8, u64, u64)>),
     Full(FullReason),
 }
 
@@ -651,11 +755,13 @@ mod tests {
     }
 
     #[test]
-    fn a_replay_or_a_root_change_drops_the_host_memo() {
+    fn a_replay_updates_the_host_memo_and_a_root_change_rebuilds_it() {
         let m = mem();
         let root = build_host(&m);
         let mut cache = AbsCache::new();
         let (first, _) = host_agrees(&mut cache, &m, root);
+        // A new annotation: the replay splices it into the memo, which
+        // the next clean hit serves as is.
         m.write_pte(PhysAddr::new(0x4400_3000), 6, annotation_pte(OwnerId::HYP))
             .unwrap();
         let (second, _) = host_agrees(&mut cache, &m, root);
@@ -674,6 +780,94 @@ mod tests {
             (&third.annot, &third.shared)
         );
         assert!(!shares(&third, &fourth));
+    }
+
+    /// Links six empty level-3 nodes under `l2` (entries 16..22), so a
+    /// test can dirty two nodes without crossing the dirty ratio.
+    fn widen(m: &PhysMem, l2: PhysAddr) {
+        for i in 0..6 {
+            let l3 = PhysAddr::new(0x4401_0000 + i as u64 * PAGE_SIZE);
+            m.write_pte(l2, 16 + i, Pte::table(l3)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_dirty_node_under_an_unchanged_entry_of_a_dirty_ancestor_is_diffed() {
+        let m = mem();
+        let root = build(&m);
+        let (l2, l3) = (PhysAddr::new(0x4400_2000), PhysAddr::new(0x4400_3000));
+        widen(&m, l2);
+        let mut cache = AbsCache::new();
+        check_agrees(&mut cache, &m, root);
+        // One critical section rewrites l2's link to l3 with its own
+        // value, changes another l2 entry, and maps a page in l3.
+        m.write_pte(l2, 0, Pte::table(l3)).unwrap();
+        m.write_pte(l2, 7, annotation_pte(OwnerId::HYP)).unwrap();
+        m.write_pte(l3, 5, leaf(0x4200_5000)).unwrap();
+        check_agrees(&mut cache, &m, root);
+        assert_eq!(cache.stats.incremental, 1, "{:?}", cache.stats);
+        assert_eq!(cache.stats.subtrees_replayed, 2);
+    }
+
+    #[test]
+    fn an_identical_value_rewrite_serves_a_host_sharing_storage_with_the_previous_one() {
+        let m = mem();
+        let root = build_host(&m);
+        let mut cache = AbsCache::new();
+        let (first, _) = host_agrees(&mut cache, &m, root);
+        let l3 = PhysAddr::new(0x4400_3000);
+        m.write_pte(l3, 4, m.read_pte(l3, 4).unwrap()).unwrap();
+        let (second, _) = host_agrees(&mut cache, &m, root);
+        assert_eq!(cache.stats.incremental, 1);
+        assert!(shares(&first, &second));
+        // So does a replay that changes only mapped-on-demand pages.
+        let owned = Attrs::normal(Perms::RWX).with_sw(PageState::Owned.to_sw());
+        let pa = PhysAddr::new(0x4000_2000);
+        m.write_pte(l3, 2, Pte::leaf(Stage::Stage2, 3, pa, owned))
+            .unwrap();
+        let (third, _) = host_agrees(&mut cache, &m, root);
+        assert_eq!(cache.stats.incremental, 2);
+        assert!(shares(&first, &third));
+    }
+
+    #[test]
+    fn a_delta_that_finds_an_anomaly_reruns_the_whole_check_in_address_order() {
+        let m = mem();
+        let root = build_host(&m);
+        let (l2, l3) = (PhysAddr::new(0x4400_2000), PhysAddr::new(0x4400_3000));
+        widen(&m, l2);
+        let mut cache = AbsCache::new();
+        host_agrees(&mut cache, &m, root);
+        // Two host-owned mappings that are not identity mappings: a block
+        // in l2, which is diffed first, and a page in l3 at a lower address.
+        let owned = Attrs::normal(Perms::RWX).with_sw(PageState::Owned.to_sw());
+        let block = Pte::leaf(Stage::Stage2, 2, PhysAddr::new(0x4060_0000), owned);
+        m.write_pte(l2, 5, block).unwrap();
+        let page = Pte::leaf(Stage::Stage2, 3, PhysAddr::new(0x4300_0000), owned);
+        m.write_pte(l3, 8, page).unwrap();
+        let mut reported = Vec::new();
+        let served = cache.host(&m, root, &globals(), &mut reported);
+        let mut full = Vec::new();
+        assert_eq!(served, abstract_host(&m, root, &globals(), &mut full));
+        assert_eq!(cache.stats.incremental, 1, "{:?}", cache.stats);
+        assert_eq!(reported, full);
+        assert_eq!(
+            reported,
+            vec![
+                Anomaly::HostNotIdentity {
+                    ia: 0x4000_8000,
+                    oa: 0x4300_0000
+                },
+                Anomaly::HostNotIdentity {
+                    ia: 0x40a0_0000,
+                    oa: 0x4060_0000
+                },
+            ]
+        );
+        // The partition was not memoized: the next event re-reports.
+        let (_, again) = host_agrees(&mut cache, &m, root);
+        assert_eq!(again, 2);
+        assert_eq!(cache.stats.clean_hits, 1);
     }
 
     #[test]

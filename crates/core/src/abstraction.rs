@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE, PTES_PER_TABLE, START_LEVEL};
 use pkvm_aarch64::attrs::{MemType, Perms, Stage};
-use pkvm_aarch64::desc::EntryKind;
+use pkvm_aarch64::desc::{EntryKind, Pte};
 use pkvm_aarch64::memory::PhysMem;
 use pkvm_hyp::hooks::VmView;
 use pkvm_hyp::owner::{annotation_owner, OwnerId, PageState};
@@ -70,15 +70,23 @@ pub enum Anomaly {
 }
 
 /// Where each table node sits in the tree: `pfn -> (level, ia base of the
-/// node's span)`. Collected alongside interpretation so the incremental
-/// abstraction cache (`abscache`) can map a dirtied table page back to the
-/// subtree it roots.
+/// node's span)`, as [`interpret_pgtable_with_meta`] reports it.
 pub type TableMeta = BTreeMap<u64, (u8, u64)>;
 
-/// Pages spanned by one whole table node at `level` (512 entries).
-pub fn table_span_pages(level: u8) -> u64 {
-    PTES_PER_TABLE * level_pages(level)
+/// One table node an interpretation read: where it sits in the tree, and
+/// the descriptors it was interpreted from, which the incremental cache
+/// (`abscache`) diffs a dirtied node against.
+pub(crate) struct Node {
+    /// The node's level.
+    pub(crate) level: u8,
+    /// Input address of the node's first entry.
+    pub(crate) ia: u64,
+    /// The node's 512 descriptors, as read.
+    pub(crate) ptes: Box<[Pte; PTES_PER_TABLE as usize]>,
 }
+
+/// The table nodes one interpretation read, by page frame number.
+pub(crate) type Nodes = BTreeMap<u64, Node>;
 
 /// Interprets the concrete page table rooted at `root` into an abstract
 /// page table: the `_interpret_pgtable` of Fig. 2, specialised (as in the
@@ -89,86 +97,123 @@ pub fn interpret_pgtable(
     root: PhysAddr,
     anomalies: &mut Vec<Anomaly>,
 ) -> AbstractPgtable {
-    interpret_subtree(mem, stage, root, START_LEVEL, 0, anomalies).0
+    interpret_tree(mem, stage, root, anomalies).0
 }
 
-/// [`interpret_pgtable`], additionally returning the per-node
-/// [`TableMeta`] the incremental cache keys its invalidation on (`None`
-/// when a table page is reachable from two descriptors, so some node has
-/// no single location).
+/// [`interpret_pgtable`], additionally returning the [`TableMeta`] that
+/// locates every table node (`None` when a table page is reachable from
+/// two descriptors, so some node has no single location).
 pub fn interpret_pgtable_with_meta(
     mem: &PhysMem,
     stage: Stage,
     root: PhysAddr,
     anomalies: &mut Vec<Anomaly>,
 ) -> (AbstractPgtable, Option<TableMeta>) {
-    interpret_subtree(mem, stage, root, START_LEVEL, 0, anomalies)
+    let (pgt, nodes) = interpret_tree(mem, stage, root, anomalies);
+    let meta = nodes.map(|nodes| {
+        nodes
+            .iter()
+            .map(|(&pfn, node)| (pfn, (node.level, node.ia)))
+            .collect()
+    });
+    (pgt, meta)
 }
 
-/// Interprets the subtree rooted at the table node `table`, which sits at
-/// `level` and maps input addresses from `ia_base`, returning it with its
-/// [`TableMeta`] (`None` if some table page is reached twice). The root
-/// call is `interpret_subtree(mem, stage, root, START_LEVEL, 0, ..)`; the
-/// incremental cache re-enters at interior nodes it knows were dirtied.
-pub fn interpret_subtree(
+/// The whole-tree walk behind [`interpret_pgtable`] and the incremental
+/// cache's cold path: the interpretation, with every table node it read
+/// (`None` if some table page is reached twice).
+pub(crate) fn interpret_tree(
     mem: &PhysMem,
     stage: Stage,
-    table: PhysAddr,
-    level: u8,
-    ia_base: u64,
+    root: PhysAddr,
     anomalies: &mut Vec<Anomaly>,
-) -> (AbstractPgtable, Option<TableMeta>) {
-    let mut walk = Walk {
-        mem,
-        stage,
-        maplets: Vec::new(),
-        meta: TableMeta::new(),
-        aliased: false,
-        anomalies,
-    };
-    walk.table(table, level, ia_base);
+) -> (AbstractPgtable, Option<Nodes>) {
+    let mut nodes = Nodes::new();
+    let mut walk = Walk::new(mem, stage, &mut nodes, anomalies);
+    walk.table(root, START_LEVEL, 0);
+    let aliased = walk.aliased;
     let pgt = AbstractPgtable {
         mapping: Mapping::from_canonical(walk.maplets),
-        table_pages: walk.meta.keys().copied().collect(),
+        table_pages: nodes.keys().copied().collect(),
     };
-    (pgt, (!walk.aliased).then_some(walk.meta))
+    (pgt, (!aliased).then_some(nodes))
 }
 
-/// One traversal in progress. The maplets accumulate in a plain vector
-/// that becomes the mapping once, at the end.
-struct Walk<'a> {
+/// One traversal in progress: the whole tree from its root, or (in the
+/// incremental cache) a run of changed entries of one node. The maplets
+/// accumulate in a plain vector that becomes the mapping, or a splice's
+/// replacement, once, at the end; every table node read is filed in
+/// `nodes`.
+pub(crate) struct Walk<'a> {
     mem: &'a PhysMem,
     stage: Stage,
-    maplets: Vec<Maplet>,
-    meta: TableMeta,
-    /// Some table page was reached from two descriptors.
-    aliased: bool,
-    anomalies: &'a mut Vec<Anomaly>,
+    pub(crate) maplets: Vec<Maplet>,
+    nodes: &'a mut Nodes,
+    /// Some table page was reached from two descriptors, or was already
+    /// filed in `nodes` when the walk began.
+    pub(crate) aliased: bool,
+    pub(crate) anomalies: &'a mut Vec<Anomaly>,
 }
 
-impl Walk<'_> {
-    fn table(&mut self, table: PhysAddr, level: u8, va_partial: u64) {
-        if self.meta.insert(table.pfn(), (level, va_partial)).is_some() {
-            self.aliased = true;
+impl<'a> Walk<'a> {
+    pub(crate) fn new(
+        mem: &'a PhysMem,
+        stage: Stage,
+        nodes: &'a mut Nodes,
+        anomalies: &'a mut Vec<Anomaly>,
+    ) -> Walk<'a> {
+        Walk {
+            mem,
+            stage,
+            maplets: Vec::new(),
+            nodes,
+            aliased: false,
+            anomalies,
         }
-        let nr_pages = level_pages(level);
+    }
+
+    /// Interprets the table node `table`, which sits at `level` and maps
+    /// input addresses from `ia`, and files it.
+    pub(crate) fn table(&mut self, table: PhysAddr, level: u8, ia: u64) {
         // Read the whole table page at once: the walk touches every
         // descriptor anyway, and a single bulk access avoids paying the
         // region check and page lookup 512 times per table.
         let ptes = match self.mem.read_table(table) {
-            Ok(p) => p,
+            Ok(ptes) => {
+                self.entries(table, level, ia, 0, &ptes[..]);
+                ptes
+            }
             Err(_) => {
                 self.anomalies.push(Anomaly::TableOutsideMemory {
                     table: table.bits(),
                 });
-                return;
+                // Still part of the footprint, as the descriptor names it.
+                Box::new([Pte(0); PTES_PER_TABLE as usize])
             }
         };
-        // Iterate over the current table entries.
-        for (idx, &pte) in ptes.iter().enumerate() {
+        if self
+            .nodes
+            .insert(table.pfn(), Node { level, ia, ptes })
+            .is_some()
+        {
+            self.aliased = true;
+        }
+    }
+
+    /// Interprets `ptes`, the entries from index `first` on of the node
+    /// `table` at `level` whose span starts at `ia`.
+    pub(crate) fn entries(
+        &mut self,
+        table: PhysAddr,
+        level: u8,
+        ia: u64,
+        first: usize,
+        ptes: &[Pte],
+    ) {
+        let nr_pages = level_pages(level);
+        for (idx, &pte) in (first..).zip(ptes) {
             // Compute the input address mapped by this entry.
-            let va_offset_in_region = idx as u64 * nr_pages * PAGE_SIZE;
-            let va_partial_new = va_partial | va_offset_in_region;
+            let va_partial_new = ia | (idx as u64 * nr_pages * PAGE_SIZE);
             match pte.kind(level) {
                 EntryKind::Invalid => {
                     // Invalid entries may carry a software owner annotation;
@@ -262,11 +307,37 @@ pub fn abstract_host_from_interp(
 ) -> GhostHost {
     let mut annot = Vec::new();
     let mut shared = Vec::new();
-    for m in interp.mapping.iter() {
+    partition_host(
+        interp.mapping.iter(),
+        globals,
+        &mut annot,
+        &mut shared,
+        anomalies,
+    );
+    GhostHost {
+        annot: Mapping::from_canonical(annot),
+        shared: Mapping::from_canonical(shared),
+        table_pages: interp.table_pages.clone(),
+    }
+}
+
+/// The partition and legality check of [`abstract_host_from_interp`] over
+/// `maplets`, in address order: pushes annotations to `annot`, shared and
+/// borrowed pages to `shared`, and reports the loose region's illegal
+/// pages. Every verdict is per page, so the incremental cache can rerun it
+/// over just the ranges a replay rewrote.
+pub(crate) fn partition_host<'m>(
+    maplets: impl IntoIterator<Item = &'m Maplet>,
+    globals: &GhostGlobals,
+    annot: &mut Vec<Maplet>,
+    shared: &mut Vec<Maplet>,
+    anomalies: &mut Vec<Anomaly>,
+) {
+    for m in maplets {
         match m.target {
             MapletTarget::Annotated { owner } => {
                 if owner != OwnerId::HOST {
-                    push_coalesce(&mut annot, *m);
+                    push_coalesce(annot, *m);
                 }
                 // A zero-owner annotation never reaches here (zero PTEs are
                 // skipped during interpretation), but annotated-host would
@@ -274,7 +345,7 @@ pub fn abstract_host_from_interp(
             }
             MapletTarget::Mapped { oa, attrs } => match attrs.state {
                 Some(PageState::SharedOwned) | Some(PageState::SharedBorrowed) => {
-                    push_coalesce(&mut shared, *m);
+                    push_coalesce(shared, *m);
                 }
                 _ => {
                     // The loose region: check legality page-range-wise.
@@ -304,11 +375,6 @@ pub fn abstract_host_from_interp(
                 }
             },
         }
-    }
-    GhostHost {
-        annot: Mapping::from_canonical(annot),
-        shared: Mapping::from_canonical(shared),
-        table_pages: interp.table_pages.clone(),
     }
 }
 
@@ -627,6 +693,4 @@ mod tests {
         // Legal owned mappings are deliberately not tracked.
         assert!(host.shared.is_empty() && host.annot.is_empty());
     }
-
-    use pkvm_aarch64::desc::Pte;
 }

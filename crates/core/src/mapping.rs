@@ -127,46 +127,13 @@ impl Mapping {
 
     /// Removes `[ia, ia + nr*4K)` from the domain.
     pub fn remove(&mut self, ia: u64, nr_pages: u64) {
-        if nr_pages == 0 {
-            return;
-        }
-        let end = ia + nr_pages * PAGE_SIZE;
-        // Fast path: nothing overlaps — leave the (possibly shared)
-        // storage untouched.
-        let first = self.maplets.partition_point(|m| m.end() <= ia);
-        match self.maplets.get(first) {
-            Some(m) if m.ia < end => {}
-            _ => return,
-        }
-        let mut out = Vec::with_capacity(self.maplets.len() + 1);
-        for &m in self.maplets.iter() {
-            if m.end() <= ia || m.ia >= end {
-                out.push(m);
-                continue;
-            }
-            // Overlap: keep the parts outside [ia, end).
-            if m.ia < ia {
-                let (l, _) = m.split_at(ia);
-                out.push(l);
-            }
-            if m.end() > end {
-                let (_, r) = m.split_at(end);
-                out.push(r);
-            }
-        }
-        self.maplets = Arc::new(out);
+        self.splice(ia, nr_pages, None);
     }
 
     /// Inserts `maplet`, overwriting any overlapping range, and restores
     /// the canonical coalesced form.
     pub fn insert(&mut self, maplet: Maplet) {
-        if maplet.nr_pages == 0 {
-            return;
-        }
-        self.remove(maplet.ia, maplet.nr_pages);
-        let pos = self.maplets.partition_point(|m| m.ia < maplet.ia);
-        Arc::make_mut(&mut self.maplets).insert(pos, maplet);
-        self.coalesce_around(pos);
+        self.splice(maplet.ia, maplet.nr_pages, Some(maplet));
     }
 
     /// Inserts `maplet`, which must not overlap the existing domain.
@@ -215,19 +182,23 @@ impl Mapping {
     }
 
     /// Replaces the range `[ia, ia + nr_pages)` wholesale with
-    /// `replacement` — the delta-application primitive of the incremental
-    /// abstraction: a re-interpreted subtree's maplets are spliced over
-    /// the subtree's span in the cached map.
+    /// `replacement`: the one range edit behind [`Self::insert`] and
+    /// [`Self::remove`], and the delta-application primitive of the
+    /// incremental abstraction, which splices a re-interpreted run of
+    /// descriptors over its span in the cached map.
     ///
     /// `replacement` must be sorted, non-overlapping, and lie within the
     /// replaced range (any canonical [`Mapping`]'s maplets over that range
-    /// qualify). Coalescing is restored at the two seams in O(n + k)
-    /// rather than the O(n·k) of repeated [`Self::insert`].
+    /// qualify). Only the maplets overlapping the range and their two
+    /// neighbours are rewritten, which restores coalescing at the seams.
+    /// The edit is made in place while this mapping is the storage's only
+    /// owner, and by one copy into fresh storage while it is shared; an
+    /// edit that removes and inserts nothing leaves the storage as it is.
     ///
     /// # Panics
     ///
-    /// Panics (in debug) if `replacement` violates the ordering or range
-    /// requirements.
+    /// Panics if `replacement` is out of order, and (in debug) if it
+    /// leaves the replaced range.
     pub fn splice(
         &mut self,
         ia: u64,
@@ -237,56 +208,50 @@ impl Mapping {
         if nr_pages == 0 {
             return;
         }
-        self.remove(ia, nr_pages);
         let end = ia + nr_pages * PAGE_SIZE;
-        let rep: Vec<Maplet> = replacement.into_iter().filter(|m| m.nr_pages > 0).collect();
-        for w in rep.windows(2) {
-            debug_assert!(w[0].end() <= w[1].ia, "replacement out of order");
+        let old = &self.maplets;
+        // `old[lo..hi]` overlaps the range.
+        let lo = old.partition_point(|m| m.end() <= ia);
+        let hi = lo + old[lo..].partition_point(|m| m.ia < end);
+        let mut rep = replacement
+            .into_iter()
+            .filter(|m| m.nr_pages > 0)
+            .peekable();
+        if lo == hi && rep.peek().is_none() {
+            return;
         }
-        if let (Some(first), Some(last)) = (rep.first(), rep.last()) {
+        // The rewritten window `old[from..to]`: the overlapped maplets and
+        // a neighbour on each side for the seams to coalesce with.
+        let (from, to) = (lo.saturating_sub(1), (hi + 1).min(old.len()));
+        let mut window = Vec::with_capacity(to - from + 2 + rep.size_hint().0);
+        window.extend_from_slice(&old[from..lo]);
+        if lo < hi && old[lo].ia < ia {
+            window.push(old[lo].split_at(ia).0);
+        }
+        for m in rep {
             debug_assert!(
-                first.ia >= ia && last.end() <= end,
+                m.ia >= ia && m.end() <= end,
                 "replacement outside splice range"
             );
+            push_coalesce(&mut window, m);
         }
-        let pos = self.maplets.partition_point(|m| m.ia < ia);
-        let at = pos + rep.len();
-        let maplets = Arc::make_mut(&mut self.maplets);
-        maplets.splice(pos..pos, rep);
-        // Restore coalescing at the trailing seam first (indices shift),
-        // then the leading one; the interior of the replacement is already
-        // canonical.
-        if at > pos && at < maplets.len() {
-            let next = maplets[at];
-            if maplets[at - 1].can_coalesce_with(&next) {
-                maplets[at - 1].nr_pages += next.nr_pages;
-                maplets.remove(at);
+        if lo < hi && old[hi - 1].end() > end {
+            push_coalesce(&mut window, old[hi - 1].split_at(end).1);
+        }
+        if hi < to {
+            push_coalesce(&mut window, old[hi]);
+        }
+        match Arc::get_mut(&mut self.maplets) {
+            Some(maplets) => {
+                maplets.splice(from..to, window);
             }
-        }
-        if at > pos && pos > 0 {
-            let cur = maplets[pos];
-            if maplets[pos - 1].can_coalesce_with(&cur) {
-                maplets[pos - 1].nr_pages += cur.nr_pages;
-                maplets.remove(pos);
-            }
-        }
-    }
-
-    fn coalesce_around(&mut self, pos: usize) {
-        let maplets = Arc::make_mut(&mut self.maplets);
-        // Try to merge with the successor first, then the predecessor.
-        if pos + 1 < maplets.len() {
-            let next = maplets[pos + 1];
-            if maplets[pos].can_coalesce_with(&next) {
-                maplets[pos].nr_pages += next.nr_pages;
-                maplets.remove(pos + 1);
-            }
-        }
-        if pos > 0 {
-            let cur = maplets[pos];
-            if maplets[pos - 1].can_coalesce_with(&cur) {
-                maplets[pos - 1].nr_pages += cur.nr_pages;
-                maplets.remove(pos);
+            None => {
+                let old = &self.maplets;
+                let mut maplets = Vec::with_capacity(old.len() - (to - from) + window.len());
+                maplets.extend_from_slice(&old[..from]);
+                maplets.extend(window);
+                maplets.extend_from_slice(&old[to..]);
+                self.maplets = Arc::new(maplets);
             }
         }
     }

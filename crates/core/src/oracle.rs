@@ -74,8 +74,9 @@ pub struct OracleOpts {
     /// Check the page-table footprint separation (§4.4 invariant 2).
     pub check_separation: bool,
     /// Serve component abstractions from the incremental cache
-    /// ([`AbsCache`]), re-interpreting only write-log-dirtied subtrees
-    /// (default on). Off, every lock event walks the whole table.
+    /// ([`AbsCache`]), re-interpreting only the descriptors that changed
+    /// in write-log-dirtied table pages (default on). Off, every lock
+    /// event walks the whole table.
     pub incremental_abstraction: bool,
     /// Run the full and incremental abstractions side by side and report
     /// any divergence as an oracle self-check violation. Implies the
@@ -988,16 +989,18 @@ impl Oracle {
                 Part::Vm(view.handle)
             }
         };
-        let context = format!("{comp:?}");
-        reports.extend(
-            anomalies
-                .into_iter()
-                .map(|a| Violation::AbstractionAnomaly {
-                    seq: None,
-                    context: context.clone(),
-                    anomaly: a,
-                }),
-        );
+        if !anomalies.is_empty() {
+            let context = format!("{comp:?}");
+            reports.extend(
+                anomalies
+                    .into_iter()
+                    .map(|a| Violation::AbstractionAnomaly {
+                        seq: None,
+                        context: context.clone(),
+                        anomaly: a,
+                    }),
+            );
+        }
         let value = ComponentValue {
             part,
             state,

@@ -6,12 +6,15 @@
 //! printed in the assertion message.
 //!
 //! - the abstract [`Mapping`] agrees with a naive per-page model under
-//!   arbitrary insert/remove sequences, and stays canonical;
+//!   arbitrary insert/remove/splice sequences, and stays canonical, whether
+//!   it is edited in place or on storage a clone still shares;
 //! - descriptor encode/decode round-trips for every attribute combination;
 //! - the implementation's map walker and the ghost's interpretation
 //!   function agree: installing arbitrary page sets and reading them back
 //!   through `interpret_pgtable` and through the hardware walk yield the
 //!   same extension;
+//! - the incremental abstraction cache equals the full walk after every
+//!   batch of descriptor writes to random 4-level tables;
 //! - the buddy allocator never double-allocates and conserves pages;
 //! - arbitrary well-formed share/unshare interleavings stay clean under
 //!   the oracle.
@@ -20,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pkvm_repro::aarch64::addr::PAGE_SIZE;
 use pkvm_repro::aarch64::attrs::{Attrs, MemType, Perms, Stage};
-use pkvm_repro::aarch64::desc::Pte;
+use pkvm_repro::aarch64::desc::{EntryKind, Pte};
 use pkvm_repro::aarch64::memory::{MemRegion, PhysMem};
 use pkvm_repro::aarch64::{walk as hw_walk, PhysAddr};
 use pkvm_repro::ghost::maplet::{AbsAttrs, Maplet, MapletTarget};
@@ -51,10 +54,17 @@ enum MapOp {
         ia_page: u64,
         nr: u64,
     },
+    /// Replace `[ia_page, ia_page + nr)` with `rep`: sorted, disjoint
+    /// maplets inside the range, with holes between them.
+    Splice {
+        ia_page: u64,
+        nr: u64,
+        rep: Vec<Maplet>,
+    },
 }
 
 fn map_op(rng: &mut Rng) -> MapOp {
-    match rng.gen_range(0..3u32) {
+    match rng.gen_range(0..4u32) {
         0 => MapOp::InsertMapped {
             ia_page: rng.gen_range(0..64u64),
             nr: rng.gen_range(1..8u64),
@@ -66,87 +76,154 @@ fn map_op(rng: &mut Rng) -> MapOp {
             nr: rng.gen_range(1..8u64),
             owner: rng.gen_range(0..4u64) as u8,
         },
-        _ => MapOp::Remove {
+        2 => MapOp::Remove {
             ia_page: rng.gen_range(0..64u64),
             nr: rng.gen_range(1..8u64),
         },
+        _ => {
+            let ia_page = rng.gen_range(0..64u64);
+            let nr = rng.gen_range(1..16u64);
+            let mut rep = Vec::new();
+            let mut page = ia_page;
+            while page < ia_page + nr {
+                let len = rng.gen_range(1..ia_page + nr - page + 1);
+                // Neighbouring pieces often continue each other, so the
+                // splice has coalescing to do inside and at the seams.
+                let target = match rng.gen_range(0..3u32) {
+                    0 => None,
+                    1 => Some(MapletTarget::Mapped {
+                        oa: (page + rng.gen_range(0..2u64)) * PAGE_SIZE,
+                        attrs: attrs_of(rng.gen_range(0..2u64) as u8),
+                    }),
+                    _ => Some(MapletTarget::Annotated {
+                        owner: OwnerId(rng.gen_range(0..2u64) as u8),
+                    }),
+                };
+                if let Some(target) = target {
+                    rep.push(Maplet {
+                        ia: page * PAGE_SIZE,
+                        nr_pages: len,
+                        target,
+                    });
+                }
+                page += len;
+            }
+            MapOp::Splice { ia_page, nr, rep }
+        }
     }
 }
 
-fn perms_of(p: u8) -> Perms {
-    [Perms::RWX, Perms::RW, Perms::RX, Perms::R][p as usize % 4]
+fn attrs_of(p: u8) -> AbsAttrs {
+    AbsAttrs {
+        perms: [Perms::RWX, Perms::RW, Perms::RX, Perms::R][p as usize % 4],
+        memtype: MemType::Normal,
+        state: Some(PageState::Owned),
+    }
 }
 
-/// The coalescing range map has exactly the semantics of a per-page map.
+/// Applies `op` to the mapping and to the per-page model.
+fn apply_map_op(op: &MapOp, mapping: &mut Mapping, model: &mut BTreeMap<u64, MapletTarget>) {
+    let set_pages = |model: &mut BTreeMap<u64, MapletTarget>, m: &Maplet| {
+        for i in 0..m.nr_pages {
+            let target = match m.target {
+                MapletTarget::Mapped { oa, attrs } => MapletTarget::Mapped {
+                    oa: oa + i * PAGE_SIZE,
+                    attrs,
+                },
+                annotated => annotated,
+            };
+            model.insert(m.ia + i * PAGE_SIZE, target);
+        }
+    };
+    let remove_pages = |model: &mut BTreeMap<u64, MapletTarget>, ia_page: u64, nr: u64| {
+        for i in 0..nr {
+            model.remove(&((ia_page + i) * PAGE_SIZE));
+        }
+    };
+    match op {
+        &MapOp::InsertMapped {
+            ia_page,
+            nr,
+            oa_page,
+            perms,
+        } => {
+            let m = Maplet {
+                ia: ia_page * PAGE_SIZE,
+                nr_pages: nr,
+                target: MapletTarget::Mapped {
+                    oa: oa_page * PAGE_SIZE,
+                    attrs: attrs_of(perms),
+                },
+            };
+            mapping.insert(m);
+            set_pages(model, &m);
+        }
+        &MapOp::InsertAnnot { ia_page, nr, owner } => {
+            let m = Maplet {
+                ia: ia_page * PAGE_SIZE,
+                nr_pages: nr,
+                target: MapletTarget::Annotated {
+                    owner: OwnerId(owner),
+                },
+            };
+            mapping.insert(m);
+            set_pages(model, &m);
+        }
+        &MapOp::Remove { ia_page, nr } => {
+            mapping.remove(ia_page * PAGE_SIZE, nr);
+            remove_pages(model, ia_page, nr);
+        }
+        MapOp::Splice { ia_page, nr, rep } => {
+            mapping.splice(ia_page * PAGE_SIZE, *nr, rep.iter().copied());
+            remove_pages(model, *ia_page, *nr);
+            for m in rep {
+                set_pages(model, m);
+            }
+        }
+    }
+}
+
+/// `mapping` is canonical and agrees with `model` page by page over the
+/// whole exercised window.
+fn assert_matches_model(mapping: &Mapping, model: &BTreeMap<u64, MapletTarget>, what: &str) {
+    mapping
+        .check_canonical()
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+    for page in 0..96u64 {
+        let ia = page * PAGE_SIZE;
+        assert_eq!(
+            mapping.lookup(ia),
+            model.get(&ia).copied(),
+            "{what}, page {ia:#x}"
+        );
+    }
+    assert_eq!(mapping.nr_pages(), model.len() as u64, "{what}");
+}
+
+/// The coalescing range map has exactly the semantics of a per-page map,
+/// under insert, remove and splice alike, whether the edit is made in
+/// place (`owned`, whose storage is never shared) or on shared storage
+/// (`shared`, cloned before every operation): the clone keeps the
+/// extension from before the operation.
 #[test]
 fn mapping_matches_per_page_model() {
     for seed in 0..64u64 {
         let mut rng = Rng::seed_from_u64(seed);
         let nr_ops = rng.gen_range(1..60usize);
-        let mut mapping = Mapping::new();
+        let mut owned = Mapping::new();
+        let mut shared = Mapping::new();
         let mut model: BTreeMap<u64, MapletTarget> = BTreeMap::new();
-        for _ in 0..nr_ops {
-            match map_op(&mut rng) {
-                MapOp::InsertMapped {
-                    ia_page,
-                    nr,
-                    oa_page,
-                    perms,
-                } => {
-                    let attrs = AbsAttrs {
-                        perms: perms_of(perms),
-                        memtype: MemType::Normal,
-                        state: Some(PageState::Owned),
-                    };
-                    mapping.insert(Maplet {
-                        ia: ia_page * PAGE_SIZE,
-                        nr_pages: nr,
-                        target: MapletTarget::Mapped {
-                            oa: oa_page * PAGE_SIZE,
-                            attrs,
-                        },
-                    });
-                    for i in 0..nr {
-                        model.insert(
-                            (ia_page + i) * PAGE_SIZE,
-                            MapletTarget::Mapped {
-                                oa: (oa_page + i) * PAGE_SIZE,
-                                attrs,
-                            },
-                        );
-                    }
-                }
-                MapOp::InsertAnnot { ia_page, nr, owner } => {
-                    let owner = OwnerId(owner);
-                    mapping.insert(Maplet {
-                        ia: ia_page * PAGE_SIZE,
-                        nr_pages: nr,
-                        target: MapletTarget::Annotated { owner },
-                    });
-                    for i in 0..nr {
-                        model.insert((ia_page + i) * PAGE_SIZE, MapletTarget::Annotated { owner });
-                    }
-                }
-                MapOp::Remove { ia_page, nr } => {
-                    mapping.remove(ia_page * PAGE_SIZE, nr);
-                    for i in 0..nr {
-                        model.remove(&((ia_page + i) * PAGE_SIZE));
-                    }
-                }
-            }
-            // Canonical-form invariant after every operation.
-            mapping.check_canonical().unwrap();
+        for step in 0..nr_ops {
+            let op = map_op(&mut rng);
+            let before = shared.clone();
+            let model_before = model.clone();
+            apply_map_op(&op, &mut owned, &mut model.clone());
+            apply_map_op(&op, &mut shared, &mut model);
+            let what = format!("seed {seed}, step {step}, {op:?}");
+            assert_matches_model(&owned, &model, &what);
+            assert_matches_model(&shared, &model, &what);
+            assert_matches_model(&before, &model_before, &format!("{what}, clone"));
         }
-        // Pointwise agreement over the whole exercised window.
-        for page in 0..80u64 {
-            let ia = page * PAGE_SIZE;
-            assert_eq!(
-                mapping.lookup(ia),
-                model.get(&ia).copied(),
-                "seed {seed}, page {ia:#x}"
-            );
-        }
-        assert_eq!(mapping.nr_pages(), model.len() as u64, "seed {seed}");
     }
 }
 
@@ -384,6 +461,338 @@ fn block_split_preserves_complement() {
     }
 }
 
+// ------------------------------ incremental abstraction vs full walk --
+
+/// A random 4-level host stage 2 in a small machine, rewritten by random
+/// batches of descriptor writes (the cache property below). The root
+/// links one level-1 node, which links two level-2 nodes: `l2[0]` under
+/// index 1 spans RAM from its base, where identity mappings are legal,
+/// and `l2[1]` under index 0 spans the low gigabyte, outside RAM. Level-3
+/// nodes come and go below both.
+struct RandomTables {
+    mem: PhysMem,
+    rng: Rng,
+    root: PhysAddr,
+    l1: PhysAddr,
+    l2: [PhysAddr; 2],
+    /// Unlinked level-3 pages, for reuse.
+    free: Vec<PhysAddr>,
+    next_page: u64,
+    /// Descriptors that made the state uncacheable (an illegal leaf, a
+    /// second link to a table page), restored by a later batch.
+    repairs: Vec<(PhysAddr, usize, Pte)>,
+}
+
+const CACHE_RAM: (u64, u64) = (0x4000_0000, 0x800_0000);
+
+/// Entries of each level-2 node that the batches use.
+const L2_USED: usize = 12;
+
+impl RandomTables {
+    fn new(seed: u64) -> RandomTables {
+        let mem = PhysMem::new(vec![MemRegion::ram(CACHE_RAM.0, CACHE_RAM.1)]);
+        mem.write_log().set_enabled(true);
+        let [root, l1, l2a, l2b] =
+            [0x4600_0000, 0x4600_1000, 0x4600_2000, 0x4600_3000].map(PhysAddr::new);
+        mem.write_pte(root, 0, Pte::table(l1)).unwrap();
+        mem.write_pte(l1, 1, Pte::table(l2a)).unwrap();
+        mem.write_pte(l1, 0, Pte::table(l2b)).unwrap();
+        let mut t = RandomTables {
+            mem,
+            rng: Rng::seed_from_u64(seed),
+            root,
+            l1,
+            l2: [l2a, l2b],
+            free: Vec::new(),
+            next_page: 0x4700_0000,
+            repairs: Vec::new(),
+        };
+        for k in 0..2 {
+            for i in 0..8 {
+                let l3 = t.new_l3(k, i);
+                t.write(t.l2[k], i, Pte::table(l3));
+            }
+        }
+        t
+    }
+
+    fn write(&self, table: PhysAddr, idx: usize, pte: Pte) {
+        self.mem.write_pte(table, idx, pte).unwrap();
+    }
+
+    fn read(&self, table: PhysAddr, idx: usize) -> Pte {
+        self.mem.read_pte(table, idx).unwrap()
+    }
+
+    /// Input address of entry `i` of `l2[k]`, and of entry `j` below it.
+    fn ia(k: usize, i: usize, j: usize) -> u64 {
+        [CACHE_RAM.0, 0][k] + (i as u64) * (2 << 20) + (j as u64) * PAGE_SIZE
+    }
+
+    /// The level-3 node linked at entry `i` of `l2[k]`, if any.
+    fn l3_at(&self, k: usize, i: usize) -> Option<PhysAddr> {
+        let pte = self.read(self.l2[k], i);
+        (pte.kind(2) == EntryKind::Table).then(|| pte.table_addr())
+    }
+
+    /// A random `(k, i)` whose entry links a level-3 node.
+    fn linked(&mut self) -> Option<(usize, usize, PhysAddr)> {
+        let all: Vec<_> = (0..2)
+            .flat_map(|k| (0..L2_USED).map(move |i| (k, i)))
+            .filter_map(|(k, i)| self.l3_at(k, i).map(|l3| (k, i, l3)))
+            .collect();
+        (!all.is_empty()).then(|| all[self.rng.gen_range(0..all.len())])
+    }
+
+    /// A legal descriptor for the page or block at `ia`: owned identity
+    /// mappings only where they are legal (in RAM), shared pages,
+    /// annotations and zero anywhere.
+    fn legal(&mut self, level: u8, ia: u64) -> Pte {
+        let state = |s: PageState| Attrs::normal(Perms::RWX).with_sw(s.to_sw());
+        let in_ram = ia >= CACHE_RAM.0;
+        match self.rng.gen_range(0..5u32) {
+            0 if in_ram => Pte::leaf(
+                Stage::Stage2,
+                level,
+                PhysAddr::new(ia),
+                state(PageState::Owned),
+            ),
+            0 | 1 => Pte::leaf(
+                Stage::Stage2,
+                level,
+                PhysAddr::new(CACHE_RAM.0 + (ia % CACHE_RAM.1)),
+                state(PageState::SharedBorrowed),
+            ),
+            2 => pkvm_repro::hyp::owner::annotation_pte(OwnerId(
+                1 + self.rng.gen_range(0..3u64) as u8,
+            )),
+            3 if level == 3 => Pte::leaf(
+                Stage::Stage2,
+                3,
+                PhysAddr::new(ia),
+                state(PageState::SharedOwned),
+            ),
+            _ => Pte(0),
+        }
+    }
+
+    /// A fresh (or reused, and cleared) level-3 page with a few legal
+    /// entries, as if built to link at entry `i` of `l2[k]`.
+    fn new_l3(&mut self, k: usize, i: usize) -> PhysAddr {
+        let page = self.free.pop().unwrap_or_else(|| {
+            self.next_page += PAGE_SIZE;
+            PhysAddr::new(self.next_page)
+        });
+        for j in 0..512 {
+            self.write(page, j, Pte(0));
+        }
+        for _ in 0..self.rng.gen_range(1..12usize) {
+            let j = self.rng.gen_range(0..24usize);
+            let pte = self.legal(3, Self::ia(k, i, j));
+            self.write(page, j, pte);
+        }
+        page
+    }
+
+    /// One batch of writes, as one critical section would make them.
+    fn batch(&mut self) {
+        if self.rng.gen_bool(0.7) {
+            for (table, idx, pte) in std::mem::take(&mut self.repairs) {
+                self.write(table, idx, pte);
+            }
+        }
+        for _ in 0..self.rng.gen_range(1..5usize) {
+            self.op();
+        }
+    }
+
+    fn op(&mut self) {
+        let k = self.rng.gen_range(0..2usize);
+        let i = self.rng.gen_range(0..L2_USED);
+        match self.rng.gen_range(0..16u32) {
+            // A leaf or annotation change in a level-3 node.
+            0..=6 => {
+                if let Some((k, i, l3)) = self.linked() {
+                    let j = self.rng.gen_range(0..24usize);
+                    let pte = self.legal(3, Self::ia(k, i, j));
+                    self.write(l3, j, pte);
+                }
+            }
+            // An identical-value rewrite anywhere in the tree.
+            7 => {
+                let table = match self.linked() {
+                    Some((_, _, l3)) if self.rng.gen_bool(0.5) => l3,
+                    _ => {
+                        [self.root, self.l1, self.l2[0], self.l2[1]][self.rng.gen_range(0..4usize)]
+                    }
+                };
+                let idx = self.rng.gen_range(0..8usize);
+                self.write(table, idx, self.read(table, idx));
+            }
+            // Block <-> table: replace a level-3 node by a block, an
+            // annotation or nothing, or link a new one where there was none.
+            8 => match self.l3_at(k, i) {
+                Some(l3) => {
+                    let pte = self.legal(2, Self::ia(k, i, 0));
+                    self.write(self.l2[k], i, pte);
+                    self.free.push(l3);
+                }
+                None => {
+                    let l3 = self.new_l3(k, i);
+                    self.write(self.l2[k], i, Pte::table(l3));
+                }
+            },
+            // Unlink a level-3 node and scribble over its freed page.
+            9 => {
+                if let Some((k, i, l3)) = self.linked() {
+                    self.write(self.l2[k], i, Pte(0));
+                    for _ in 0..self.rng.gen_range(1..6usize) {
+                        let at = self.rng.gen_range(0..512usize);
+                        let junk = Pte(self.rng.gen_u64());
+                        self.write(l3, at, junk);
+                    }
+                    self.free.push(l3);
+                }
+            }
+            // Relink a level-3 node at another entry, of either parent,
+            // in either order.
+            10 => {
+                if let Some((k, i, l3)) = self.linked() {
+                    if self.l3_at(1 - k, i).is_none() {
+                        let (from, to) = ((self.l2[k], i), (self.l2[1 - k], i));
+                        if self.rng.gen_bool(0.5) {
+                            self.write(from.0, from.1, Pte(0));
+                            self.write(to.0, to.1, Pte::table(l3));
+                        } else {
+                            self.write(to.0, to.1, Pte::table(l3));
+                            self.write(from.0, from.1, Pte(0));
+                        }
+                    }
+                }
+            }
+            // One table page aliased under two parents.
+            11 => {
+                if let Some((_, _, l3)) = self.linked() {
+                    let old = self.read(self.l2[k], i);
+                    if old.kind(2) != EntryKind::Table {
+                        self.write(self.l2[k], i, Pte::table(l3));
+                        self.repairs.push((self.l2[k], i, old));
+                    }
+                }
+            }
+            // A dirty node under an unchanged (rewritten) entry of a dirty
+            // ancestor, which also changes another entry.
+            12 | 13 => {
+                if let Some((k, i, l3)) = self.linked() {
+                    let j = self.rng.gen_range(0..24usize);
+                    let pte = self.legal(3, Self::ia(k, i, j));
+                    self.write(l3, j, pte);
+                    self.write(self.l2[k], i, self.read(self.l2[k], i));
+                    let other = (i + self.rng.gen_range(1..L2_USED)) % L2_USED;
+                    let pte = self.legal(2, Self::ia(k, other, 0));
+                    self.write(self.l2[k], other, pte);
+                }
+            }
+            // An illegal leaf: non-identity owned (the host check's), or a
+            // reserved encoding (the interpretation's).
+            14 => {
+                if let Some((k, i, l3)) = self.linked() {
+                    let j = self.rng.gen_range(0..24usize);
+                    let owned = Attrs::normal(Perms::RWX).with_sw(PageState::Owned.to_sw());
+                    let bad = if self.rng.gen_bool(0.5) {
+                        Pte::leaf(
+                            Stage::Stage2,
+                            3,
+                            PhysAddr::new(Self::ia(k, i, j) + PAGE_SIZE),
+                            owned,
+                        )
+                    } else {
+                        Pte(0b01)
+                    };
+                    self.repairs.push((l3, j, self.read(l3, j)));
+                    self.write(l3, j, bad);
+                }
+            }
+            // Unlink or relink the whole of `l2[1]`, or write data only.
+            _ => {
+                if self.rng.gen_bool(0.5) {
+                    let linked = self.read(self.l1, 0).is_valid();
+                    let pte = if linked {
+                        pkvm_repro::hyp::owner::annotation_pte(OwnerId::HYP)
+                    } else {
+                        Pte::table(self.l2[1])
+                    };
+                    self.write(self.l1, 0, pte);
+                } else {
+                    let at = PhysAddr::new(0x4300_0000 + 8 * self.rng.gen_range(0..512u64));
+                    self.mem.write_u64(at, self.rng.gen_u64()).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// The incremental cache is the full walk, descriptor by descriptor: over
+/// random 4-level tables whose batches of writes mix leaf and annotation
+/// changes, identical-value rewrites, block/table flips, unlinking a table
+/// and scribbling over its freed page, relinking a table page under
+/// another parent, one page linked under two parents, and a dirty node
+/// under an unchanged entry of a dirty ancestor, `AbsCache::interp` equals
+/// `interpret_pgtable` and `AbsCache::host` equals `abstract_host` after
+/// every batch, anomalies included.
+#[test]
+fn abstraction_cache_matches_the_full_walk_descriptor_by_descriptor() {
+    use pkvm_repro::ghost::{abstract_host, interpret_pgtable, AbsCache, CacheStats, GhostGlobals};
+    use pkvm_repro::hyp::hooks::Component;
+    let globals = GhostGlobals {
+        ram: vec![CACHE_RAM],
+        ..GhostGlobals::default()
+    };
+    let (mut interp_stats, mut host_stats) = (CacheStats::default(), CacheStats::default());
+    for seed in 0..32u64 {
+        let mut t = RandomTables::new(seed);
+        let (mut interp_cache, mut host_cache) = (AbsCache::new(), AbsCache::new());
+        for batch in 0..80 {
+            if batch > 0 {
+                t.batch();
+            }
+            let what = format!("seed {seed}, batch {batch}");
+            let (mut served, mut full) = (Vec::new(), Vec::new());
+            assert_eq!(
+                interp_cache.interp(&t.mem, Stage::Stage2, t.root, Component::Host, &mut served),
+                interpret_pgtable(&t.mem, Stage::Stage2, t.root, &mut full),
+                "{what}: interpretation"
+            );
+            assert_eq!(served, full, "{what}: interpretation anomalies");
+            let (mut served, mut full) = (Vec::new(), Vec::new());
+            assert_eq!(
+                host_cache.host(&t.mem, t.root, &globals, &mut served),
+                abstract_host(&t.mem, t.root, &globals, &mut full),
+                "{what}: host"
+            );
+            assert_eq!(served, full, "{what}: host anomalies");
+        }
+        for (total, cache) in [
+            (&mut interp_stats, &interp_cache),
+            (&mut host_stats, &host_cache),
+        ] {
+            let s = cache.stats;
+            total.clean_hits += s.clean_hits;
+            total.incremental += s.incremental;
+            total.full_cold += s.full_cold;
+            total.full_anomaly += s.full_anomaly;
+        }
+    }
+    // Not vacuous: every path of the cache was taken.
+    for stats in [interp_stats, host_stats] {
+        assert!(
+            stats.clean_hits > 0 && stats.incremental > 0 && stats.full_anomaly > 0,
+            "{stats:?}"
+        );
+        assert!(stats.full_cold > 32, "no uncacheable state: {stats:?}");
+    }
+}
+
 // ------------------------------------------------------- allocator --
 
 /// The buddy allocator conserves pages and never hands out
@@ -605,6 +1014,29 @@ fn incremental_abstraction_matches_full_walk() {
             );
         }
     }
+}
+
+/// The cache at benchmark length: 10,000 steps of the Android mix and of
+/// the default mix, at the first worker seeds of the benchmark's
+/// `android_mix` and `random_e3` pools, stay clean under shadow
+/// validation. The short shadow runs above never grow the table footprint
+/// that a 10k-step episode reaches. Run in release:
+/// `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore = "benchmark-length episodes; run in release"]
+fn shadow_validation_holds_over_benchmark_length_episodes() {
+    use pkvm_repro::harness::android::android_weights;
+    use pkvm_repro::harness::campaign::worker_seed;
+    use pkvm_repro::harness::random::RandomCfg;
+    let android = RandomCfg::builder()
+        .seed(worker_seed(0xa4d, 0))
+        .op_weights(android_weights())
+        .build();
+    let v = shadowed_run("android mix at 0xa4d", android, None, 10_000);
+    assert!(v.is_empty(), "android mix: {v:?}");
+    let default = RandomCfg::builder().seed(worker_seed(0xe3, 0)).build();
+    let v = shadowed_run("default mix at 0xe3", default, None, 10_000);
+    assert!(v.is_empty(), "default mix: {v:?}");
 }
 
 /// Replays `trace` with the incremental abstraction off and on, each
