@@ -62,6 +62,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE};
 use pkvm_aarch64::attrs::Stage;
@@ -389,7 +390,7 @@ impl CacheEntry {
                 .splice(ia, nr_pages, walk.maplets.drain(..));
         }
         if relinked {
-            self.interp.table_pages = self.nodes.keys().copied().collect();
+            self.interp.table_pages = Arc::new(self.nodes.keys().copied().collect());
             if let Some(host) = &mut self.host {
                 host.table_pages = self.interp.table_pages.clone();
             }

@@ -13,6 +13,7 @@
 //! mapped-on-demand region), and [`abstract_vm`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE, PTES_PER_TABLE, START_LEVEL};
 use pkvm_aarch64::attrs::{MemType, Perms, Stage};
@@ -134,7 +135,7 @@ pub(crate) fn interpret_tree(
     let aliased = walk.aliased;
     let pgt = AbstractPgtable {
         mapping: Mapping::from_canonical(walk.maplets),
-        table_pages: nodes.keys().copied().collect(),
+        table_pages: Arc::new(nodes.keys().copied().collect()),
     };
     (pgt, (!aliased).then_some(nodes))
 }

@@ -10,7 +10,10 @@ use pkvm_hyp::hooks::TransferEdge;
 
 use crate::abstraction::Anomaly;
 use crate::diff::diff_states;
-use crate::state::{GhostState, GhostVcpu, Part};
+use crate::state::{
+    no_table_pages, AbstractPgtable, GhostCpu, GhostHost, GhostLoadedVcpu, GhostState, GhostVcpu,
+    GhostVm, Part,
+};
 
 /// One detected disagreement between implementation and specification (or
 /// a broken runtime invariant).
@@ -403,24 +406,114 @@ pub fn normalize(state: &GhostState) -> GhostState {
 }
 
 /// One part of `state`, normalised (see [`normalize`]), as a state
-/// holding only that part — empty if `state` lacks it. The ternary and
-/// non-interference checks compare these, so the diff renderer is reused
-/// untouched.
+/// holding only that part — empty if `state` lacks it. A failed
+/// [`part_eq`] renders its report as the diff of two of these.
 pub(crate) fn project(state: &GhostState, part: Part) -> GhostState {
     let mut s = state.only(part);
     erase_allocation(&mut s);
     s
 }
 
+/// Whether `a` and `b` hold `part` equally once allocation details are
+/// erased: exactly `project(a, part) == project(b, part)`, compared in
+/// place. Present on one side only is a difference; absent on both is
+/// not. Every component is destructured exhaustively, so a new field is a
+/// compile error here until it is compared (or, like the footprints and
+/// memcaches, deliberately ignored — the fields [`erase_allocation`]
+/// erases).
+pub(crate) fn part_eq(a: &GhostState, b: &GhostState, part: Part) -> bool {
+    match part {
+        Part::Host => opt_eq(a.host.as_ref(), b.host.as_ref(), host_eq),
+        Part::Pkvm => opt_eq(a.pkvm.as_ref(), b.pkvm.as_ref(), |x, y| {
+            pgt_eq(&x.pgt, &y.pgt)
+        }),
+        Part::VmTable => a.vm_table == b.vm_table,
+        Part::Vm(h) => opt_eq(a.vms.get(&h), b.vms.get(&h), vm_eq),
+        Part::Locals(cpu) => opt_eq(a.locals.get(&cpu), b.locals.get(&cpu), cpu_eq),
+    }
+}
+
+fn opt_eq<T>(a: Option<&T>, b: Option<&T>, eq: impl FnOnce(&T, &T) -> bool) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => eq(a, b),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+fn pgt_eq(a: &AbstractPgtable, b: &AbstractPgtable) -> bool {
+    let AbstractPgtable {
+        mapping,
+        table_pages: _,
+    } = a;
+    *mapping == b.mapping
+}
+
+fn host_eq(a: &GhostHost, b: &GhostHost) -> bool {
+    let GhostHost {
+        annot,
+        shared,
+        table_pages: _,
+    } = a;
+    *annot == b.annot && *shared == b.shared
+}
+
+fn vm_eq(a: &GhostVm, b: &GhostVm) -> bool {
+    let GhostVm {
+        handle,
+        slot,
+        protected,
+        pgt,
+        donated,
+        firmware,
+        vcpus,
+    } = a;
+    *handle == b.handle
+        && *slot == b.slot
+        && *protected == b.protected
+        && pgt_eq(pgt, &b.pgt)
+        && *donated == b.donated
+        && *firmware == b.firmware
+        && vcpus.len() == b.vcpus.len()
+        && vcpus.iter().zip(&b.vcpus).all(|(x, y)| vcpu_eq(x, y))
+}
+
+fn vcpu_eq(a: &GhostVcpu, b: &GhostVcpu) -> bool {
+    match a {
+        GhostVcpu::Uninit => matches!(b, GhostVcpu::Uninit),
+        GhostVcpu::Present { regs, memcache: _ } => {
+            matches!(b, GhostVcpu::Present { regs: r, .. } if r == regs)
+        }
+        GhostVcpu::Loaded { on } => matches!(b, GhostVcpu::Loaded { on: o } if o == on),
+    }
+}
+
+fn cpu_eq(a: &GhostCpu, b: &GhostCpu) -> bool {
+    let GhostCpu { regs, loaded } = a;
+    *regs == b.regs && opt_eq(loaded.as_ref(), b.loaded.as_ref(), loaded_eq)
+}
+
+fn loaded_eq(a: &GhostLoadedVcpu, b: &GhostLoadedVcpu) -> bool {
+    let GhostLoadedVcpu {
+        handle,
+        idx,
+        regs,
+        memcache: _,
+    } = a;
+    *handle == b.handle && *idx == b.idx && *regs == b.regs
+}
+
+/// Erases what [`part_eq`] ignores: the table footprints and the
+/// memcaches.
 fn erase_allocation(s: &mut GhostState) {
     if let Some(h) = s.host.as_mut() {
-        h.table_pages.clear();
+        h.table_pages = no_table_pages();
     }
     if let Some(p) = s.pkvm.as_mut() {
-        p.pgt.table_pages.clear();
+        p.pgt.table_pages = no_table_pages();
     }
     for vm in s.vms.values_mut() {
-        vm.pgt.table_pages.clear();
+        vm.pgt.table_pages = no_table_pages();
         for v in vm.vcpus.iter_mut() {
             if let GhostVcpu::Present { memcache, .. } = v {
                 memcache.clear();
@@ -445,15 +538,15 @@ pub fn check_trap(
     recorded: &GhostState,
     computed: &GhostState,
 ) -> CheckOutcome {
-    let mut parts: Vec<Part> = Vec::new();
-    for part in [pre, recorded, computed]
-        .into_iter()
-        .flat_map(GhostState::parts)
-    {
-        if !parts.contains(&part) {
-            parts.push(part);
-        }
-    }
+    // Each part once, where it is first seen.
+    let first_seen_in_recorded = recorded.parts().filter(|&p| !pre.has(p));
+    let first_seen_in_computed = computed
+        .parts()
+        .filter(|&p| !pre.has(p) && !recorded.has(p));
+    let parts = pre
+        .parts()
+        .chain(first_seen_in_recorded)
+        .chain(first_seen_in_computed);
     let mut out = CheckOutcome::default();
     for part in parts {
         // What the recorded post must equal: the computed post where the
@@ -476,12 +569,11 @@ pub fn check_trap(
             // paired helpers.
             _ => continue,
         };
-        let e = project(expected, part);
-        let r = project(recorded, part);
-        if e == r {
+        if part_eq(expected, recorded, part) {
             continue;
         }
-        let (trap, component, diff) = (trap.to_string(), part.to_string(), diff_states(&e, &r));
+        let diff = diff_states(&project(expected, part), &project(recorded, part));
+        let (trap, component) = (trap.to_string(), part.to_string());
         out.violations.push((
             part,
             if spec_defined {
@@ -510,9 +602,12 @@ pub fn check_trap(
 mod tests {
     use super::*;
     use crate::maplet::{AbsAttrs, Maplet, MapletTarget};
-    use crate::state::{GhostGlobals, GhostHost, GhostPkvm, GhostVm};
+    use crate::mapping::Mapping;
+    use crate::state::{GhostGlobals, GhostPkvm, TablePages};
     use pkvm_aarch64::attrs::{MemType, Perms};
-    use pkvm_hyp::owner::PageState;
+    use pkvm_aarch64::sysreg::GprFile;
+    use pkvm_hyp::owner::{OwnerId, PageState};
+    use std::sync::Arc;
 
     fn host_state(shared_pages: &[u64]) -> GhostState {
         let mut s = GhostState::blank(&GhostGlobals::default());
@@ -661,6 +756,327 @@ mod tests {
             firmware: Vec::new(),
             vcpus: Vec::new(),
         }
+    }
+
+    /// A seeded stream (splitmix64) for the property below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn coin(&mut self) -> bool {
+            self.below(2) == 0
+        }
+    }
+
+    fn maplet(rng: &mut Rng) -> Maplet {
+        let ia = rng.below(16) << 12;
+        Maplet {
+            ia,
+            nr_pages: 1 + rng.below(3),
+            target: if rng.coin() {
+                MapletTarget::Annotated {
+                    owner: OwnerId::HYP,
+                }
+            } else {
+                MapletTarget::Mapped {
+                    oa: ia,
+                    attrs: AbsAttrs {
+                        perms: Perms::RW,
+                        memtype: MemType::Normal,
+                        state: Some(PageState::Owned),
+                    },
+                }
+            },
+        }
+    }
+
+    fn mapping(rng: &mut Rng) -> Mapping {
+        let mut m = Mapping::new();
+        for _ in 0..rng.below(4) {
+            m.insert(maplet(rng));
+        }
+        m
+    }
+
+    fn footprint(rng: &mut Rng) -> TablePages {
+        Arc::new((0..rng.below(3)).map(|_| 0x40000 + rng.below(6)).collect())
+    }
+
+    fn pgt(rng: &mut Rng) -> AbstractPgtable {
+        AbstractPgtable {
+            mapping: mapping(rng),
+            table_pages: footprint(rng),
+        }
+    }
+
+    fn regs(rng: &mut Rng) -> GprFile {
+        let mut r = GprFile::default();
+        r.set(rng.below(3) as usize, rng.below(3));
+        r
+    }
+
+    fn pfns(rng: &mut Rng) -> Vec<u64> {
+        (0..rng.below(3)).map(|_| 0x44000 + rng.below(4)).collect()
+    }
+
+    fn vcpu(rng: &mut Rng) -> GhostVcpu {
+        match rng.below(3) {
+            0 => GhostVcpu::Uninit,
+            1 => GhostVcpu::Present {
+                regs: regs(rng),
+                memcache: pfns(rng),
+            },
+            _ => GhostVcpu::Loaded {
+                on: rng.below(2) as usize,
+            },
+        }
+    }
+
+    fn ghost_vm(rng: &mut Rng, handle: u32) -> GhostVm {
+        GhostVm {
+            handle,
+            slot: rng.below(2) as usize,
+            protected: rng.coin(),
+            pgt: pgt(rng),
+            donated: pfns(rng),
+            firmware: pfns(rng),
+            vcpus: (0..rng.below(3)).map(|_| vcpu(rng)).collect(),
+        }
+    }
+
+    fn ghost_cpu(rng: &mut Rng) -> GhostCpu {
+        GhostCpu {
+            regs: regs(rng),
+            loaded: rng.coin().then(|| GhostLoadedVcpu {
+                handle: 1 + rng.below(2) as u32,
+                idx: rng.below(2) as usize,
+                regs: regs(rng),
+                memcache: pfns(rng),
+            }),
+        }
+    }
+
+    fn ghost_host(rng: &mut Rng) -> GhostHost {
+        GhostHost {
+            annot: mapping(rng),
+            shared: mapping(rng),
+            table_pages: footprint(rng),
+        }
+    }
+
+    fn random_state(rng: &mut Rng) -> GhostState {
+        let mut s = GhostState::default();
+        if rng.coin() {
+            s.host = Some(ghost_host(rng));
+        }
+        if rng.coin() {
+            s.pkvm = Some(GhostPkvm { pgt: pgt(rng) });
+        }
+        if rng.coin() {
+            s.vm_table = Some(
+                (0..rng.below(3))
+                    .map(|i| (1 + i as u32, i as usize))
+                    .collect(),
+            );
+        }
+        for h in 1..=3 {
+            if rng.coin() {
+                s.vms.insert(h, ghost_vm(rng, h));
+            }
+        }
+        for cpu in 0..2 {
+            if rng.coin() {
+                s.locals.insert(cpu, ghost_cpu(rng));
+            }
+        }
+        s
+    }
+
+    /// Every page table of `s`, the host's footprint included.
+    fn pgts(s: &mut GhostState) -> Vec<(&mut Mapping, &mut TablePages)> {
+        let mut out = Vec::new();
+        if let Some(h) = s.host.as_mut() {
+            out.push((&mut h.annot, &mut h.table_pages));
+        }
+        if let Some(p) = s.pkvm.as_mut() {
+            out.push((&mut p.pgt.mapping, &mut p.pgt.table_pages));
+        }
+        for vm in s.vms.values_mut() {
+            out.push((&mut vm.pgt.mapping, &mut vm.pgt.table_pages));
+        }
+        out
+    }
+
+    /// Every memcache of `s`.
+    fn memcaches(s: &mut GhostState) -> Vec<&mut Vec<u64>> {
+        let mut out = Vec::new();
+        for vm in s.vms.values_mut() {
+            for v in vm.vcpus.iter_mut() {
+                if let GhostVcpu::Present { memcache, .. } = v {
+                    out.push(memcache);
+                }
+            }
+        }
+        for l in s.locals.values_mut() {
+            if let Some(lv) = l.loaded.as_mut() {
+                out.push(&mut lv.memcache);
+            }
+        }
+        out
+    }
+
+    /// One random change to `s`: a part redrawn or dropped, a mapping
+    /// grown or rebuilt equal in fresh storage, only a footprint or only a
+    /// memcache redrawn, a vCPU redrawn, added or removed, or one field of
+    /// a VM or a CPU's context changed.
+    fn perturb(rng: &mut Rng, s: &mut GhostState) {
+        let pick = |rng: &mut Rng, n: usize| rng.below(n.max(1) as u64) as usize;
+        match rng.below(9) {
+            0 => match rng.below(5) {
+                0 => s.host = rng.coin().then(|| ghost_host(rng)),
+                1 => s.pkvm = rng.coin().then(|| GhostPkvm { pgt: pgt(rng) }),
+                2 => s.vm_table = rng.coin().then(|| vec![(1, 0)]),
+                3 => {
+                    let h = 1 + rng.below(3) as u32;
+                    match rng.coin() {
+                        true => s.vms.insert(h, ghost_vm(rng, h)),
+                        false => s.vms.remove(&h),
+                    };
+                }
+                _ => {
+                    let cpu = rng.below(2) as usize;
+                    match rng.coin() {
+                        true => s.locals.insert(cpu, ghost_cpu(rng)),
+                        false => s.locals.remove(&cpu),
+                    };
+                }
+            },
+            1 => {
+                let m = maplet(rng);
+                let mut all = pgts(s);
+                let n = pick(rng, all.len());
+                if let Some((mapping, _)) = all.get_mut(n) {
+                    mapping.insert(m);
+                }
+            }
+            2 => {
+                let mut all = pgts(s);
+                let n = pick(rng, all.len());
+                if let Some((mapping, _)) = all.get_mut(n) {
+                    let mut fresh = Mapping::new();
+                    for m in mapping.iter() {
+                        fresh.insert(*m);
+                    }
+                    **mapping = fresh;
+                }
+            }
+            3 => {
+                let pages = footprint(rng);
+                let mut all = pgts(s);
+                let n = pick(rng, all.len());
+                if let Some((_, table_pages)) = all.get_mut(n) {
+                    **table_pages = pages;
+                }
+            }
+            4 => {
+                let pfns = pfns(rng);
+                let mut all = memcaches(s);
+                let n = pick(rng, all.len());
+                if let Some(memcache) = all.get_mut(n) {
+                    **memcache = pfns;
+                }
+            }
+            5 => {
+                let n = pick(rng, s.vms.len());
+                if let Some(vm) = s.vms.values_mut().nth(n) {
+                    let i = pick(rng, vm.vcpus.len());
+                    match rng.below(3) {
+                        0 if i < vm.vcpus.len() => vm.vcpus[i] = vcpu(rng),
+                        1 => vm.vcpus.push(vcpu(rng)),
+                        _ => {
+                            vm.vcpus.pop();
+                        }
+                    }
+                }
+            }
+            6 => {
+                let n = pick(rng, s.vms.len());
+                if let Some(vm) = s.vms.values_mut().nth(n) {
+                    match rng.below(5) {
+                        0 => vm.donated = pfns(rng),
+                        1 => vm.firmware = pfns(rng),
+                        2 => vm.slot = rng.below(2) as usize,
+                        3 => vm.protected = rng.coin(),
+                        _ => vm.handle = rng.below(4) as u32,
+                    }
+                }
+            }
+            7 => {
+                let n = pick(rng, s.locals.len());
+                if let Some(l) = s.locals.values_mut().nth(n) {
+                    match (rng.below(3), l.loaded.as_mut()) {
+                        (0, _) => l.regs = regs(rng),
+                        (1, Some(lv)) => match rng.below(3) {
+                            0 => lv.regs = regs(rng),
+                            1 => lv.idx = rng.below(2) as usize,
+                            _ => lv.handle = 1 + rng.below(2) as u32,
+                        },
+                        _ => l.loaded = ghost_cpu(rng).loaded,
+                    }
+                }
+            }
+            _ => {
+                if let Some(h) = s.host.as_mut() {
+                    h.shared = mapping(rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn part_eq_is_projection_equality_on_random_states() {
+        // How often each outcome was seen: equal, different, and equal
+        // although the raw parts differ (in a footprint or memcache).
+        let (mut same, mut differ, mut erased) = (0, 0, 0);
+        for seed in 0..3000 {
+            let mut rng = Rng(seed);
+            let a = random_state(&mut rng);
+            let mut b = a.clone();
+            for _ in 0..1 + rng.below(3) {
+                perturb(&mut rng, &mut b);
+            }
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let parts: Vec<Part> = x.parts().chain(y.parts()).collect();
+                for part in parts {
+                    let projected = project(x, part) == project(y, part);
+                    assert_eq!(
+                        part_eq(x, y, part),
+                        projected,
+                        "seed {seed}, {part}:\n{x:#?}\n{y:#?}"
+                    );
+                    match (projected, x.only(part) == y.only(part)) {
+                        (true, true) => same += 1,
+                        (true, false) => erased += 1,
+                        (false, _) => differ += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            same > 10_000 && differ > 4_000 && erased > 1_000,
+            "same {same}, differ {differ}, erased {erased}"
+        );
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub(crate) enum CheckMsg {
     TrapExit {
         cpu: usize,
         trap: Option<u64>,
-        name: String,
+        name: &'static str,
         cpu_state: GhostCpu,
         regs_post: GprFile,
         /// The per-trap budget ran out mid-trap: skip the check.

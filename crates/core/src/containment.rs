@@ -9,17 +9,20 @@
 //! fixed number of traps, after which the caller re-seeds them from a
 //! full abstraction pass and resumes checking.
 //!
-//! Nothing here knows about ghost states — it is deliberately a small,
-//! self-contained mechanism so the policy (what to skip, how to recover)
-//! stays readable in `oracle.rs`.
+//! Ghost states appear here only as the [`Part`]s that key the records —
+//! it is deliberately a small, self-contained mechanism so the policy
+//! (what to skip, how to recover) stays readable in `oracle.rs`.
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
 
 use pkvm_aarch64::sync::Mutex;
+
+use crate::state::Part;
 
 thread_local! {
     // Depth of nested `contain` calls on this thread. While positive, the
@@ -70,11 +73,40 @@ pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     out.map_err(payload_to_string)
 }
 
+/// What one quarantine record is kept for. Its [`Display`](fmt::Display)
+/// form is the `component` an [`OracleInternal`] report names: the part's
+/// name (`host`, `vm[4096]`), `spec:<trap>` (`spec:host_share_hyp`), or the
+/// hook's name (`trap_enter`, `checker`).
+///
+/// [`OracleInternal`]: crate::check::Violation::OracleInternal
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum QuarantineKey {
+    /// One component's abstraction and checks, shared by the lock hooks'
+    /// front half and the checker's back half.
+    Part(Part),
+    /// The spec step of the trap of this name.
+    Spec(&'static str),
+    /// Any other oracle step, by the hook that runs it (`trap_enter`,
+    /// `trap_exit`, `read_once`, `tlbi`, ...), or `checker` for a
+    /// pipelined message of no hook of its own.
+    Hook(&'static str),
+}
+
+impl fmt::Display for QuarantineKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QuarantineKey::Part(part) => part.fmt(f),
+            QuarantineKey::Spec(trap) => write!(f, "spec:{trap}"),
+            QuarantineKey::Hook(hook) => f.write_str(hook),
+        }
+    }
+}
+
 /// Per-key failure accounting with time-boxed quarantine.
 ///
-/// Keys are free-form strings — component names (`"host"`, `"vm[3]"`) and
-/// per-trap spec steps (`"spec:host_share_hyp"`). Time is measured in
-/// traps: the oracle ticks the clock once per `trap_enter`.
+/// Time is measured in traps: the oracle ticks the clock once per
+/// `trap_enter`. Until the first failure, every key is healthy and the
+/// lookups the oracle makes for every event return without the lock.
 #[derive(Debug)]
 pub struct Quarantine {
     /// Consecutive failures before a key is quarantined.
@@ -82,7 +114,11 @@ pub struct Quarantine {
     /// How many trap ticks a quarantined key sits out.
     duration: u64,
     tick: AtomicU64,
-    inner: Mutex<HashMap<String, Health>>,
+    /// Some failure was ever recorded (`inner` is empty until then). Set
+    /// with `Release` under the lock and read with `Acquire`; a lookup
+    /// that sees it set takes the lock, which orders the record itself.
+    failed: AtomicBool,
+    inner: Mutex<HashMap<QuarantineKey, Health>>,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -110,6 +146,7 @@ impl Quarantine {
             threshold: threshold.max(1),
             duration: duration.max(1),
             tick: AtomicU64::new(0),
+            failed: AtomicBool::new(false),
             inner: Mutex::new(HashMap::new()),
         }
     }
@@ -126,10 +163,13 @@ impl Quarantine {
 
     /// Looks up the key's disposition, transitioning `Skip -> Recover`
     /// exactly once when its quarantine expires.
-    pub fn disposition(&self, key: &str) -> Disposition {
+    pub fn disposition(&self, key: QuarantineKey) -> Disposition {
+        if !self.failed.load(Ordering::Acquire) {
+            return Disposition::Process;
+        }
         let now = self.tick.load(Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let Some(h) = inner.get_mut(key) else {
+        let Some(h) = inner.get_mut(&key) else {
             return Disposition::Process;
         };
         match h.quarantined_until {
@@ -146,10 +186,11 @@ impl Quarantine {
 
     /// Records a contained failure for `key`. Returns `true` when this
     /// failure pushed the key over the threshold into quarantine.
-    pub fn record_failure(&self, key: &str) -> bool {
+    pub fn record_failure(&self, key: QuarantineKey) -> bool {
         let now = self.tick.load(Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let h = inner.entry(key.to_string()).or_default();
+        self.failed.store(true, Ordering::Release);
+        let h = inner.entry(key).or_default();
         if h.quarantined_until.is_some() {
             return false;
         }
@@ -163,9 +204,12 @@ impl Quarantine {
     }
 
     /// Records a successful pass for `key`, resetting its failure streak.
-    pub fn record_success(&self, key: &str) {
+    pub fn record_success(&self, key: QuarantineKey) {
+        if !self.failed.load(Ordering::Acquire) {
+            return;
+        }
         let mut inner = self.inner.lock();
-        if let Some(h) = inner.get_mut(key) {
+        if let Some(h) = inner.get_mut(&key) {
             if h.quarantined_until.is_none() {
                 h.consecutive_failures = 0;
             }
@@ -187,6 +231,10 @@ impl Quarantine {
 mod tests {
     use super::*;
 
+    const HOST: QuarantineKey = QuarantineKey::Part(Part::Host);
+    const VM1: QuarantineKey = QuarantineKey::Part(Part::Vm(1));
+    const PKVM: QuarantineKey = QuarantineKey::Part(Part::Pkvm);
+
     #[test]
     fn contain_passes_values_and_catches_panics() {
         assert_eq!(contain(|| 7), Ok(7));
@@ -199,38 +247,87 @@ mod tests {
     #[test]
     fn quarantine_benches_after_threshold_and_recovers() {
         let q = Quarantine::new(2, 3);
-        assert_eq!(q.disposition("host"), Disposition::Process);
-        assert!(!q.record_failure("host"));
-        assert_eq!(q.disposition("host"), Disposition::Process);
-        assert!(q.record_failure("host"), "second failure quarantines");
-        assert_eq!(q.disposition("host"), Disposition::Skip);
+        assert_eq!(q.disposition(HOST), Disposition::Process);
+        assert!(!q.record_failure(HOST));
+        assert_eq!(q.disposition(HOST), Disposition::Process);
+        assert!(q.record_failure(HOST), "second failure quarantines");
+        assert_eq!(q.disposition(HOST), Disposition::Skip);
         assert_eq!(q.active(), 1);
         q.tick();
         q.tick();
-        assert_eq!(q.disposition("host"), Disposition::Skip);
+        assert_eq!(q.disposition(HOST), Disposition::Skip);
         q.tick();
-        assert_eq!(q.disposition("host"), Disposition::Recover);
+        assert_eq!(q.disposition(HOST), Disposition::Recover);
         // Recover is delivered once; afterwards the key is healthy again.
-        assert_eq!(q.disposition("host"), Disposition::Process);
+        assert_eq!(q.disposition(HOST), Disposition::Process);
         assert_eq!(q.active(), 0);
     }
 
     #[test]
     fn success_resets_the_failure_streak() {
         let q = Quarantine::new(2, 4);
-        assert!(!q.record_failure("vm[1]"));
-        q.record_success("vm[1]");
-        assert!(!q.record_failure("vm[1]"), "streak was reset");
-        assert!(q.record_failure("vm[1]"));
+        assert!(!q.record_failure(VM1));
+        q.record_success(VM1);
+        assert!(!q.record_failure(VM1), "streak was reset");
+        assert!(q.record_failure(VM1));
     }
 
     #[test]
     fn failures_while_quarantined_do_not_extend_the_bench() {
         let q = Quarantine::new(1, 2);
-        assert!(q.record_failure("pkvm"));
-        assert!(!q.record_failure("pkvm"));
+        assert!(q.record_failure(PKVM));
+        assert!(!q.record_failure(PKVM));
         q.tick();
         q.tick();
-        assert_eq!(q.disposition("pkvm"), Disposition::Recover);
+        assert_eq!(q.disposition(PKVM), Disposition::Recover);
+    }
+
+    #[test]
+    fn keys_render_as_the_names_reports_carry() {
+        let names: Vec<String> = [
+            QuarantineKey::Part(Part::Vm(4096)),
+            QuarantineKey::Spec("host_share_hyp"),
+            QuarantineKey::Hook("trap_enter"),
+            QuarantineKey::Hook("checker"),
+            HOST,
+        ]
+        .iter()
+        .map(QuarantineKey::to_string)
+        .collect();
+        assert_eq!(
+            names,
+            [
+                "vm[4096]",
+                "spec:host_share_hyp",
+                "trap_enter",
+                "checker",
+                "host"
+            ]
+        );
+    }
+
+    #[test]
+    fn lookups_skip_the_lock_until_a_failure_is_recorded() {
+        use std::sync::mpsc;
+        use std::sync::Arc;
+        use std::time::Duration;
+        let q = Arc::new(Quarantine::new(1, 1));
+        // Another thread's lookups complete while the lock is held here.
+        let held = q.inner.lock();
+        let (tx, rx) = mpsc::channel();
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                q.record_success(HOST);
+                tx.send(q.disposition(HOST)).unwrap();
+            })
+        };
+        let got = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        worker.join().unwrap();
+        assert_eq!(got, Ok(Disposition::Process));
+        // After a failure they take the lock and see the record.
+        q.record_failure(HOST);
+        assert_eq!(q.disposition(HOST), Disposition::Skip);
     }
 }

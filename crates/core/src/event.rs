@@ -437,7 +437,6 @@ impl EventStream {
             g.next_seq += 1;
             s
         };
-        let t_ns = self.started.elapsed().as_nanos() as u64;
         let mut retain = self.record_all;
         let mut accepted = true;
         match &mut event {
@@ -458,20 +457,33 @@ impl EventStream {
                 if g.checks.len() == TRACE_CAP {
                     g.checks.pop_front();
                 }
-                g.checks.push_back(TrapRecord {
-                    cpu: *cpu,
-                    name: name.clone(),
-                    outcome: outcome.clone(),
-                });
+                // A record the timeline does not keep gives the ring its
+                // fields instead of copies.
+                let rec = if retain {
+                    TrapRecord {
+                        cpu: *cpu,
+                        name: name.clone(),
+                        outcome: outcome.clone(),
+                    }
+                } else {
+                    TrapRecord {
+                        cpu: *cpu,
+                        name: std::mem::take(name),
+                        outcome: std::mem::replace(outcome, TrapOutcome::Clean),
+                    }
+                };
+                g.checks.push_back(rec);
             }
             _ => {}
         }
         if retain {
+            // Only a kept record reads the clock (tens of nanoseconds,
+            // several times a step).
             g.events.push(EventRecord {
                 seq,
                 lane,
                 trap,
-                t_ns,
+                t_ns: self.started.elapsed().as_nanos() as u64,
                 event,
             });
         }

@@ -69,7 +69,7 @@ pub use abstraction::{
 pub use calldata::GhostCallData;
 pub use check::{check_trap, normalize, CheckOutcome, Violation};
 pub use checker::{CheckMode, Checker, StatsSnapshot, Verdict};
-pub use containment::{contain, Disposition, Quarantine};
+pub use containment::{contain, Disposition, Quarantine, QuarantineKey};
 pub use diff::diff_states;
 pub use event::{
     canonical_signature, novelty_signature, ChaosKind, Event, EventCursor, EventRecord, EventSink,

@@ -45,11 +45,11 @@ use crate::abstraction::{
     abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable, Anomaly,
 };
 use crate::calldata::GhostCallData;
-use crate::check::{check_trap, normalize, project, Violation};
+use crate::check::{check_trap, normalize, part_eq, project, Violation};
 use crate::checker::{
     checker_loop, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
 };
-use crate::containment::{contain, Disposition, Quarantine};
+use crate::containment::{contain, Disposition, Quarantine, QuarantineKey};
 use crate::diff::diff_states;
 use crate::event::{Event, EventSink, EventStream};
 use crate::maplet::{Maplet, MapletTarget};
@@ -387,13 +387,17 @@ struct FrontRecord {
 struct CpuRecord {
     pre: GhostState,
     post: GhostState,
+    /// The spec's computed post-state: scratch, reset before every check
+    /// and emptied after it.
+    computed: GhostState,
     call: Option<GhostCallData>,
-    /// Shared-copy component stamps at trap entry: deferred seeding only
-    /// lands if the component has not moved since (otherwise a concurrent
-    /// trap's legitimate update would be overwritten with a stale
-    /// expectation, and the next acquisition would report a spurious
-    /// non-interference violation).
-    versions_at_entry: HashMap<Part, u64>,
+    /// The shared copy's `tick` at trap entry. Stamps only grow, so a
+    /// component has moved since entry exactly when its stamp exceeds
+    /// this. Deferred seeding only lands on a component that has not
+    /// moved (otherwise a concurrent trap's legitimate update would be
+    /// overwritten with a stale expectation, and the next acquisition
+    /// would report a spurious non-interference violation).
+    tick_at_entry: u64,
     /// Shared-copy stamp left by this trap's most recent release of each
     /// component, so a re-acquisition can tell whether a *foreign* trap
     /// updated the component between two of this trap's own critical
@@ -482,8 +486,9 @@ impl Oracle {
                     Mutex::new(CpuRecord {
                         pre: GhostState::blank(&globals),
                         post: GhostState::blank(&globals),
+                        computed: GhostState::blank(&globals),
                         call: None,
-                        versions_at_entry: HashMap::new(),
+                        tick_at_entry: 0,
                         last_release: HashMap::new(),
                         interleaved: HashSet::new(),
                         trap_seq: None,
@@ -606,13 +611,13 @@ impl Oracle {
             return;
         }
         let key = match &msg {
-            CheckMsg::TrapEnter { .. } => "trap_enter".to_string(),
-            CheckMsg::TrapExit { .. } => "trap_exit".to_string(),
+            CheckMsg::TrapEnter { .. } => QuarantineKey::Hook("trap_enter"),
+            CheckMsg::TrapExit { .. } => QuarantineKey::Hook("trap_exit"),
             CheckMsg::LockAcquired { value, .. } | CheckMsg::LockReleasing { value, .. } => {
-                value.part.to_string()
+                QuarantineKey::Part(value.part)
             }
-            CheckMsg::ReadOnce { .. } => "read_once".to_string(),
-            _ => "checker".to_string(),
+            CheckMsg::ReadOnce { .. } => QuarantineKey::Hook("read_once"),
+            _ => QuarantineKey::Hook("checker"),
         };
         let res = contain(|| self.apply_msg(msg));
         if let Some(p) = &self.pipeline {
@@ -620,13 +625,13 @@ impl Oracle {
         }
         if let Err(payload) = res {
             self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-            self.quarantine.record_failure(&key);
+            self.quarantine.record_failure(key);
             self.report_all_at(
                 0,
                 None,
                 vec![Violation::OracleInternal {
                     seq: None,
-                    component: key,
+                    component: key.to_string(),
                     payload,
                 }],
             );
@@ -713,7 +718,7 @@ impl Oracle {
     /// The report is routed through the pipeline ([`CheckMsg::Report`])
     /// like every front-originated violation, so the derived sequence
     /// numbering is identical in both check modes.
-    fn guarded(&self, key: &str, f: impl FnOnce()) {
+    fn guarded(&self, key: QuarantineKey, f: impl FnOnce()) {
         match contain(f) {
             Ok(()) => self.quarantine.record_success(key),
             Err(payload) => {
@@ -770,8 +775,8 @@ impl Oracle {
         };
         self.events.emit(cpu as u32, trap, event);
         let part = Part::from(comp);
-        let key = part.to_string();
-        let check_ni = match self.quarantine.disposition(&key) {
+        let key = QuarantineKey::Part(part);
+        let check_ni = match self.quarantine.disposition(key) {
             Disposition::Skip => {
                 self.note_quarantine_skip(cpu, trap, part);
                 return;
@@ -800,7 +805,7 @@ impl Oracle {
             });
             return;
         }
-        self.guarded(&key, || {
+        self.guarded(key, || {
             let (value, reports) = self.abstract_component(ctx, view, comp);
             self.dispatch(if acquired {
                 CheckMsg::LockAcquired {
@@ -1098,35 +1103,33 @@ impl Oracle {
                 return;
             }
         }
-        if !guard.state.has(part) {
+        if !guard.state.has(part) || part_eq(&guard.state, &value.state, part) {
             return;
         }
         let prev = project(&guard.state, part);
         drop(guard);
         let now = project(&value.state, part);
-        if prev != now {
-            self.report_at(
-                cpu,
-                trap,
-                Violation::NonInterference {
-                    seq: None,
-                    component: part.to_string(),
-                    uniq: matches!(part, Part::Vm(_)).then_some(value.uniq),
-                    diff: diff_states(&prev, &now),
-                },
-            );
-        }
+        self.report_at(
+            cpu,
+            trap,
+            Violation::NonInterference {
+                seq: None,
+                component: part.to_string(),
+                uniq: matches!(part, Part::Vm(_)).then_some(value.uniq),
+                diff: diff_states(&prev, &now),
+            },
+        );
     }
 
     /// Names a trap from its syndrome and `x0` at entry — exactly the
     /// two values [`FrontRecord::call_mirror`] carries, so the front half
     /// can name the trap without the back half's call data.
-    fn trap_name_of(esr: Esr, x0: u64) -> String {
+    fn trap_name_of(esr: Esr, x0: u64) -> &'static str {
         match esr.ec() {
-            Some(pkvm_aarch64::esr::ExceptionClass::Hvc64) => hypercalls::name(x0).to_string(),
-            Some(pkvm_aarch64::esr::ExceptionClass::Smc64) => "smc".into(),
-            Some(_) => "host_abort".into(),
-            None => "unknown".into(),
+            Some(pkvm_aarch64::esr::ExceptionClass::Hvc64) => hypercalls::name(x0),
+            Some(pkvm_aarch64::esr::ExceptionClass::Smc64) => "smc",
+            Some(_) => "host_abort",
+            None => "unknown",
         }
     }
 
@@ -1228,17 +1231,17 @@ impl Oracle {
     /// component has not moved since this trap entered — otherwise a
     /// concurrent trap's legitimate update would be overwritten with a
     /// stale expectation and the next acquisition would report a spurious
-    /// non-interference violation. Locals have no shared copy.
-    fn seed_deferred(
-        &self,
-        deferred: &[Part],
-        computed: &GhostState,
-        versions_at_entry: &HashMap<Part, u64>,
-    ) {
+    /// non-interference violation. A component has moved exactly when its
+    /// stamp exceeds `tick_at_entry`, the shared copy's `tick` at entry.
+    /// Locals have no shared copy.
+    fn seed_deferred(&self, deferred: &[Part], computed: &GhostState, tick_at_entry: u64) {
         let mut shared = self.shared.lock();
         for &part in deferred {
             if matches!(part, Part::Locals(_))
-                || shared.versions.get(&part) != versions_at_entry.get(&part)
+                || shared
+                    .versions
+                    .get(&part)
+                    .is_some_and(|&v| v > tick_at_entry)
             {
                 continue;
             }
@@ -1291,19 +1294,29 @@ pub(crate) struct ComponentValue {
 
 impl Oracle {
     /// The spec+check phase of `trap_exit` (runs contained). Reads the
-    /// trap's recordings and reports through the bounded log; it never
-    /// mutates `rec`, so a contained panic leaves no half-written record.
-    fn spec_and_check(&self, cpu: usize, rec: &CpuRecord, call: &GhostCallData, name: &str) {
+    /// trap's recordings and reports through the bounded log; of `rec` it
+    /// writes only the scratch `computed`, which it resets before use, so
+    /// a contained panic leaves no half-written record.
+    fn spec_and_check(&self, cpu: usize, rec: &mut CpuRecord, call: &GhostCallData, name: &str) {
+        let CpuRecord {
+            pre,
+            post,
+            computed,
+            interleaved,
+            trap_seq,
+            tick_at_entry,
+            ..
+        } = rec;
         // (7) Compute the expected post-state from the pre-state and the
         // call data, then (8) compare.
-        let mut computed = GhostState::blank(&self.globals);
-        match compute_post(&rec.pre, call, &mut computed) {
+        computed.clear_parts();
+        match compute_post(pre, call, computed) {
             SpecVerdict::Checked => {
                 self.stats.traps_checked.fetch_add(1, Ordering::Relaxed);
-                let outcome = check_trap(name, &rec.pre, &rec.post, &computed);
+                let outcome = check_trap(name, pre, post, computed);
                 let mut violations = Vec::new();
                 for (part, mut v) in outcome.violations {
-                    if rec.interleaved.contains(&part) {
+                    if interleaved.contains(&part) {
                         // Foreign traps updated this component between two
                         // of our critical sections; its recorded post is
                         // not "pre plus this handler's effect", so comparing
@@ -1321,7 +1334,7 @@ impl Oracle {
                     violations.push(v);
                 }
                 self.push_trace(
-                    rec.trap_seq,
+                    *trap_seq,
                     TrapRecord {
                         cpu,
                         name: name.to_string(),
@@ -1333,18 +1346,18 @@ impl Oracle {
                     },
                 );
                 if !violations.is_empty() {
-                    self.report_all_at(cpu, rec.trap_seq, violations);
+                    self.report_all_at(cpu, *trap_seq, violations);
                 }
                 // Seed spec-defined but never-recorded components into the
                 // shared copy: the next acquisition validates them.
                 if !outcome.deferred.is_empty() {
-                    self.seed_deferred(&outcome.deferred, &computed, &rec.versions_at_entry);
+                    self.seed_deferred(&outcome.deferred, computed, *tick_at_entry);
                 }
             }
             SpecVerdict::Unchecked(why) => {
                 self.stats.traps_unchecked.fetch_add(1, Ordering::Relaxed);
                 self.push_trace(
-                    rec.trap_seq,
+                    *trap_seq,
                     TrapRecord {
                         cpu,
                         name: name.to_string(),
@@ -1356,7 +1369,7 @@ impl Oracle {
             }
             SpecVerdict::Impossible(reason) => {
                 self.push_trace(
-                    rec.trap_seq,
+                    *trap_seq,
                     TrapRecord {
                         cpu,
                         name: name.to_string(),
@@ -1365,7 +1378,7 @@ impl Oracle {
                 );
                 self.report_at(
                     cpu,
-                    rec.trap_seq,
+                    *trap_seq,
                     Violation::SpecMismatch {
                         seq: None,
                         trap: name.to_string(),
@@ -1376,6 +1389,10 @@ impl Oracle {
                 );
             }
         }
+        // Kept until the next check, its copies would hold on to storage
+        // the rest of the oracle has moved past (0.5 MB more peak memory
+        // replaying a 10k-step trace).
+        computed.clear_parts();
     }
 
     /// The back half: applies one [`CheckMsg`] to the ghost copy and runs
@@ -1534,17 +1551,17 @@ impl Oracle {
         }
     }
 
-    /// Back half of `trap_enter`: reset the per-CPU recording. The shared
-    /// versions snapshot happens here, at apply time — in pipelined mode
-    /// that is the correct point, because every shared-copy mutation also
-    /// happens at apply time, in message order.
+    /// Back half of `trap_enter`: reset the per-CPU recording in place.
+    /// The shared copy's tick is read here, at apply time — in pipelined
+    /// mode that is the correct point, because every shared-copy mutation
+    /// also happens at apply time, in message order.
     fn apply_trap_enter(&self, cpu: usize, seq: u64, call: GhostCallData, cpu_state: GhostCpu) {
-        let versions = self.shared.lock().versions.clone();
+        let tick = self.shared.lock().tick;
         let mut rec = self.cpus[cpu].lock();
-        rec.pre = GhostState::blank(&self.globals);
-        rec.post = GhostState::blank(&self.globals);
+        rec.pre.clear_parts();
+        rec.post.clear_parts();
         rec.call = Some(call);
-        rec.versions_at_entry = versions;
+        rec.tick_at_entry = tick;
         rec.last_release.clear();
         rec.interleaved.clear();
         rec.trap_seq = Some(seq);
@@ -1558,14 +1575,14 @@ impl Oracle {
         &self,
         cpu: usize,
         trap: Option<u64>,
-        name: String,
+        name: &'static str,
         cpu_state: GhostCpu,
         regs_post: GprFile,
         degraded: bool,
     ) {
         // The trackers settle first, before any of the skip paths below
         // (break-before-make drains its per-CPU ledger here).
-        self.track(cpu, trap, |t| t.trap_exit(cpu, &name));
+        self.track(cpu, trap, |t| t.trap_exit(cpu, name));
         let mut rec = self.cpus[cpu].lock();
         // Phase 1: finish the recording. Contained so a panic leaves the
         // per-CPU record consistent (the next trap_enter resets it anyway).
@@ -1595,7 +1612,8 @@ impl Oracle {
             Err(payload) => {
                 drop(rec);
                 self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure("trap_exit");
+                self.quarantine
+                    .record_failure(QuarantineKey::Hook("trap_exit"));
                 self.report_at(
                     cpu,
                     trap,
@@ -1617,14 +1635,14 @@ impl Oracle {
                 trap,
                 TrapRecord {
                     cpu,
-                    name,
+                    name: name.to_string(),
                     outcome: TrapOutcome::Unchecked("per-trap check budget exhausted".into()),
                 },
             );
             return;
         }
-        let spec_key = format!("spec:{name}");
-        match self.quarantine.disposition(&spec_key) {
+        let spec_key = QuarantineKey::Spec(name);
+        match self.quarantine.disposition(spec_key) {
             Disposition::Skip => {
                 self.stats.quarantined_skips.fetch_add(1, Ordering::Relaxed);
                 self.stats.traps_unchecked.fetch_add(1, Ordering::Relaxed);
@@ -1632,7 +1650,7 @@ impl Oracle {
                     trap,
                     TrapRecord {
                         cpu,
-                        name,
+                        name: name.to_string(),
                         outcome: TrapOutcome::Unchecked("spec step quarantined".into()),
                     },
                 );
@@ -1645,16 +1663,16 @@ impl Oracle {
             }
             Disposition::Process => {}
         }
-        match contain(|| self.spec_and_check(cpu, &rec, &call, &name)) {
-            Ok(()) => self.quarantine.record_success(&spec_key),
+        match contain(|| self.spec_and_check(cpu, &mut rec, &call, name)) {
+            Ok(()) => self.quarantine.record_success(spec_key),
             Err(payload) => {
                 self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(&spec_key);
+                self.quarantine.record_failure(spec_key);
                 self.push_trace(
                     trap,
                     TrapRecord {
                         cpu,
-                        name,
+                        name: name.to_string(),
                         outcome: TrapOutcome::Unchecked("spec step panicked (contained)".into()),
                     },
                 );
@@ -1663,7 +1681,7 @@ impl Oracle {
                     trap,
                     Violation::OracleInternal {
                         seq: None,
-                        component: spec_key,
+                        component: spec_key.to_string(),
                         payload,
                     },
                 );
@@ -1683,7 +1701,7 @@ impl GhostHooks for Oracle {
     ) {
         // The quarantine clock counts traps.
         self.quarantine.tick();
-        self.guarded("trap_enter", || {
+        self.guarded(QuarantineKey::Hook("trap_enter"), || {
             let seq = self
                 .events
                 .emit(ctx.cpu as u32, None, Event::TrapEnter { cpu: ctx.cpu });
@@ -1725,7 +1743,8 @@ impl GhostHooks for Oracle {
             Ok(state) => state,
             Err(payload) => {
                 self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure("trap_exit");
+                self.quarantine
+                    .record_failure(QuarantineKey::Hook("trap_exit"));
                 self.dispatch(CheckMsg::Report {
                     cpu: ctx.cpu,
                     trap,
@@ -1758,7 +1777,7 @@ impl GhostHooks for Oracle {
             trap,
             Event::TrapExit {
                 cpu: ctx.cpu,
-                name: name.clone(),
+                name: name.to_string(),
             },
         );
         self.dispatch(CheckMsg::TrapExit {
@@ -1781,7 +1800,7 @@ impl GhostHooks for Oracle {
 
     fn read_once(&self, ctx: &HookCtx<'_>, tag: &'static str, value: u64) {
         self.stats.read_onces.fetch_add(1, Ordering::Relaxed);
-        self.guarded("read_once", || {
+        self.guarded(QuarantineKey::Hook("read_once"), || {
             let trap = self.current_trap(ctx.cpu);
             self.events.emit(
                 ctx.cpu as u32,
@@ -1812,14 +1831,14 @@ impl GhostHooks for Oracle {
 
     fn pte_downgrade(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr: u64) {
         let cpu = ctx.cpu;
-        self.guarded("pte_downgrade", || {
+        self.guarded(QuarantineKey::Hook("pte_downgrade"), || {
             self.observe(cpu, Event::PteDowngrade { cpu, vmid, ia, nr })
         });
     }
 
     fn tlbi(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr: u64, broadcast: bool) {
         let cpu = ctx.cpu;
-        self.guarded("tlbi", || {
+        self.guarded(QuarantineKey::Hook("tlbi"), || {
             self.observe(
                 cpu,
                 Event::Tlbi {
@@ -1835,12 +1854,14 @@ impl GhostHooks for Oracle {
 
     fn dsb(&self, ctx: &HookCtx<'_>) {
         let cpu = ctx.cpu;
-        self.guarded("dsb", || self.observe(cpu, Event::Dsb { cpu }));
+        self.guarded(QuarantineKey::Hook("dsb"), || {
+            self.observe(cpu, Event::Dsb { cpu })
+        });
     }
 
     fn transfer(&self, ctx: &HookCtx<'_>, edge: TransferEdge, pfn: u64, nr: u64, dirty: bool) {
         let cpu = ctx.cpu;
-        self.guarded("transfer", || {
+        self.guarded(QuarantineKey::Hook("transfer"), || {
             self.observe(
                 cpu,
                 Event::Transfer {
@@ -1856,7 +1877,7 @@ impl GhostHooks for Oracle {
 
     fn firmware_donated(&self, ctx: &HookCtx<'_>, handle: Handle, uniq: u64, pfn: u64, nr: u64) {
         let cpu = ctx.cpu;
-        self.guarded("firmware_donated", || {
+        self.guarded(QuarantineKey::Hook("firmware_donated"), || {
             self.observe(
                 cpu,
                 Event::FirmwareDonate {
@@ -1872,7 +1893,7 @@ impl GhostHooks for Oracle {
 
     fn host_regain(&self, ctx: &HookCtx<'_>, pfn: u64, nr: u64) {
         let cpu = ctx.cpu;
-        self.guarded("host_regain", || {
+        self.guarded(QuarantineKey::Hook("host_regain"), || {
             self.observe(cpu, Event::HostRegain { cpu, pfn, nr })
         });
     }
@@ -2157,8 +2178,9 @@ mod tests {
                 .quarantine_traps(2)
                 .build(),
         );
+        let host = QuarantineKey::Part(Part::Host);
         for _ in 0..3 {
-            o.guarded("host", || panic!("chaos made me do it"));
+            o.guarded(host, || panic!("chaos made me do it"));
         }
         let vs = o.violations();
         assert_eq!(vs.len(), 3);
@@ -2168,13 +2190,13 @@ mod tests {
                 if component == "host" && payload.contains("chaos")
         )));
         assert_eq!(o.stats_snapshot().contained_panics, 3);
-        assert_eq!(o.quarantine.disposition("host"), Disposition::Skip);
+        assert_eq!(o.quarantine.disposition(host), Disposition::Skip);
         assert_eq!(o.quarantined(), 1);
         // After its bench time the component recovers exactly once.
         o.quarantine.tick();
         o.quarantine.tick();
-        assert_eq!(o.quarantine.disposition("host"), Disposition::Recover);
-        assert_eq!(o.quarantine.disposition("host"), Disposition::Process);
+        assert_eq!(o.quarantine.disposition(host), Disposition::Recover);
+        assert_eq!(o.quarantine.disposition(host), Disposition::Process);
     }
 
     #[test]
@@ -2299,7 +2321,7 @@ mod tests {
     fn deferred_seeding_respects_concurrent_component_updates() {
         let o = oracle();
         // A concurrent trap recorded the host component after this trap
-        // entered (entry snapshot is empty, shared copy is stamped).
+        // entered at tick 0 (the shared copy is stamped past it).
         let concurrent = GhostHost::default();
         {
             let mut shared = o.shared.lock();
@@ -2316,16 +2338,16 @@ mod tests {
             },
         });
         computed.host = Some(stale);
-        o.seed_deferred(&[Part::Host], &computed, &HashMap::new());
+        o.seed_deferred(&[Part::Host], &computed, 0);
         // The stale expectation must not overwrite the fresher recording.
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), Some(&concurrent));
         drop(shared);
         assert!(o.is_clean());
 
-        // With matching versions the seed lands.
-        let versions = o.shared.lock().versions.clone();
-        o.seed_deferred(&[Part::Host], &computed, &versions);
+        // Entered after that update, the seed lands.
+        let tick = o.shared.lock().tick;
+        o.seed_deferred(&[Part::Host], &computed, tick);
         let shared = o.shared.lock();
         assert_eq!(shared.state.host.as_ref(), computed.host.as_ref());
     }

@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use pkvm_aarch64::sysreg::GprFile;
 use pkvm_hyp::hooks::Component;
@@ -69,16 +70,37 @@ impl GhostGlobals {
     }
 }
 
+/// The page frame numbers of a table's nodes. Copy-on-write like a
+/// [`Mapping`]'s maplets: copies of a ghost state share one set (a clone is
+/// a refcount bump), and [`Arc::make_mut`] copies it only while shared.
+pub type TablePages = Arc<BTreeSet<u64>>;
+
+/// The empty footprint. All empty footprints share one storage, so blank
+/// and erased components do not allocate.
+pub(crate) fn no_table_pages() -> TablePages {
+    static EMPTY: OnceLock<TablePages> = OnceLock::new();
+    EMPTY.get_or_init(TablePages::default).clone()
+}
+
 /// An interpreted page table: its extensional mapping plus the physical
 /// footprint of the table nodes themselves (used by the separation check,
 /// §4.4).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AbstractPgtable {
     /// The finite range map the table denotes.
     pub mapping: Mapping,
     /// Page frame numbers of every table node reachable from the root
     /// (including the root).
-    pub table_pages: BTreeSet<u64>,
+    pub table_pages: TablePages,
+}
+
+impl Default for AbstractPgtable {
+    fn default() -> AbstractPgtable {
+        AbstractPgtable {
+            mapping: Mapping::default(),
+            table_pages: no_table_pages(),
+        }
+    }
 }
 
 /// Abstraction of pKVM's own stage 1 component.
@@ -94,14 +116,24 @@ pub struct GhostPkvm {
 /// plain host-owned mappings nondeterministic, so the ghost records only
 /// the two deterministic sub-maps — the owner annotations and the
 /// shared/borrowed pages — and checks legality of the rest separately.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GhostHost {
     /// Pages owned by pKVM or a guest (invalid-descriptor annotations).
     pub annot: Mapping,
     /// Pages owned-and-shared by the host, or borrowed by it.
     pub shared: Mapping,
     /// The table-node footprint of the host stage 2.
-    pub table_pages: BTreeSet<u64>,
+    pub table_pages: TablePages,
+}
+
+impl Default for GhostHost {
+    fn default() -> GhostHost {
+        GhostHost {
+            annot: Mapping::default(),
+            shared: Mapping::default(),
+            table_pages: no_table_pages(),
+        }
+    }
 }
 
 /// Abstraction of one vCPU's metadata.
@@ -239,6 +271,24 @@ impl GhostState {
             globals: globals.clone(),
             ..GhostState::default()
         }
+    }
+
+    /// Drops every part, keeping the globals: blank again, without
+    /// copying the globals. The oracle resets its per-trap records so.
+    pub(crate) fn clear_parts(&mut self) {
+        let GhostState {
+            pkvm,
+            host,
+            vm_table,
+            vms,
+            locals,
+            globals: _,
+        } = self;
+        *pkvm = None;
+        *host = None;
+        *vm_table = None;
+        vms.clear();
+        locals.clear();
     }
 
     /// The parts this state holds, in a fixed order: host, pkvm, the VM

@@ -17,6 +17,7 @@ use pkvm_hyp::vm::Handle;
 
 use crate::check::Violation;
 use crate::event::Event;
+use crate::mapping::Mapping;
 use crate::oracle::OracleOpts;
 use crate::state::GhostHost;
 
@@ -317,6 +318,12 @@ struct FirmwarePage {
 #[derive(Default)]
 pub(crate) struct FirmwareProtection {
     pages: HashMap<u64, FirmwarePage>,
+    /// The host annotations of the last backstop scan, after which every
+    /// unreported page was annotated away from the host. Holding this
+    /// copy keeps its storage shared, so a host whose annotations still
+    /// share it has the very same annotations; forgotten at a donation,
+    /// which adds an unscanned page.
+    scanned: Option<Mapping>,
 }
 
 impl Tracker for FirmwareProtection {
@@ -330,6 +337,7 @@ impl Tracker for FirmwareProtection {
                 nr,
                 ..
             } => {
+                self.scanned = None;
                 for p in pfn..pfn.saturating_add(nr) {
                     self.pages.insert(
                         p,
@@ -367,8 +375,18 @@ impl Tracker for FirmwareProtection {
     /// longer annotated away from it) is a breach, even if no regain hook
     /// announced it. The donation annotates the page away from the host
     /// before the same critical section's release, so a clean run never
-    /// trips this.
+    /// trips this. Skipped while nothing changed since the last scan:
+    /// neither the annotations nor the tracked pages (a regain only marks
+    /// pages reported, which the scan skips anyway).
     fn host(&mut self, host: &GhostHost) -> Vec<Violation> {
+        if self
+            .scanned
+            .as_ref()
+            .is_some_and(|annot| annot.shares_storage(&host.annot))
+        {
+            return Vec::new();
+        }
+        self.scanned = Some(host.annot.clone());
         let mut out = Vec::new();
         for (p, fw) in self.pages.iter_mut() {
             if !fw.reported && host.annot.lookup(p << 12).is_none() {
@@ -392,6 +410,83 @@ impl Tracker for FirmwareProtection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maplet::{Maplet, MapletTarget};
+    use pkvm_hyp::owner::OwnerId;
+
+    fn donate(t: &mut FirmwareProtection, pfn: u64, nr: u64) {
+        let donation = Event::FirmwareDonate {
+            cpu: 0,
+            handle: 0x1000,
+            uniq: 1,
+            pfn,
+            nr,
+        };
+        assert!(t.observe(0, &donation).is_empty());
+    }
+
+    /// A host whose annotations cover exactly `pfns`.
+    fn host_annotating(pfns: &[u64]) -> GhostHost {
+        let mut host = GhostHost::default();
+        for &pfn in pfns {
+            host.annot.insert(Maplet {
+                ia: pfn << 12,
+                nr_pages: 1,
+                target: MapletTarget::Annotated {
+                    owner: OwnerId::HYP,
+                },
+            });
+        }
+        host
+    }
+
+    fn breached(vs: &[Violation]) -> Vec<u64> {
+        vs.iter()
+            .map(|v| match v {
+                Violation::FirmwareProtection { pfn, .. } => *pfn,
+                v => panic!("{v:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn firmware_backstop_skips_unchanged_annotations_and_reports_a_change_in_pfn_order() {
+        let mut t = FirmwareProtection::default();
+        donate(&mut t, 0x40600, 4);
+        let clean = host_annotating(&[0x40600, 0x40601, 0x40602, 0x40603]);
+        assert!(t.host(&clean).is_empty());
+        // Hosts whose annotations share the scanned storage are not
+        // scanned: a page slipped into the ledger without a donation goes
+        // unseen...
+        t.pages.insert(
+            0x40700,
+            FirmwarePage {
+                handle: 0x1000,
+                uniq: 1,
+                reported: false,
+            },
+        );
+        assert!(t.host(&clean.clone()).is_empty());
+        assert!(t.host(&clean).is_empty());
+        // ...until the annotations change. Then every page the host can
+        // reach is reported, in pfn order, once.
+        let changed = host_annotating(&[0x40600, 0x40602]);
+        assert_eq!(breached(&t.host(&changed)), [0x40601, 0x40603, 0x40700]);
+        assert!(t.host(&host_annotating(&[0x40600, 0x40602])).is_empty());
+    }
+
+    #[test]
+    fn a_firmware_donation_forces_the_next_backstop_scan() {
+        let mut t = FirmwareProtection::default();
+        donate(&mut t, 0x40600, 1);
+        let host = host_annotating(&[0x40600]);
+        assert!(t.host(&host).is_empty());
+        assert!(t.host(&host).is_empty());
+        // The same annotations do not cover the new donation: the next
+        // host event scans again and reports it.
+        donate(&mut t, 0x40800, 2);
+        assert_eq!(breached(&t.host(&host)), [0x40800, 0x40801]);
+        assert!(t.host(&host).is_empty());
+    }
 
     #[test]
     fn bbm_tracker_retires_only_covered_broadcast_flushes() {

@@ -360,7 +360,7 @@ fn teardown_spec_returns_exactly_the_infrastructure_pages() {
     // The VM also has a stage 2 table footprint and a guest-mapped page.
     {
         let vm = pre.vms.get_mut(&0x1000).unwrap();
-        vm.pgt.table_pages.extend([0x40301u64, 0x40700]);
+        std::sync::Arc::make_mut(&mut vm.pgt.table_pages).extend([0x40301u64, 0x40700]);
         vm.pgt.mapping.insert(Maplet {
             ia: 0x10 * PAGE_SIZE,
             nr_pages: 1,

@@ -1,0 +1,146 @@
+//! The oracle's heap allocations per checked step, with a budget.
+//!
+//! This binary installs a counting global allocator that counts, per
+//! thread, the calls into the allocator (`alloc`, `alloc_zeroed`,
+//! `realloc`) that the counting thread makes. Each test thread counts only
+//! itself, so the suites' parallel test threads do not disturb one
+//! another. A fixed 2,000-step episode runs twice on a fresh machine:
+//! unchecked, then under the inline oracle. The same seed sends the same
+//! traffic both times, so the difference is what the oracle allocates
+//! (front half, back half, event stream). The figure is printed (run with
+//! `--nocapture` to see it) and held to a budget.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pkvm_repro::harness::android::android_weights;
+use pkvm_repro::harness::campaign::worker_seed;
+use pkvm_repro::harness::proxy::Proxy;
+use pkvm_repro::harness::random::{RandomCfg, RandomTester, DEFAULT_OP_WEIGHTS, OP_NAMES};
+use pkvm_repro::prelude::*;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, where counting is simply skipped.
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counting touches only const-initialised thread-locals, which never
+// allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const STEPS: u64 = 2_000;
+
+type Weights = [f64; OP_NAMES.len()];
+
+/// Allocations this thread makes while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    COUNTING.with(|on| on.set(true));
+    f();
+    COUNTING.with(|on| on.set(false));
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations of `STEPS` tester steps at `seed` over `weights`, with the
+/// inline oracle or none. Boot and set-up are not counted.
+fn episode(seed: u64, weights: Weights, checked: bool) -> u64 {
+    let builder = Proxy::builder();
+    let builder = if checked {
+        builder.oracle_opts(OracleOpts::default())
+    } else {
+        builder.with_oracle(false)
+    };
+    let cfg = RandomCfg::builder().seed(seed).op_weights(weights).build();
+    let mut t = RandomTester::new(builder.boot(), cfg);
+    let n = allocations(|| t.run(STEPS));
+    assert!(
+        t.proxy.violations().is_empty(),
+        "{:?}",
+        t.proxy.violations()
+    );
+    n
+}
+
+/// Oracle allocations per step of one mix: inline minus unchecked.
+fn oracle_allocations_per_step(what: &str, seed: u64, weights: Weights) -> f64 {
+    let unchecked = episode(seed, weights, false);
+    let inline = episode(seed, weights, true);
+    let per_step = (inline as f64 - unchecked as f64) / STEPS as f64;
+    println!(
+        "{what}: {STEPS} steps, unchecked {:.1}/step, inline {:.1}/step, \
+         oracle {per_step:.1} allocations/step",
+        unchecked as f64 / STEPS as f64,
+        inline as f64 / STEPS as f64,
+    );
+    per_step
+}
+
+/// The Android mix at the benchmark's first `android_mix` seed.
+#[test]
+fn android_mix_oracle_allocations_stay_in_budget() {
+    let per_step = oracle_allocations_per_step(
+        "android mix at 0xa4d",
+        worker_seed(0xa4d, 0),
+        android_weights(),
+    );
+    assert!(
+        per_step <= BUDGET_ANDROID,
+        "{per_step:.1} > {BUDGET_ANDROID}"
+    );
+}
+
+/// The default mix at the benchmark's first `random_e3` seed.
+#[test]
+fn default_mix_oracle_allocations_stay_in_budget() {
+    let per_step = oracle_allocations_per_step(
+        "default mix at 0xe3",
+        worker_seed(0xe3, 0),
+        DEFAULT_OP_WEIGHTS,
+    );
+    assert!(
+        per_step <= BUDGET_DEFAULT,
+        "{per_step:.1} > {BUDGET_DEFAULT}"
+    );
+}
+
+// Oracle allocations per step, measured with this binary: 43.2 on the
+// Android mix and 36.8 on the default mix before ghost copies shared their
+// footprints and parts were compared in place; 20.4 and 16.5 since. The
+// budgets leave about a fifth of headroom.
+const BUDGET_ANDROID: f64 = 24.0;
+const BUDGET_DEFAULT: f64 = 20.0;
