@@ -11,7 +11,7 @@
 //! tests (and the linear-map-overlap reproduction) can observe the
 //! hypervisor touching device memory it never intended to.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::sync::{Mutex, RwLock};
@@ -24,7 +24,7 @@ use crate::desc::Pte;
 ///
 /// Consumers (the ghost oracle's incremental abstraction cache) take a
 /// [`WriteLog::snapshot_generation`] *before* reading derived state, and
-/// later ask [`WriteLog::dirty_since`] that snapshot to learn which pages
+/// later ask [`WriteLog::for_each_dirty_since`] that snapshot to learn which pages
 /// may have invalidated it. Writes racing with the read land at or after
 /// the snapshot generation and so are re-reported next time — the log
 /// over-approximates, never under-reports.
@@ -91,7 +91,7 @@ impl WriteLog {
 
     /// Opens a new generation and returns it: every write logged from now
     /// on — including writes racing with state the caller is about to
-    /// read — satisfies `dirty_since(returned)`.
+    /// read — is reported by `for_each_dirty_since(returned, ..)`.
     pub fn snapshot_generation(&self) -> u64 {
         let mut l = self.inner.lock();
         l.generation += 1;
@@ -99,26 +99,25 @@ impl WriteLog {
         l.generation
     }
 
-    /// The set of pages written at or after snapshot `gen`, or `None` if
-    /// the log cannot answer (tracking off, or `gen` trimmed away) and the
-    /// caller must assume everything is dirty.
-    pub fn dirty_since(&self, gen: u64) -> Option<BTreeSet<u64>> {
+    /// Calls `f` with every page written at or after snapshot `gen`,
+    /// under the log's lock and without collecting them: a page written
+    /// in several generations comes once per generation, newest first.
+    /// Returns `false`, having called nothing, when the log cannot answer
+    /// (tracking off, or `gen` trimmed away) and the caller must assume
+    /// everything is dirty.
+    pub fn for_each_dirty_since(&self, gen: u64, mut f: impl FnMut(u64)) -> bool {
         if !self.enabled() {
-            return None;
+            return false;
         }
         let l = self.inner.lock();
         if gen < l.trimmed_before {
-            return None;
+            return false;
         }
         // Entries are in generation order: the answer is a suffix.
-        Some(
-            l.entries
-                .iter()
-                .rev()
-                .take_while(|&&(g, _)| g >= gen)
-                .map(|&(_, pfn)| pfn)
-                .collect(),
-        )
+        for &(_, pfn) in l.entries.iter().rev().take_while(|&&(g, _)| g >= gen) {
+            f(pfn);
+        }
+        true
     }
 
     fn record(&self, pfn: u64) {
@@ -425,16 +424,35 @@ impl PhysMem {
     ///
     /// Panics if `table` is not page aligned (table bases always are).
     pub fn read_table(&self, table: PhysAddr) -> Result<Box<[Pte; 512]>, BusError> {
+        let mut out = Box::new([Pte(0); 512]);
+        self.read_table_into(table, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`PhysMem::read_table`] into a buffer the caller owns, for readers
+    /// that re-read tables often and recycle their buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError`] for table bases outside every region, leaving
+    /// `out` as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is not page aligned (table bases always are).
+    pub fn read_table_into(&self, table: PhysAddr, out: &mut [Pte; 512]) -> Result<(), BusError> {
         assert!(table.is_page_aligned(), "misaligned table base {table}");
         self.note_access(table, false)?;
-        let mut out = Box::new([Pte(0); 512]);
         let pages = self.pages.read();
-        if let Some(page) = pages.get(&table.pfn()) {
-            for (i, chunk) in page.chunks_exact(8).enumerate() {
-                out[i] = Pte(u64::from_le_bytes(chunk.try_into().unwrap()));
+        match pages.get(&table.pfn()) {
+            Some(page) => {
+                for (pte, chunk) in out.iter_mut().zip(page.chunks_exact(8)) {
+                    *pte = Pte(u64::from_le_bytes(chunk.try_into().unwrap()));
+                }
             }
+            None => out.fill(Pte(0)),
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes the `idx`th descriptor of the table whose base is `table`.
@@ -544,13 +562,23 @@ mod tests {
         ]);
     }
 
+    /// The set of pages written at or after snapshot `gen`, or `None` if
+    /// the log cannot answer.
+    fn dirty_since(log: &WriteLog, gen: u64) -> Option<std::collections::BTreeSet<u64>> {
+        let mut dirty = std::collections::BTreeSet::new();
+        log.for_each_dirty_since(gen, |pfn| {
+            dirty.insert(pfn);
+        })
+        .then_some(dirty)
+    }
+
     #[test]
     fn write_log_disabled_by_default_and_answers_none() {
         let m = mem();
         m.write_u64(PhysAddr::new(0x4000_0000), 1).unwrap();
         assert!(!m.write_log().enabled());
         assert!(m.write_log().is_empty());
-        assert_eq!(m.write_log().dirty_since(0), None);
+        assert_eq!(dirty_since(m.write_log(), 0), None);
     }
 
     #[test]
@@ -563,7 +591,7 @@ mod tests {
         m.write_u64(PhysAddr::new(0x4000_0008), 2).unwrap();
         m.write_u64(PhysAddr::new(0x4000_1000), 3).unwrap();
         m.read_u64(PhysAddr::new(0x4000_2000)).unwrap();
-        let dirty = m.write_log().dirty_since(snap).unwrap();
+        let dirty = dirty_since(m.write_log(), snap).unwrap();
         assert_eq!(
             dirty.into_iter().collect::<Vec<_>>(),
             vec![0x40000, 0x40001]
@@ -581,9 +609,9 @@ mod tests {
         assert!(g2 > g1);
         // The same page dirtied again lands in the *new* generation.
         m.write_u64(PhysAddr::new(0x4000_0000), 2).unwrap();
-        assert_eq!(m.write_log().dirty_since(g2).unwrap().len(), 1);
+        assert_eq!(dirty_since(m.write_log(), g2).unwrap().len(), 1);
         // And the older snapshot still sees both generations' entries.
-        assert_eq!(m.write_log().dirty_since(g1).unwrap().len(), 1);
+        assert_eq!(dirty_since(m.write_log(), g1).unwrap().len(), 1);
     }
 
     #[test]
@@ -595,7 +623,7 @@ mod tests {
         m.write_bytes(PhysAddr::new(0x4000_0ffc), &[0xff; 8])
             .unwrap();
         m.zero_page(PhysAddr::new(0x4000_3000)).unwrap();
-        let dirty = m.write_log().dirty_since(snap).unwrap();
+        let dirty = dirty_since(m.write_log(), snap).unwrap();
         assert!(dirty.contains(&0x40000));
         assert!(dirty.contains(&0x40001));
         assert!(dirty.contains(&0x40003));
@@ -610,11 +638,11 @@ mod tests {
         m.write_log().set_enabled(false);
         m.write_log().set_enabled(true);
         // The old snapshot predates the gap in coverage: no answer.
-        assert_eq!(m.write_log().dirty_since(snap), None);
+        assert_eq!(dirty_since(m.write_log(), snap), None);
         // A fresh snapshot works again.
         let snap2 = m.write_log().snapshot_generation();
         m.write_u64(PhysAddr::new(0x4000_1000), 1).unwrap();
-        assert_eq!(m.write_log().dirty_since(snap2).unwrap().len(), 1);
+        assert_eq!(dirty_since(m.write_log(), snap2).unwrap().len(), 1);
     }
 
     #[test]
@@ -630,10 +658,10 @@ mod tests {
         }
         assert!(m.write_log().len() <= WRITE_LOG_CAP);
         // The trimmed-away snapshot cannot be answered...
-        assert_eq!(m.write_log().dirty_since(snap), None);
+        assert_eq!(dirty_since(m.write_log(), snap), None);
         // ...but a current one can.
         let snap2 = m.write_log().snapshot_generation();
         m.write_u64(PhysAddr::new(0x4000_5000), 9).unwrap();
-        assert_eq!(m.write_log().dirty_since(snap2).unwrap().len(), 1);
+        assert_eq!(dirty_since(m.write_log(), snap2).unwrap().len(), 1);
     }
 }

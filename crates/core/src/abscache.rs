@@ -33,6 +33,11 @@
 //! dropped and the whole check reruns, so anomalies are still reported
 //! in address order and an anomalous partition is never memoized.
 //!
+//! Every value it serves comes as a [`Handoff`]: under a version that
+//! names the value, and with the value itself only when it is not the one
+//! last handed over for the component, so a clean hit hands the oracle's
+//! back half, which keeps what it was handed, nothing but the version.
+//!
 //! ## Why entry-level replay is sound
 //!
 //! The cached snapshot generation is taken *before* any descriptor is
@@ -64,7 +69,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE};
+use pkvm_aarch64::addr::{level_pages, PhysAddr, PAGE_SIZE, PTES_PER_TABLE};
 use pkvm_aarch64::attrs::Stage;
 use pkvm_aarch64::desc::{EntryKind, Pte};
 use pkvm_aarch64::memory::PhysMem;
@@ -102,6 +107,9 @@ pub struct CacheStats {
     /// Full walks: a re-interpreted run reported an anomaly or reached a
     /// table page filed elsewhere in the tree.
     pub full_anomaly: u64,
+    /// Requests handed over as the version alone: the value was the one
+    /// last handed over for the component ([`Handoff`]).
+    pub version_only: u64,
 }
 
 impl CacheStats {
@@ -126,6 +134,32 @@ impl CacheStats {
     }
 }
 
+/// An abstraction as the cache hands it over.
+///
+/// Every replay, full walk and new host partition takes a fresh version
+/// from the cache's one counter, and a clean hit keeps it, so two
+/// handoffs of one nonzero version hold one value. The cache remembers,
+/// per component, whether it handed the current version over already; if
+/// it did, the handoff carries the version alone, and the receiver (the
+/// oracle's back half) keeps the value from the handoff that carried it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Handoff<T> {
+    /// The value's version; 0 for a state the cache does not keep
+    /// (anomalous or aliased), whose value always travels.
+    pub version: u64,
+    /// The value, or `None`: the one last handed over for this component.
+    pub value: Option<T>,
+}
+
+impl<T> Handoff<T> {
+    fn uncached(value: T) -> Handoff<T> {
+        Handoff {
+            version: 0,
+            value: Some(value),
+        }
+    }
+}
+
 struct CacheEntry {
     root: PhysAddr,
     stage: Stage,
@@ -138,14 +172,63 @@ struct CacheEntry {
     /// The host partition of `interp` (host entry only), kept while its
     /// legality check finds nothing; a replay splices its delta in.
     host: Option<GhostHost>,
+    /// The version of the served value (`interp`, or `host` for the host).
+    version: u64,
+    /// `version` was handed over already.
+    handed: bool,
 }
 
 /// The per-oracle incremental abstraction cache.
 #[derive(Default)]
 pub struct AbsCache {
     entries: HashMap<Component, CacheEntry>,
+    /// The last version taken (the first is 1).
+    version: u64,
+    buffers: Buffers,
     /// Resolution counters (exposed for benches, tests and reports).
     pub stats: CacheStats,
+}
+
+/// The buffers a request works in, kept from one request to the next so
+/// that resolving allocates only what a replay must: the storage a
+/// copy-on-write splice creates and the nodes it newly links.
+struct Buffers {
+    /// Dirty table nodes as `(level, ia, pfn)`, shallowest first.
+    dirty: Vec<(u8, u64, u64)>,
+    runs: Vec<Run>,
+    /// The new descriptors of every run, back to back.
+    changed: Vec<Pte>,
+    /// A dirty node's descriptors before the re-read: the node takes the
+    /// buffer the re-read filled, and this one takes the node's old one.
+    ptes: Box<[Pte; PTES_PER_TABLE as usize]>,
+    /// A run's re-interpretation.
+    maplets: Vec<Maplet>,
+    /// The host partition of a run's re-interpretation.
+    partition: Partition,
+    /// The rewritten window of a splice.
+    window: Vec<Maplet>,
+}
+
+/// The outputs of [`partition_host`].
+#[derive(Default)]
+struct Partition {
+    annot: Vec<Maplet>,
+    shared: Vec<Maplet>,
+    found: Vec<Anomaly>,
+}
+
+impl Default for Buffers {
+    fn default() -> Buffers {
+        Buffers {
+            dirty: Vec::new(),
+            runs: Vec::new(),
+            changed: Vec::new(),
+            ptes: Box::new([Pte(0); PTES_PER_TABLE as usize]),
+            maplets: Vec::new(),
+            partition: Partition::default(),
+            window: Vec::new(),
+        }
+    }
 }
 
 impl AbsCache {
@@ -162,7 +245,8 @@ impl AbsCache {
 
     /// Drops cached VM interpretations whose handle fails `live` — called
     /// when the VM table is observed, so torn-down VMs do not keep their
-    /// (now dangling) interpretations resident.
+    /// (now dangling) interpretations resident. A reused handle starts
+    /// over with a full walk, and its value travels.
     pub fn retain_vms(&mut self, live: impl Fn(u32) -> bool) {
         self.entries.retain(|k, _| match k {
             Component::Vm(h) => live(*h),
@@ -170,9 +254,19 @@ impl AbsCache {
         });
     }
 
+    /// Forgets that `key`'s current value was handed over, so the next
+    /// request carries it again: for a handoff that may never have
+    /// reached its receiver.
+    pub fn forget_handed(&mut self, key: Component) {
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.handed = false;
+        }
+    }
+
     /// Interprets the table rooted at `root`, reusing the cached
     /// interpretation for `key` where the write log proves it still
-    /// valid. Appends anomalies exactly as [`interpret_pgtable`] would.
+    /// valid, and hands it over ([`Handoff`]). Appends anomalies exactly
+    /// as [`interpret_pgtable`] would.
     ///
     /// [`interpret_pgtable`]: crate::abstraction::interpret_pgtable
     pub fn interp(
@@ -182,21 +276,23 @@ impl AbsCache {
         root: PhysAddr,
         key: Component,
         anomalies: &mut Vec<Anomaly>,
-    ) -> AbstractPgtable {
+    ) -> Handoff<AbstractPgtable> {
         match self.resolve(mem, stage, root, key, None, anomalies) {
-            Served::Entry(e) => e.interp.clone(),
-            Served::Uncached(interp) => interp,
+            Ok(e) => self.hand_over(key, e, |e| e.interp.clone()),
+            Err(interp) => Handoff::uncached(interp),
         }
     }
 
     /// The host's abstraction ([`abstract_host`]) over the cached
-    /// interpretation of the host stage 2 rooted at `root`. Appends
+    /// interpretation of the host stage 2 rooted at `root`, handed over
+    /// like [`AbsCache::interp`]'s. Appends
     /// anomalies exactly as [`abstract_host`] would. While the
     /// interpretation is served unchanged, the partition that last checked
     /// clean is returned as is, sharing its mappings' storage; a replay
     /// updates it over the ranges it rewrote. A partition that reported
     /// anomalies is never kept, so its check reruns (and re-reports) on
-    /// every event. `globals` must be the same on every call.
+    /// every event, and it always travels. `globals` must be the same on
+    /// every call.
     ///
     /// [`abstract_host`]: crate::abstraction::abstract_host
     pub fn host(
@@ -205,28 +301,58 @@ impl AbsCache {
         root: PhysAddr,
         globals: &GhostGlobals,
         anomalies: &mut Vec<Anomaly>,
-    ) -> GhostHost {
+    ) -> Handoff<GhostHost> {
         let key = Component::Host;
-        let e = match self.resolve(mem, Stage::Stage2, root, key, Some(globals), anomalies) {
-            Served::Entry(e) => e,
-            Served::Uncached(interp) => {
-                return abstract_host_from_interp(&interp, globals, anomalies)
+        let mut e = match self.resolve(mem, Stage::Stage2, root, key, Some(globals), anomalies) {
+            Ok(e) => e,
+            Err(interp) => {
+                return Handoff::uncached(abstract_host_from_interp(&interp, globals, anomalies))
             }
         };
-        if let Some(host) = &e.host {
-            return host.clone();
+        if e.host.is_none() {
+            let before = anomalies.len();
+            let host = abstract_host_from_interp(&e.interp, globals, anomalies);
+            if anomalies.len() != before {
+                e.handed = false;
+                self.entries.insert(key, e);
+                return Handoff::uncached(host);
+            }
+            e.host = Some(host);
+            self.renew(&mut e);
         }
-        let before = anomalies.len();
-        let host = abstract_host_from_interp(&e.interp, globals, anomalies);
-        if anomalies.len() == before {
-            e.host = Some(host.clone());
+        self.hand_over(key, e, |e| e.host.clone().expect("partition kept above"))
+    }
+
+    /// Files `e` under `key` and hands its value over: the version alone
+    /// if that was handed over already, else `value(e)`.
+    fn hand_over<T>(
+        &mut self,
+        key: Component,
+        mut e: CacheEntry,
+        value: impl FnOnce(&CacheEntry) -> T,
+    ) -> Handoff<T> {
+        let value = (!e.handed).then(|| value(&e));
+        if value.is_none() {
+            self.stats.version_only += 1;
         }
-        host
+        e.handed = true;
+        let version = e.version;
+        self.entries.insert(key, e);
+        Handoff { version, value }
+    }
+
+    /// Gives `e`'s (changed) value a fresh version, not yet handed over.
+    fn renew(&mut self, e: &mut CacheEntry) {
+        self.version += 1;
+        e.version = self.version;
+        e.handed = false;
     }
 
     /// Brings the entry for `key` up to date with the table rooted at
-    /// `root`, or reports the state uncacheable. A host memo follows a
-    /// replay only given the `globals` it is checked against.
+    /// `root` and returns it, out of the map until it is handed over;
+    /// `Err` holds the interpretation of a state that is not cached. A
+    /// host memo follows a replay only given the `globals` it is checked
+    /// against.
     fn resolve(
         &mut self,
         mem: &PhysMem,
@@ -235,26 +361,29 @@ impl AbsCache {
         key: Component,
         globals: Option<&GhostGlobals>,
         anomalies: &mut Vec<Anomaly>,
-    ) -> Served<'_> {
+    ) -> Result<CacheEntry, AbstractPgtable> {
         // Snapshot before reading any table state: writes racing with
         // this interpretation will be at or after `snap` and therefore
-        // re-reported by the next dirty_since query.
+        // re-reported by the next dirty-page query.
         let snap = mem.write_log().snapshot_generation();
         // The entry leaves the map while it is brought up to date, so a
         // (contained) panic part-way through a replay cannot leave a
         // half-spliced entry behind: the next request walks cold.
         let reason = match self.entries.remove(&key) {
             None => FullReason::Cold,
-            Some(mut e) => match e.plan(mem, stage, root) {
+            Some(mut e) => match e.plan(mem, stage, root, &mut self.buffers.dirty) {
                 Plan::Clean => {
                     self.stats.clean_hits += 1;
-                    return self.keep(key, e, snap);
+                    e.gen = snap;
+                    return Ok(e);
                 }
-                Plan::Replay(dirty) => {
-                    if let Some(diffed) = e.replay(mem, &dirty, globals) {
+                Plan::Replay => {
+                    if let Some(diffed) = e.replay(mem, globals, &mut self.buffers) {
                         self.stats.incremental += 1;
                         self.stats.subtrees_replayed += diffed;
-                        return self.keep(key, e, snap);
+                        e.gen = snap;
+                        self.renew(&mut e);
+                        return Ok(e);
                     }
                     // A re-interpreted run was anomalous or aliased; take
                     // the full walk so anomalies are reported once,
@@ -275,96 +404,108 @@ impl AbsCache {
         let (interp, nodes) = interpret_tree(mem, stage, root, anomalies);
         match nodes {
             Some(nodes) if anomalies.len() == before => {
-                let e = CacheEntry {
+                let mut e = CacheEntry {
                     root,
                     stage,
                     gen: snap,
                     interp,
                     nodes,
                     host: None,
+                    version: 0,
+                    handed: false,
                 };
-                self.keep(key, e, snap)
+                self.renew(&mut e);
+                Ok(e)
             }
             // Never cache anomalous or aliased states: every event over
             // them must re-walk and re-report, like the non-incremental
             // oracle.
-            _ => Served::Uncached(interp),
+            _ => Err(interp),
         }
-    }
-
-    /// Files `e`, current as of write-log snapshot `snap`, under `key`.
-    fn keep(&mut self, key: Component, mut e: CacheEntry, snap: u64) -> Served<'_> {
-        e.gen = snap;
-        Served::Entry(self.entries.entry(key).insert_entry(e).into_mut())
     }
 }
 
 impl CacheEntry {
-    fn plan(&self, mem: &PhysMem, stage: Stage, root: PhysAddr) -> Plan {
+    /// Decides how to bring this entry up to date; for a replay, leaves
+    /// the dirty table nodes in `dirty`, shallowest first.
+    fn plan(
+        &self,
+        mem: &PhysMem,
+        stage: Stage,
+        root: PhysAddr,
+        dirty: &mut Vec<(u8, u64, u64)>,
+    ) -> Plan {
         if self.root != root || self.stage != stage {
             return Plan::Full(FullReason::RootChanged);
         }
-        let Some(dirty) = mem.write_log().dirty_since(self.gen) else {
-            return Plan::Full(FullReason::LogUnavailable);
-        };
         // Only writes to pages that were table nodes can change the
         // interpretation; everything else is data.
-        let mut dirty_nodes: Vec<(u8, u64, u64)> = dirty
-            .iter()
-            .filter_map(|&pfn| self.nodes.get(&pfn).map(|n| (n.level, n.ia, pfn)))
-            .collect();
-        if dirty_nodes.is_empty() {
+        dirty.clear();
+        let answered = mem.write_log().for_each_dirty_since(self.gen, |pfn| {
+            if let Some(n) = self.nodes.get(&pfn) {
+                dirty.push((n.level, n.ia, pfn));
+            }
+        });
+        if !answered {
+            return Plan::Full(FullReason::LogUnavailable);
+        }
+        if dirty.is_empty() {
             return Plan::Clean;
         }
-        if dirty_nodes.len() * DIRTY_RATIO_DEN > self.nodes.len() {
+        // Shallowest first: a node's parent is diffed before the node. A
+        // page written in several generations is named once per
+        // generation.
+        dirty.sort_unstable();
+        dirty.dedup();
+        if dirty.len() * DIRTY_RATIO_DEN > self.nodes.len() {
             return Plan::Full(FullReason::DirtyRatio);
         }
-        // Shallowest first: a node's parent is diffed before the node.
-        dirty_nodes.sort_unstable();
-        Plan::Replay(dirty_nodes)
+        Plan::Replay
     }
 
-    /// Brings this entry up to date with the dirty table nodes `dirty`
-    /// (`(level, ia, pfn)`, shallowest first), returning how many were
-    /// still in the tree and got diffed. `None` leaves the entry unusable:
-    /// a re-interpreted run was anomalous, or reached a table page already
-    /// filed elsewhere in the tree.
+    /// Brings this entry up to date with the dirty table nodes in
+    /// `s.dirty` (`(level, ia, pfn)`, shallowest first), returning how
+    /// many were still in the tree and got diffed. `None` leaves the
+    /// entry unusable: a re-interpreted run was anomalous, or reached a
+    /// table page already filed elsewhere in the tree.
     fn replay(
         &mut self,
         mem: &PhysMem,
-        dirty: &[(u8, u64, u64)],
         globals: Option<&GhostGlobals>,
+        s: &mut Buffers,
     ) -> Option<u64> {
         // Diff every dirty node before walking anything, so that a table
         // page unlinked here and linked there is forgotten at its old
         // place before the walk reaches it at its new one.
-        let mut runs: Vec<Run> = Vec::new();
-        let mut changed: Vec<Pte> = Vec::new();
+        s.runs.clear();
+        s.changed.clear();
         // A table entry changed, so the footprint may have.
         let mut relinked = false;
         let mut diffed = 0;
-        for &(level, ia, pfn) in dirty {
+        for &(level, ia, pfn) in &s.dirty {
             // Gone if a changed entry above it was forgotten already.
             let Some(node) = self.nodes.get_mut(&pfn) else {
                 continue;
             };
             diffed += 1;
             let table = PhysAddr::from_pfn(pfn);
-            let old = std::mem::replace(&mut node.ptes, mem.read_table(table).ok()?);
-            let first_run = runs.len();
+            mem.read_table_into(table, &mut s.ptes).ok()?;
+            std::mem::swap(&mut node.ptes, &mut s.ptes);
+            let old = &s.ptes;
+            let first_run = s.runs.len();
             for span in changed_runs(&old[..], &node.ptes[..]) {
                 let new = &node.ptes[span.clone()];
-                runs.push(Run {
+                s.runs.push(Run {
                     table,
                     level,
                     node_ia: ia,
                     first: span.start,
-                    ptes: changed.len()..changed.len() + new.len(),
+                    ptes: s.changed.len()..s.changed.len() + new.len(),
                 });
-                changed.extend_from_slice(new);
+                s.changed.extend_from_slice(new);
                 relinked |= new.iter().any(|pte| is_table(*pte, level));
             }
-            for run in &runs[first_run..] {
+            for run in &s.runs[first_run..] {
                 for &pte in &old[run.first..run.first + run.ptes.len()] {
                     if is_table(pte, level) {
                         forget(&mut self.nodes, pte.table_addr().pfn());
@@ -375,8 +516,9 @@ impl CacheEntry {
         }
         let mut anomalies = Vec::new();
         let mut walk = Walk::new(mem, self.stage, &mut self.nodes, &mut anomalies);
-        for run in &runs {
-            let ptes = &changed[run.ptes.clone()];
+        walk.maplets = std::mem::take(&mut s.maplets);
+        for run in &s.runs {
+            let ptes = &s.changed[run.ptes.clone()];
             walk.entries(run.table, run.level, run.node_ia, run.first, ptes);
             if walk.aliased || !walk.anomalies.is_empty() {
                 return None;
@@ -384,11 +526,21 @@ impl CacheEntry {
             let entry_pages = level_pages(run.level);
             let ia = run.node_ia | (run.first as u64 * entry_pages * PAGE_SIZE);
             let nr_pages = run.ptes.len() as u64 * entry_pages;
-            splice_host(&mut self.host, globals, ia, nr_pages, &walk.maplets);
+            let host = &mut self.host;
+            splice_host(
+                host,
+                globals,
+                ia,
+                nr_pages,
+                &walk.maplets,
+                &mut s.partition,
+                &mut s.window,
+            );
             self.interp
                 .mapping
-                .splice(ia, nr_pages, walk.maplets.drain(..));
+                .splice_using(ia, nr_pages, walk.maplets.drain(..), &mut s.window);
         }
+        s.maplets = std::mem::take(&mut walk.maplets);
         if relinked {
             self.interp.table_pages = Arc::new(self.nodes.keys().copied().collect());
             if let Some(host) = &mut self.host {
@@ -438,43 +590,42 @@ fn forget(nodes: &mut Nodes, pfn: u64) {
 }
 
 /// Splices the host partition of `maplets`, the new interpretation of
-/// `[ia, ia + nr_pages)`, into the memo. The memo is dropped instead if the
-/// delta's legality check finds anything (the whole check then reruns,
-/// reporting in address order) or there are no `globals` to check it
-/// against.
+/// `[ia, ia + nr_pages)`, into the memo, partitioning into `p` and
+/// splicing through `window`. The memo is dropped instead if the delta's
+/// legality check finds anything (the whole check then reruns, reporting
+/// in address order) or there are no `globals` to check it against.
 fn splice_host(
     memo: &mut Option<GhostHost>,
     globals: Option<&GhostGlobals>,
     ia: u64,
     nr_pages: u64,
     maplets: &[Maplet],
+    p: &mut Partition,
+    window: &mut Vec<Maplet>,
 ) {
     let Some(host) = memo else {
         return;
     };
     if let Some(globals) = globals {
-        let (mut annot, mut shared, mut found) = (Vec::new(), Vec::new(), Vec::new());
-        partition_host(maplets, globals, &mut annot, &mut shared, &mut found);
-        if found.is_empty() {
-            host.annot.splice(ia, nr_pages, annot);
-            host.shared.splice(ia, nr_pages, shared);
+        p.annot.clear();
+        p.shared.clear();
+        p.found.clear();
+        partition_host(maplets, globals, &mut p.annot, &mut p.shared, &mut p.found);
+        if p.found.is_empty() {
+            host.annot
+                .splice_using(ia, nr_pages, p.annot.drain(..), window);
+            host.shared
+                .splice_using(ia, nr_pages, p.shared.drain(..), window);
             return;
         }
     }
     *memo = None;
 }
 
-/// Where a resolved request's interpretation lives.
-enum Served<'a> {
-    /// In the (up to date) cache entry.
-    Entry(&'a mut CacheEntry),
-    /// Nowhere: the state is anomalous or aliased, and is not cached.
-    Uncached(AbstractPgtable),
-}
-
 enum Plan {
     Clean,
-    Replay(Vec<(u8, u64, u64)>),
+    /// Replay the dirty nodes the plan left in the cache's buffers.
+    Replay,
     Full(FullReason),
 }
 
@@ -524,9 +675,33 @@ mod tests {
         root
     }
 
+    /// The value `key`'s next handoff carries, having forgotten that the
+    /// current one was handed over.
+    fn carried<T>(
+        cache: &mut AbsCache,
+        key: Component,
+        serve: impl FnOnce(&mut AbsCache) -> Handoff<T>,
+    ) -> T {
+        cache.forget_handed(key);
+        serve(cache)
+            .value
+            .expect("a forgotten handoff carries its value")
+    }
+
+    fn interp(
+        cache: &mut AbsCache,
+        m: &PhysMem,
+        root: PhysAddr,
+        a: &mut Vec<Anomaly>,
+    ) -> AbstractPgtable {
+        carried(cache, Component::Host, |c| {
+            c.interp(m, Stage::Stage2, root, Component::Host, a)
+        })
+    }
+
     fn check_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) {
         let mut a1 = Vec::new();
-        let inc = cache.interp(m, Stage::Stage2, root, Component::Host, &mut a1);
+        let inc = interp(cache, m, root, &mut a1);
         let mut a2 = Vec::new();
         let full = interpret_pgtable(m, Stage::Stage2, root, &mut a2);
         assert_eq!(inc, full);
@@ -596,8 +771,7 @@ mod tests {
         m.write_u64(l3, 0xdead_beef).unwrap();
         check_agrees(&mut cache, &m, root);
         // The stale l3 must not have been replayed as a subtree.
-        let mut a = Vec::new();
-        let now = cache.interp(&m, Stage::Stage2, root, Component::Host, &mut a);
+        let now = interp(&mut cache, &m, root, &mut Vec::new());
         assert!(!now.table_pages.contains(&l3.pfn()));
     }
 
@@ -705,9 +879,13 @@ mod tests {
         }
     }
 
+    fn host(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr, a: &mut Vec<Anomaly>) -> GhostHost {
+        carried(cache, Component::Host, |c| c.host(m, root, &globals(), a))
+    }
+
     fn host_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) -> (GhostHost, usize) {
         let mut a1 = Vec::new();
-        let served = cache.host(m, root, &globals(), &mut a1);
+        let served = host(cache, m, root, &mut a1);
         let mut a2 = Vec::new();
         let full = abstract_host(m, root, &globals(), &mut a2);
         assert_eq!(served, full);
@@ -847,7 +1025,7 @@ mod tests {
         let page = Pte::leaf(Stage::Stage2, 3, PhysAddr::new(0x4300_0000), owned);
         m.write_pte(l3, 8, page).unwrap();
         let mut reported = Vec::new();
-        let served = cache.host(&m, root, &globals(), &mut reported);
+        let served = host(&mut cache, &m, root, &mut reported);
         let mut full = Vec::new();
         assert_eq!(served, abstract_host(&m, root, &globals(), &mut full));
         assert_eq!(cache.stats.incremental, 1, "{:?}", cache.stats);
@@ -890,6 +1068,103 @@ mod tests {
             assert_eq!(reported, 1);
         }
         assert_eq!(cache.stats.clean_hits, 2);
+    }
+
+    #[test]
+    fn a_clean_hit_after_a_handed_value_hands_over_the_version_alone() {
+        let m = mem();
+        let root = build_host(&m);
+        let mut cache = AbsCache::new();
+        let interp =
+            |c: &mut AbsCache| c.interp(&m, Stage::Stage2, root, Component::Hyp, &mut Vec::new());
+        let host = |c: &mut AbsCache| c.host(&m, root, &globals(), &mut Vec::new());
+        let (first_interp, first_host) = (interp(&mut cache), host(&mut cache));
+        assert!(first_interp.value.is_some() && first_interp.version > 0);
+        assert!(first_host.value.is_some() && first_host.version > 0);
+        // A data write leaves both values as they were.
+        m.write_u64(PhysAddr::new(0x4200_0000), 77).unwrap();
+        let (i, h) = (interp(&mut cache), host(&mut cache));
+        assert_eq!((i.version, i.value), (first_interp.version, None));
+        assert_eq!((h.version, h.value), (first_host.version, None));
+        assert_eq!(cache.stats.clean_hits, 2);
+        assert_eq!(cache.stats.version_only, 2);
+    }
+
+    #[test]
+    fn a_replay_a_root_change_or_a_full_walk_hands_over_a_value_under_a_larger_version() {
+        let m = mem();
+        let root = build_host(&m);
+        let l3 = PhysAddr::new(0x4400_3000);
+        let mut cache = AbsCache::new();
+        let interp = |c: &mut AbsCache, root| {
+            c.interp(&m, Stage::Stage2, root, Component::Hyp, &mut Vec::new())
+        };
+        let host = |c: &mut AbsCache, root| c.host(&m, root, &globals(), &mut Vec::new());
+        let mut last = (
+            interp(&mut cache, root).version,
+            host(&mut cache, root).version,
+        );
+        let mut newer = |cache: &mut AbsCache, root, what: &str| {
+            let (i, h) = (interp(cache, root), host(cache, root));
+            assert!(
+                i.value.is_some() && h.value.is_some(),
+                "{what}: {i:?} {h:?}"
+            );
+            assert!(i.version > last.0 && h.version > last.1, "{what}");
+            last = (i.version, h.version);
+        };
+        // A replay, even one that rewrites a descriptor with its own value.
+        m.write_pte(l3, 6, annotation_pte(OwnerId::HYP)).unwrap();
+        newer(&mut cache, root, "replay");
+        m.write_pte(l3, 6, m.read_pte(l3, 6).unwrap()).unwrap();
+        newer(&mut cache, root, "identical rewrite");
+        assert_eq!(cache.stats.incremental, 4);
+        // The same tables under a new root.
+        let root2 = PhysAddr::new(0x4500_0000);
+        m.write_pte(root2, 0, Pte::table(PhysAddr::new(0x4400_1000)))
+            .unwrap();
+        newer(&mut cache, root2, "root change");
+        assert_eq!(cache.stats.full_root_changed, 2);
+        // A full walk: the log lost track.
+        m.write_log().set_enabled(false);
+        m.write_log().set_enabled(true);
+        newer(&mut cache, root2, "full walk");
+        assert_eq!(cache.stats.full_log_unavailable, 2);
+    }
+
+    #[test]
+    fn forgetting_the_handoff_or_the_vm_or_an_uncached_state_makes_the_value_travel() {
+        let m = mem();
+        let root = build(&m);
+        let vm = Component::Vm(0x1000);
+        let mut cache = AbsCache::new();
+        let serve = |c: &mut AbsCache| c.interp(&m, Stage::Stage2, root, vm, &mut Vec::new());
+        let first = serve(&mut cache);
+        assert!(serve(&mut cache).value.is_none());
+        // A handoff that may not have arrived is carried again.
+        cache.forget_handed(vm);
+        let again = serve(&mut cache);
+        assert_eq!(again.version, first.version);
+        assert!(again.value.is_some());
+        // The VM leaves the table and a new one reuses the handle.
+        cache.retain_vms(|_| false);
+        let reused = serve(&mut cache);
+        assert!(reused.value.is_some() && reused.version > first.version);
+        assert_eq!(cache.stats.full_cold, 2);
+        // An anomalous state is never cached: its value always travels,
+        // under no version.
+        m.write_pte(PhysAddr::new(0x4400_3000), 3, Pte(0b01))
+            .unwrap();
+        for _ in 0..2 {
+            let uncached = serve(&mut cache);
+            assert_eq!(uncached.version, 0);
+            assert!(uncached.value.is_some());
+        }
+        // Repaired, it is cached afresh.
+        m.write_pte(PhysAddr::new(0x4400_3000), 3, Pte(0)).unwrap();
+        let repaired = serve(&mut cache);
+        assert!(repaired.value.is_some() && repaired.version > reused.version);
+        assert!(serve(&mut cache).value.is_none());
     }
 
     #[test]

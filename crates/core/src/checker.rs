@@ -31,17 +31,18 @@
 //! that point are discarded — call [`Verdict::wait`] before dropping the
 //! oracle if the run's verdict matters.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, Weak};
 
+use pkvm_aarch64::esr::Esr;
 use pkvm_aarch64::sysreg::GprFile;
 
-use crate::calldata::GhostCallData;
 use crate::check::Violation;
 use crate::event::Event;
 use crate::oracle::{ComponentValue, Oracle, TrapRecord};
-use crate::state::{GhostCpu, Part};
+use crate::state::{GhostLoadedVcpu, Part};
 
 /// Where the oracle's back half (ghost-copy maintenance and spec checks)
 /// runs, relative to the hypervisor code that triggered it.
@@ -93,27 +94,33 @@ pub(crate) type BarrierGate = Arc<(StdMutex<bool>, Condvar)>;
 /// to be captured on the mutator thread (lock-held abstractions, register
 /// files, read-once values), keyed by the primary event's stream seq.
 ///
-/// Variant sizes are deliberately unequal: messages are moved exactly
-/// once into a batch `Vec` and consumed in place, so boxing the big
-/// trap payloads would trade one memcpy for a per-trap allocation on
-/// the hot path for no benefit.
-#[allow(clippy::large_enum_variant)]
+/// Every message crosses from the mutator's core to the checker's in
+/// pipelined mode, so messages stay small (at most 336 bytes, pinned by a
+/// test): a trap message carries one register file and the back half
+/// rebuilds the call data and the per-CPU state from it; the loaded vCPU,
+/// rare and large, travels boxed; and a component abstraction the back
+/// half already holds travels as its cache version alone
+/// ([`ComponentValue`]).
 pub(crate) enum CheckMsg {
     /// `trap_enter` ran: reset the per-CPU record.
     TrapEnter {
         cpu: usize,
         /// Stream seq of the `TrapEnter` event (the trap's identity).
         seq: u64,
-        call: GhostCallData,
-        cpu_state: GhostCpu,
+        esr: Esr,
+        fault_ipa: Option<u64>,
+        /// The saved context at entry.
+        regs: GprFile,
+        loaded: Option<Box<GhostLoadedVcpu>>,
     },
     /// `trap_exit` ran: finish the recording and run the ternary check.
     TrapExit {
         cpu: usize,
         trap: Option<u64>,
         name: &'static str,
-        cpu_state: GhostCpu,
-        regs_post: GprFile,
+        /// The saved context at exit.
+        regs: GprFile,
+        loaded: Option<Box<GhostLoadedVcpu>>,
         /// The per-trap budget ran out mid-trap: skip the check.
         degraded: bool,
     },
@@ -173,6 +180,21 @@ pub(crate) enum CheckMsg {
     Barrier(BarrierGate),
 }
 
+/// Keeps its value on cache lines of its own (128 bytes: adjacent-line
+/// prefetch pairs 64-byte lines), so a field that one thread writes at
+/// every event never shares a line with fields another thread writes.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct CacheLine<T>(pub(crate) T);
+
+impl<T> Deref for CacheLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// The sending half of the pipelined checker, owned by the oracle.
 ///
 /// Messages are *batched*: they accumulate in a buffer and go to the
@@ -183,29 +205,62 @@ pub(crate) enum CheckMsg {
 /// Batching never reorders: batches preserve send order and the checker
 /// applies them in arrival order, so the derived sequence numbering is
 /// untouched.
+///
+/// Batches are recycled: the checker hands each drained batch back, and a
+/// flush swaps a returned one in for the full buffer. In steady state a
+/// batch allocates nothing, never grows, and is freed on neither thread.
 pub(crate) struct Pipeline {
     tx: SyncSender<Vec<CheckMsg>>,
-    /// Messages awaiting the next flush (not yet counted as sent).
-    buf: StdMutex<Vec<CheckMsg>>,
+    batches: StdMutex<Batches>,
     /// Flush the buffer once it holds this many messages, even mid-trap,
     /// so `channel_cap`'s memory bound holds at batch granularity.
     flush_max: usize,
     /// Messages handed to the channel (blocks counting as sent once the
     /// send returns).
     sent: AtomicU64,
-    /// Messages fully applied by the checker thread.
-    applied: AtomicU64,
+    /// Messages fully applied by the checker thread, which bumps it at
+    /// every message: kept apart from the mutator's buffer and `sent`.
+    applied: CacheLine<AtomicU64>,
+}
+
+/// The mutator's side of the batch cycle.
+struct Batches {
+    /// Messages awaiting the next flush (not yet counted as sent).
+    buf: Vec<CheckMsg>,
+    /// Drained batches the checker handed back, empty but with capacity.
+    spare: Receiver<Vec<CheckMsg>>,
 }
 
 impl Pipeline {
-    pub(crate) fn new(tx: SyncSender<Vec<CheckMsg>>, flush_max: usize) -> Pipeline {
+    /// The sending half over `tx`, flushing every `flush_max` messages
+    /// and reusing the batches that arrive on `spare`.
+    pub(crate) fn new(
+        tx: SyncSender<Vec<CheckMsg>>,
+        spare: Receiver<Vec<CheckMsg>>,
+        flush_max: usize,
+    ) -> Pipeline {
+        let flush_max = flush_max.max(1);
         Pipeline {
             tx,
-            buf: StdMutex::new(Vec::new()),
-            flush_max: flush_max.max(1),
+            batches: StdMutex::new(Batches {
+                buf: Vec::with_capacity(flush_max),
+                spare,
+            }),
+            flush_max,
             sent: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
+            applied: CacheLine(AtomicU64::new(0)),
         }
+    }
+
+    /// Takes the buffered messages, leaving a returned batch (or, while
+    /// none has come back yet, a fresh one of `flush_max` capacity) in
+    /// their place.
+    fn take(&self, b: &mut Batches) -> Vec<CheckMsg> {
+        let next = b
+            .spare
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(self.flush_max));
+        std::mem::replace(&mut b.buf, next)
     }
 
     /// Queues one message. A full buffer flushes the batch to the
@@ -217,19 +272,15 @@ impl Pipeline {
     /// (shutdown race) is dropped silently.
     pub(crate) fn send(&self, msg: CheckMsg) {
         let batch = {
-            let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-            buf.push(msg);
-            if buf.len() < self.flush_max {
+            let mut b = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+            b.buf.push(msg);
+            if b.buf.len() < self.flush_max {
                 return;
             }
-            std::mem::take(&mut *buf)
+            self.take(&mut b)
         };
-        self.flush(batch);
-    }
-
-    fn flush(&self, batch: Vec<CheckMsg>) {
         let n = batch.len() as u64;
-        if n > 0 && self.tx.send(batch).is_ok() {
+        if self.tx.send(batch).is_ok() {
             self.sent.fetch_add(n, Ordering::Release);
         }
     }
@@ -253,8 +304,8 @@ impl Pipeline {
     pub(crate) fn barrier(&self) {
         let gate: BarrierGate = Arc::new((StdMutex::new(false), Condvar::new()));
         let mut batch = {
-            let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *buf)
+            let mut b = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+            self.take(&mut b)
         };
         batch.push(CheckMsg::Barrier(gate.clone()));
         let n = batch.len() as u64;
@@ -274,19 +325,27 @@ impl Pipeline {
 }
 
 /// The checker thread's main loop: drain the channel, applying messages
-/// in arrival order. Holds only a `Weak` oracle so the pipeline cannot
-/// keep the oracle alive; once the last strong reference drops, the
-/// sender disconnects and the loop exits.
-pub(crate) fn checker_loop(oracle: Weak<Oracle>, rx: Receiver<Vec<CheckMsg>>) {
-    while let Ok(batch) = rx.recv() {
+/// in arrival order, and hand every drained batch back on `spare` for the
+/// mutator to refill (a full return queue drops it instead). Holds only a
+/// `Weak` oracle so the pipeline cannot keep the oracle alive; once the
+/// last strong reference drops, the sender disconnects and the loop
+/// exits.
+pub(crate) fn checker_loop(
+    oracle: Weak<Oracle>,
+    rx: Receiver<Vec<CheckMsg>>,
+    spare: SyncSender<Vec<CheckMsg>>,
+) {
+    while let Ok(mut batch) = rx.recv() {
         let Some(o) = oracle.upgrade() else { break };
-        for msg in batch {
-            o.apply_counted(msg);
-        }
-        // Drain whatever queued while we worked before re-upgrading.
-        while let Ok(next) = rx.try_recv() {
-            for msg in next {
+        loop {
+            for msg in batch.drain(..) {
                 o.apply_counted(msg);
+            }
+            let _ = spare.try_send(batch);
+            // Drain whatever queued while we worked before re-upgrading.
+            match rx.try_recv() {
+                Ok(next) => batch = next,
+                Err(_) => break,
             }
         }
     }
@@ -435,6 +494,16 @@ mod tests {
         assert_eq!(CheckMode::default(), CheckMode::Inline);
         assert!(!CheckMode::Inline.is_pipelined());
         assert!(CheckMode::pipelined().is_pipelined());
+    }
+
+    #[test]
+    fn a_check_message_stays_small() {
+        // Pipelined, every message is written on the mutator's core and
+        // read on the checker's, so its size is what handing one event
+        // over costs in cache-line traffic. Trap messages that carried the
+        // register file two or three times made every message 1,104 bytes.
+        let size = std::mem::size_of::<CheckMsg>();
+        assert!(size <= 336, "a CheckMsg takes {size} bytes");
     }
 
     #[test]

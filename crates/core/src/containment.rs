@@ -22,6 +22,7 @@ use std::sync::Once;
 
 use pkvm_aarch64::sync::Mutex;
 
+use crate::checker::CacheLine;
 use crate::state::Part;
 
 thread_local! {
@@ -113,7 +114,9 @@ pub struct Quarantine {
     threshold: u32,
     /// How many trap ticks a quarantined key sits out.
     duration: u64,
-    tick: AtomicU64,
+    /// Bumped at every trap entry, on the mutator thread: kept off the
+    /// line of `failed`, which the checker thread reads at every trap.
+    tick: CacheLine<AtomicU64>,
     /// Some failure was ever recorded (`inner` is empty until then). Set
     /// with `Release` under the lock and read with `Acquire`; a lookup
     /// that sees it set takes the lock, which orders the record itself.
@@ -145,7 +148,7 @@ impl Quarantine {
         Quarantine {
             threshold: threshold.max(1),
             duration: duration.max(1),
-            tick: AtomicU64::new(0),
+            tick: CacheLine(AtomicU64::new(0)),
             failed: AtomicBool::new(false),
             inner: Mutex::new(HashMap::new()),
         }

@@ -28,6 +28,7 @@
 //! [`TRACE_CAP`] check outcomes. That preserves the memory behaviour of
 //! long sweeps that run with trace recording off.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -157,8 +158,9 @@ pub enum Event {
     TrapExit {
         /// CPU the trap ran on.
         cpu: usize,
-        /// Handler name (hypercall name, `host_abort`, `smc`, ...).
-        name: String,
+        /// Handler name (hypercall name, `host_abort`, `smc`, ...),
+        /// borrowed from the handler table when recorded live.
+        name: Cow<'static, str>,
     },
     /// A component lock was acquired (abstraction recorded into the
     /// pre-state).
@@ -180,8 +182,9 @@ pub enum Event {
     ReadOnce {
         /// CPU the read ran on.
         cpu: usize,
-        /// The annotation tag.
-        tag: String,
+        /// The annotation tag, borrowed from the read site when recorded
+        /// live.
+        tag: Cow<'static, str>,
         /// The value read.
         value: u64,
     },
@@ -284,8 +287,9 @@ pub enum Event {
     Check {
         /// CPU the checked trap ran on.
         cpu: usize,
-        /// Handler name.
-        name: String,
+        /// Handler name, borrowed from the handler table when recorded
+        /// live.
+        name: Cow<'static, str>,
         /// How the check went.
         outcome: TrapOutcome,
     },
@@ -894,7 +898,7 @@ impl TraceStats {
             Event::TrapExit { name, .. } => {
                 if let Some(entered) = self.open_traps.remove(&rec.lane) {
                     let ns = rec.t_ns.saturating_sub(entered);
-                    self.traps.entry(name.clone()).or_default().observe(ns);
+                    self.traps.entry(name.to_string()).or_default().observe(ns);
                     let lane = self.lanes.entry(rec.lane).or_default();
                     lane.traps += 1;
                     lane.in_trap_ns += ns;
@@ -905,7 +909,7 @@ impl TraceStats {
             }
             Event::Check { name, .. } => {
                 let at = self.events_seen;
-                self.spec_first_seen.entry(name.clone()).or_insert(at);
+                self.spec_first_seen.entry(name.to_string()).or_insert(at);
             }
             Event::Transfer { edge, dirty, .. } => {
                 *self.transfers.entry(edge.name()).or_default() += 1;
@@ -1123,7 +1127,7 @@ mod tests {
                 None,
                 Event::Check {
                     cpu: 0,
-                    name: format!("t{i}"),
+                    name: format!("t{i}").into(),
                     outcome: TrapOutcome::Clean,
                 },
             );
@@ -1142,7 +1146,7 @@ mod tests {
             t_ns: 0,
             event,
         };
-        let shape = |name: &str, pfn: u64, value: u64| {
+        let shape = |name: &'static str, pfn: u64, value: u64| {
             novelty_signature(&[
                 rec(Event::Hvc {
                     cpu: 0,
@@ -1275,7 +1279,7 @@ mod tests {
             seq: Some(at),
             reason: "p".into(),
         };
-        let check = |name: &str| Event::Check {
+        let check = |name: &'static str| Event::Check {
             cpu: 0,
             name: name.into(),
             outcome: TrapOutcome::Violated(1),

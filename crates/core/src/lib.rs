@@ -61,7 +61,7 @@ pub mod spec;
 pub mod state;
 mod trackers;
 
-pub use abscache::{AbsCache, CacheStats};
+pub use abscache::{AbsCache, CacheStats, Handoff};
 pub use abstraction::{
     abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
     interpret_pgtable, interpret_pgtable_with_meta, Anomaly, TableMeta,

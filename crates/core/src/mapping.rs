@@ -205,6 +205,19 @@ impl Mapping {
         nr_pages: u64,
         replacement: impl IntoIterator<Item = Maplet>,
     ) {
+        self.splice_using(ia, nr_pages, replacement, &mut Vec::new());
+    }
+
+    /// [`Self::splice`], building the rewritten window in `window`, a
+    /// buffer the caller keeps across splices so that an in-place splice
+    /// allocates nothing.
+    pub(crate) fn splice_using(
+        &mut self,
+        ia: u64,
+        nr_pages: u64,
+        replacement: impl IntoIterator<Item = Maplet>,
+        window: &mut Vec<Maplet>,
+    ) {
         if nr_pages == 0 {
             return;
         }
@@ -223,7 +236,8 @@ impl Mapping {
         // The rewritten window `old[from..to]`: the overlapped maplets and
         // a neighbour on each side for the seams to coalesce with.
         let (from, to) = (lo.saturating_sub(1), (hi + 1).min(old.len()));
-        let mut window = Vec::with_capacity(to - from + 2 + rep.size_hint().0);
+        window.clear();
+        window.reserve(to - from + 2 + rep.size_hint().0);
         window.extend_from_slice(&old[from..lo]);
         if lo < hi && old[lo].ia < ia {
             window.push(old[lo].split_at(ia).0);
@@ -233,23 +247,23 @@ impl Mapping {
                 m.ia >= ia && m.end() <= end,
                 "replacement outside splice range"
             );
-            push_coalesce(&mut window, m);
+            push_coalesce(window, m);
         }
         if lo < hi && old[hi - 1].end() > end {
-            push_coalesce(&mut window, old[hi - 1].split_at(end).1);
+            push_coalesce(window, old[hi - 1].split_at(end).1);
         }
         if hi < to {
-            push_coalesce(&mut window, old[hi]);
+            push_coalesce(window, old[hi]);
         }
         match Arc::get_mut(&mut self.maplets) {
             Some(maplets) => {
-                maplets.splice(from..to, window);
+                maplets.splice(from..to, window.drain(..));
             }
             None => {
                 let old = &self.maplets;
                 let mut maplets = Vec::with_capacity(old.len() - (to - from) + window.len());
                 maplets.extend_from_slice(&old[..from]);
-                maplets.extend(window);
+                maplets.append(window);
                 maplets.extend_from_slice(&old[to..]);
                 self.maplets = Arc::new(maplets);
             }

@@ -24,6 +24,7 @@
 //! checks. [`CheckMode`] selects whether the back half runs inline in the
 //! hook or on a pipelined checker thread.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -40,14 +41,14 @@ use pkvm_hyp::mm::compute_layout;
 use pkvm_hyp::owner::PageState;
 use pkvm_hyp::vm::Handle;
 
-use crate::abscache::{AbsCache, CacheStats};
+use crate::abscache::{AbsCache, CacheStats, Handoff};
 use crate::abstraction::{
     abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable, Anomaly,
 };
 use crate::calldata::GhostCallData;
 use crate::check::{check_trap, normalize, part_eq, project, Violation};
 use crate::checker::{
-    checker_loop, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
+    checker_loop, CacheLine, CheckMode, CheckMsg, Checker, Pipeline, StatsSnapshot, Verdict,
 };
 use crate::containment::{contain, Disposition, Quarantine, QuarantineKey};
 use crate::diff::diff_states;
@@ -240,8 +241,10 @@ impl OracleOptsBuilder {
 pub struct TrapRecord {
     /// Hardware thread the trap ran on.
     pub cpu: usize,
-    /// Handler name (hypercall name, `host_abort`, `smc`, ...).
-    pub name: String,
+    /// Handler name (hypercall name, `host_abort`, `smc`, ...): borrowed
+    /// from the handler table when the oracle records it, owned when a
+    /// trace file is decoded.
+    pub name: Cow<'static, str>,
     /// `Ok`: checked and clean. `Err`: number of violations, or the
     /// looseness reason when the check was skipped.
     pub outcome: TrapOutcome,
@@ -259,13 +262,15 @@ pub enum TrapOutcome {
 }
 
 /// The oracle's counters: a private store of atomics, read as one
-/// [`StatsSnapshot`] (see that type for what each counts).
+/// [`StatsSnapshot`] (see that type for what each counts). The two that
+/// the front half bumps at every lock event and read-once sit on a cache
+/// line apart from the ones the back half bumps at every trap, so in
+/// pipelined mode the two threads do not trade a line per event.
 #[derive(Debug, Default)]
 struct Counters {
+    front: CacheLine<FrontCounters>,
     traps_checked: AtomicU64,
     traps_unchecked: AtomicU64,
-    abstractions: AtomicU64,
-    read_onces: AtomicU64,
     interleaved_skips: AtomicU64,
     contained_panics: AtomicU64,
     quarantined_skips: AtomicU64,
@@ -273,6 +278,13 @@ struct Counters {
     violations_dropped: AtomicU64,
     degraded_traps: AtomicU64,
     budget_degraded_events: AtomicU64,
+}
+
+/// The counters the front half bumps at every event.
+#[derive(Debug, Default)]
+struct FrontCounters {
+    abstractions: AtomicU64,
+    read_onces: AtomicU64,
 }
 
 /// The single shared copy of the ghost state (§4.4 invariant 1), plus a
@@ -424,6 +436,8 @@ pub struct Oracle {
     cpus: Vec<Mutex<CpuRecord>>,
     fronts: Vec<Mutex<FrontRecord>>,
     abscache: Mutex<AbsCache>,
+    /// The back half's copy of the cached pieces it was handed.
+    mirror: Mutex<Mirror>,
     events: Arc<EventStream>,
     quarantine: Quarantine,
     /// `Some` in [`CheckMode::Pipelined`]: the sending half of the
@@ -468,16 +482,24 @@ impl Oracle {
             mmio: config.mmio.clone(),
         };
         let shared = GhostState::blank(&globals);
-        let (pipeline, rx) = match opts.check_mode {
+        let (pipeline, checker_ends) = match opts.check_mode {
             CheckMode::Inline => (None, None),
             CheckMode::Pipelined { channel_cap } => {
                 // Messages travel in batches (one per trap, or `flush`
                 // messages, whichever comes first); the channel is sized
                 // in batches so `channel_cap` keeps bounding the number
-                // of in-flight *messages* at batch granularity.
+                // of in-flight *messages* at batch granularity. Drained
+                // batches come back on a queue with room for every batch
+                // that can be out at once (queued, being applied, being
+                // filled), so none is dropped in steady state.
                 let flush = channel_cap.clamp(1, 64);
-                let (tx, rx) = mpsc::sync_channel(channel_cap.max(1).div_ceil(flush));
-                (Some(Pipeline::new(tx, flush)), Some(rx))
+                let batches = channel_cap.max(1).div_ceil(flush);
+                let (tx, rx) = mpsc::sync_channel(batches);
+                let (spare_tx, spare_rx) = mpsc::sync_channel(batches + 2);
+                (
+                    Some(Pipeline::new(tx, spare_rx, flush)),
+                    Some((rx, spare_tx)),
+                )
             }
         };
         let oracle = Arc::new(Oracle {
@@ -515,20 +537,21 @@ impl Oracle {
                 vm_uniq: HashMap::new(),
             }),
             abscache: Mutex::new(AbsCache::new()),
+            mirror: Mutex::new(Mirror::default()),
             events,
             quarantine: Quarantine::new(opts.quarantine_threshold, opts.quarantine_traps),
             pipeline,
             trackers: Mutex::new(trackers(&opts)),
             stats: Counters::default(),
         });
-        if let Some(rx) = rx {
+        if let Some((rx, spare)) = checker_ends {
             // The thread holds only a weak reference: dropping the last
             // external handle drops the sender, disconnects the channel,
             // and the thread exits.
             let weak = Arc::downgrade(&oracle);
             std::thread::Builder::new()
                 .name("ghost-checker".into())
-                .spawn(move || checker_loop(weak, rx))
+                .spawn(move || checker_loop(weak, rx, spare))
                 .expect("spawn checker thread");
         }
         oracle
@@ -572,8 +595,8 @@ impl Oracle {
         StatsSnapshot {
             traps_checked: s.traps_checked.load(Ordering::Relaxed),
             traps_unchecked: s.traps_unchecked.load(Ordering::Relaxed),
-            abstractions: s.abstractions.load(Ordering::Relaxed),
-            read_onces: s.read_onces.load(Ordering::Relaxed),
+            abstractions: s.front.abstractions.load(Ordering::Relaxed),
+            read_onces: s.front.read_onces.load(Ordering::Relaxed),
             interleaved_skips: s.interleaved_skips.load(Ordering::Relaxed),
             contained_panics: s.contained_panics.load(Ordering::Relaxed),
             quarantined_skips: s.quarantined_skips.load(Ordering::Relaxed),
@@ -722,6 +745,11 @@ impl Oracle {
         match contain(f) {
             Ok(()) => self.quarantine.record_success(key),
             Err(payload) => {
+                if let QuarantineKey::Part(part) = key {
+                    // The cache may count as handed over a value that never
+                    // reached the back half: the next event carries it.
+                    self.forget_handed(part);
+                }
                 self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
                 self.quarantine.record_failure(key);
                 self.dispatch(CheckMsg::Report {
@@ -734,6 +762,14 @@ impl Oracle {
                     }],
                 });
             }
+        }
+    }
+
+    /// Makes the next abstraction of `part` the cache serves carry its
+    /// value rather than its version alone.
+    fn forget_handed(&self, part: Part) {
+        if let Some(comp) = part.component() {
+            self.abscache.lock().forget_handed(comp);
         }
     }
 
@@ -806,7 +842,11 @@ impl Oracle {
             return;
         }
         self.guarded(key, || {
-            let (value, reports) = self.abstract_component(ctx, view, comp);
+            // Serving from the cache and handing the value over are one
+            // step under the cache's lock, so a version-only value never
+            // overtakes the value it refers to on its way to the back half.
+            let mut cache = self.opts.uses_cache().then(|| self.abscache.lock());
+            let (value, reports) = self.abstract_component(ctx, view, comp, cache.as_deref_mut());
             self.dispatch(if acquired {
                 CheckMsg::LockAcquired {
                     cpu,
@@ -902,60 +942,60 @@ impl Oracle {
 
     /// The component abstraction function: dispatches on the view the
     /// lock helper provided. Runs on the mutator thread — the one oracle
-    /// step that *must* happen under the component's lock. Anomalies and
-    /// shadow divergences are returned (in occurrence order) rather than
+    /// step that *must* happen under the component's lock — serving the
+    /// tables from `cache` when there is one. Anomalies and shadow
+    /// divergences are returned (in occurrence order) rather than
     /// reported, so the back half can report them in checker order.
     fn abstract_component(
         &self,
         ctx: &HookCtx<'_>,
         view: &ComponentView,
         comp: Component,
+        cache: Option<&mut AbsCache>,
     ) -> (ComponentValue, Vec<Violation>) {
-        self.stats.abstractions.fetch_add(1, Ordering::Relaxed);
-        let cached = self.opts.uses_cache();
+        self.stats
+            .front
+            .abstractions
+            .fetch_add(1, Ordering::Relaxed);
         let mut anomalies = Vec::new();
         let mut reports = Vec::new();
         let mut state = GhostState::default();
         let (mut uniq, mut live) = (0, Vec::new());
+        let (mut handed, mut full) = (Handed::Uncached, None);
         let part = match view {
             ComponentView::Host { root } => {
-                state.host = Some(if cached {
-                    self.shadowed(
-                        Component::Host,
-                        &mut anomalies,
-                        &mut reports,
-                        |cache, a| cache.host(ctx.mem, *root, &self.globals, a),
-                        |a| abstract_host(ctx.mem, *root, &self.globals, a),
-                        |full, inc| {
-                            divergence(
-                                &[
-                                    ("annot ", &full.annot, &inc.annot),
-                                    ("shared ", &full.shared, &inc.shared),
-                                ],
-                                &full.table_pages,
-                                &inc.table_pages,
-                            )
-                        },
-                    )
-                } else {
-                    abstract_host(ctx.mem, *root, &self.globals, &mut anomalies)
-                });
+                state.host = match cache {
+                    Some(cache) => {
+                        let served = self.serve(
+                            Component::Host,
+                            &mut anomalies,
+                            &mut reports,
+                            |a| cache.host(ctx.mem, *root, &self.globals, a),
+                            |a| abstract_host(ctx.mem, *root, &self.globals, a),
+                        );
+                        (handed, full) = (served.handed, served.full);
+                        served.value
+                    }
+                    None => Some(abstract_host(ctx.mem, *root, &self.globals, &mut anomalies)),
+                };
                 Part::Host
             }
             ComponentView::Hyp { root } => {
-                state.pkvm = Some(if cached {
-                    let pgt = self.cached_interp(
-                        ctx,
-                        Stage::Stage1,
-                        *root,
-                        Component::Hyp,
-                        &mut anomalies,
-                        &mut reports,
-                    );
-                    GhostPkvm { pgt }
-                } else {
-                    abstract_hyp(ctx.mem, *root, &mut anomalies)
-                });
+                state.pkvm = match cache {
+                    Some(cache) => {
+                        let key = Component::Hyp;
+                        let served = self.serve(
+                            key,
+                            &mut anomalies,
+                            &mut reports,
+                            |a| cache.interp(ctx.mem, Stage::Stage1, *root, key, a),
+                            |a| interpret_pgtable(ctx.mem, Stage::Stage1, *root, a),
+                        );
+                        (handed, full) = (served.handed, served.full);
+                        served.value.map(|pgt| GhostPkvm { pgt })
+                    }
+                    None => Some(abstract_hyp(ctx.mem, *root, &mut anomalies)),
+                };
                 Part::Pkvm
             }
             ComponentView::VmTable { vms, uniqs } => {
@@ -963,31 +1003,34 @@ impl Oracle {
                 v.sort_unstable();
                 let mut u = uniqs.clone();
                 u.sort_unstable();
-                if cached {
+                if let Some(cache) = cache {
                     // VM teardown is observed here: drop the interpretation
                     // of any handle no longer in the table, so a reused
-                    // handle never resurrects a stale entry.
-                    self.abscache
-                        .lock()
-                        .retain_vms(|h| v.iter().any(|&(live, _)| live == h));
+                    // handle never resurrects a stale entry. The back half
+                    // drops its mirrored copies when it applies this value.
+                    cache.retain_vms(|h| v.iter().any(|&(live, _)| live == h));
                 }
                 state.vm_table = Some(v);
                 live = u;
                 Part::VmTable
             }
             ComponentView::Vm(view) => {
-                let vm = if cached {
-                    let pgt = self.cached_interp(
-                        ctx,
-                        Stage::Stage2,
-                        view.s2_root,
-                        Component::Vm(view.handle),
-                        &mut anomalies,
-                        &mut reports,
-                    );
-                    abstract_vm_with_pgt(view, pgt)
-                } else {
-                    abstract_vm(ctx.mem, view, &mut anomalies)
+                let vm = match cache {
+                    Some(cache) => {
+                        let (key, root) = (Component::Vm(view.handle), view.s2_root);
+                        let served = self.serve(
+                            key,
+                            &mut anomalies,
+                            &mut reports,
+                            |a| cache.interp(ctx.mem, Stage::Stage2, root, key, a),
+                            |a| interpret_pgtable(ctx.mem, Stage::Stage2, root, a),
+                        );
+                        (handed, full) = (served.handed, served.full);
+                        // A version-only table leaves `pgt` empty; the back
+                        // half fills it in.
+                        abstract_vm_with_pgt(view, served.value.unwrap_or_default())
+                    }
+                    None => abstract_vm(ctx.mem, view, &mut anomalies),
                 };
                 state.vms.insert(view.handle, vm);
                 uniq = view.uniq;
@@ -1011,77 +1054,46 @@ impl Oracle {
             state,
             uniq,
             live,
+            handed,
+            full,
         };
         (value, reports)
     }
 
-    /// Interprets `root` through the incremental cache, shadowed by the
-    /// full walk under shadow validation.
-    fn cached_interp(
-        &self,
-        ctx: &HookCtx<'_>,
-        stage: Stage,
-        root: PhysAddr,
-        key: Component,
-        anomalies: &mut Vec<Anomaly>,
-        reports: &mut Vec<Violation>,
-    ) -> AbstractPgtable {
-        self.shadowed(
-            key,
-            anomalies,
-            reports,
-            |cache, a| cache.interp(ctx.mem, stage, root, key, a),
-            |a| interpret_pgtable(ctx.mem, stage, root, a),
-            |full, inc| {
-                divergence(
-                    &[("", &full.mapping, &inc.mapping)],
-                    &full.table_pages,
-                    &inc.table_pages,
-                )
-            },
-        )
-    }
-
-    /// Serves one abstraction through the incremental cache. Under shadow
-    /// validation the full computation also runs, and the value the cache
-    /// served (and its anomalies) must equal the full one; a divergence is
-    /// collected into `reports` as an oracle self-check violation and the
-    /// full result wins, so a cache bug can never mask (or fabricate) a
-    /// hypervisor bug.
-    fn shadowed<T: PartialEq>(
+    /// Serves one piece of `key`'s abstraction through the cache
+    /// (`incremental`). Under shadow validation the full computation also
+    /// runs: its anomalies must equal the cache's (a difference is
+    /// collected into `reports` as an oracle self-check violation) and are
+    /// the ones reported, and its piece travels along for the back half to
+    /// check the piece it ends up with against — carried or filled in from
+    /// its mirror — and to use instead. So a cache or mirror bug can never
+    /// mask (or fabricate) a hypervisor bug.
+    fn serve<T: Into<Piece>>(
         &self,
         key: Component,
         anomalies: &mut Vec<Anomaly>,
         reports: &mut Vec<Violation>,
-        incremental: impl FnOnce(&mut AbsCache, &mut Vec<Anomaly>) -> T,
+        incremental: impl FnOnce(&mut Vec<Anomaly>) -> Handoff<T>,
         full: impl FnOnce(&mut Vec<Anomaly>) -> T,
-        divergence: fn(&T, &T) -> String,
-    ) -> T {
+    ) -> ServedPiece<T> {
         if !self.opts.shadow_validation {
-            return incremental(&mut self.abscache.lock(), anomalies);
+            return ServedPiece::new(incremental(anomalies), None);
         }
         let mut inc_anomalies = Vec::new();
-        let inc = incremental(&mut self.abscache.lock(), &mut inc_anomalies);
+        let handoff = incremental(&mut inc_anomalies);
         let before = anomalies.len();
         let full = full(anomalies);
         let full_anomalies = &anomalies[before..];
-        if inc != full || inc_anomalies != full_anomalies {
-            let mut diff = divergence(&full, &inc);
-            if inc_anomalies != full_anomalies {
-                diff.push_str(&format!(
-                    "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}\n"
-                ));
-            }
-            if diff.is_empty() {
-                diff.push_str("  (states compare equal after the fact; transient divergence)\n");
-            }
+        if inc_anomalies != full_anomalies {
             reports.push(Violation::ShadowDivergence {
                 seq: None,
                 component: format!("{key:?}"),
-                diff,
+                diff: format!(
+                    "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}\n"
+                ),
             });
         }
-        full
+        ServedPiece::new(handoff, Some(Box::new(full.into())))
     }
 
     /// The §4.4 non-interference check at an acquisition: the part must
@@ -1133,16 +1145,17 @@ impl Oracle {
         }
     }
 
-    fn ghost_cpu(regs: &GprFile, loaded: &Option<(Handle, usize, VcpuView)>) -> GhostCpu {
-        GhostCpu {
-            regs: *regs,
-            loaded: loaded.as_ref().map(|(h, i, v)| GhostLoadedVcpu {
+    /// The ghost of the vCPU loaded on a CPU, boxed for its trip to the
+    /// back half (most traps have none).
+    fn loaded_vcpu(loaded: &Option<(Handle, usize, VcpuView)>) -> Option<Box<GhostLoadedVcpu>> {
+        loaded.as_ref().map(|(h, i, v)| {
+            Box::new(GhostLoadedVcpu {
                 handle: *h,
                 idx: *i,
                 regs: v.regs,
                 memcache: v.memcache_pages.iter().map(|p| p.pfn()).collect(),
-            }),
-        }
+            })
+        })
     }
 
     /// The specification of the boot-time initial state: carveout
@@ -1283,13 +1296,191 @@ fn divergence(
 pub(crate) struct ComponentValue {
     /// Which component it is.
     part: Part,
-    /// A state holding only that component.
+    /// A state holding only that component — less its cached [`Piece`]
+    /// while `handed` says the back half holds that already: then the
+    /// host is absent, or pKVM's, or the VM's `pgt` is empty.
     state: GhostState,
     /// The VM's incarnation id ([`pkvm_hyp::vm::Vm::uniq`]), for a VM.
     uniq: u64,
     /// (handle, incarnation id) of every live VM, for the VM table, so the
     /// shared copy can detect handle reuse across a teardown.
     live: Vec<(Handle, u64)>,
+    /// How the cached piece travels.
+    handed: Handed,
+    /// Under shadow validation: the full walk's piece, which the back half
+    /// checks the piece it ends up with against, then uses instead.
+    /// Boxed: only validation runs carry one.
+    full: Option<Box<Piece>>,
+}
+
+/// How a component's cached [`Piece`] travels to the back half.
+///
+/// The cache versions the pieces it serves: every replay, full walk and
+/// new host partition takes a fresh version from one counter, and a clean
+/// hit keeps it, so one version always names one value. The cache also
+/// remembers, per component, whether it handed the current version over
+/// already. If it did, the back half received that value in an earlier
+/// message and kept it in its [`Mirror`] — messages reach the back half in
+/// the order the cache served them, because serving and dispatching are
+/// one step under the cache's lock — so the version alone says exactly
+/// which value to fill in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Handed {
+    /// Not served by the cache (the full-walk path, the VM table, an
+    /// anomalous or aliased state): `state` holds all of the value, and
+    /// the back half keeps nothing of it.
+    Uncached,
+    /// `state` carries a piece new to the back half, which mirrors it
+    /// under this version.
+    Carried(u64),
+    /// `state` lacks the piece: the back half's mirror holds it under
+    /// this version.
+    Mirrored(u64),
+}
+
+impl Handed {
+    fn of<T>(handoff: &Handoff<T>) -> Handed {
+        match (handoff.version, &handoff.value) {
+            (0, _) => Handed::Uncached,
+            (version, Some(_)) => Handed::Carried(version),
+            (version, None) => Handed::Mirrored(version),
+        }
+    }
+}
+
+/// The part of a component's abstraction that the cache serves and the
+/// back half mirrors: the host's partition, or the interpretation of
+/// pKVM's or a VM's table.
+#[derive(Clone, Debug, PartialEq)]
+enum Piece {
+    Host(GhostHost),
+    Pgt(AbstractPgtable),
+}
+
+impl From<GhostHost> for Piece {
+    fn from(host: GhostHost) -> Piece {
+        Piece::Host(host)
+    }
+}
+
+impl From<AbstractPgtable> for Piece {
+    fn from(pgt: AbstractPgtable) -> Piece {
+        Piece::Pgt(pgt)
+    }
+}
+
+impl Piece {
+    /// `part`'s piece of `state`, if `state` holds one.
+    fn of(state: &GhostState, part: Part) -> Option<Piece> {
+        match part {
+            Part::Host => state.host.clone().map(Piece::Host),
+            Part::Pkvm => state.pkvm.as_ref().map(|p| Piece::Pgt(p.pgt.clone())),
+            Part::Vm(h) => state.vms.get(&h).map(|vm| Piece::Pgt(vm.pgt.clone())),
+            Part::VmTable | Part::Locals(_) => None,
+        }
+    }
+
+    /// Makes this `part`'s piece of `state` (whose VM, for a VM part, is
+    /// there already).
+    fn install(self, state: &mut GhostState, part: Part) {
+        match (self, part) {
+            (Piece::Host(host), Part::Host) => state.host = Some(host),
+            (Piece::Pgt(pgt), Part::Pkvm) => state.pkvm = Some(GhostPkvm { pgt }),
+            (Piece::Pgt(pgt), Part::Vm(h)) => {
+                if let Some(vm) = state.vms.get_mut(&h) {
+                    vm.pgt = pgt;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// What differs between the full walk's piece and the served one, for
+    /// the shadow-divergence report.
+    fn divergence(full: &Piece, served: &Piece) -> String {
+        let diff = match (full, served) {
+            (Piece::Host(f), Piece::Host(s)) => divergence(
+                &[
+                    ("annot ", &f.annot, &s.annot),
+                    ("shared ", &f.shared, &s.shared),
+                ],
+                &f.table_pages,
+                &s.table_pages,
+            ),
+            (Piece::Pgt(f), Piece::Pgt(s)) => divergence(
+                &[("", &f.mapping, &s.mapping)],
+                &f.table_pages,
+                &s.table_pages,
+            ),
+            _ => String::from("  pieces of different kinds\n"),
+        };
+        if diff.is_empty() {
+            String::from("  (states compare equal after the fact; transient divergence)\n")
+        } else {
+            diff
+        }
+    }
+}
+
+/// A piece as the front half hands it on: the cache's value (`None`: the
+/// back half holds it), how it travels, and under shadow validation the
+/// full walk's piece.
+struct ServedPiece<T> {
+    value: Option<T>,
+    handed: Handed,
+    full: Option<Box<Piece>>,
+}
+
+impl<T> ServedPiece<T> {
+    fn new(handoff: Handoff<T>, full: Option<Box<Piece>>) -> ServedPiece<T> {
+        ServedPiece {
+            handed: Handed::of(&handoff),
+            value: handoff.value,
+            full,
+        }
+    }
+}
+
+/// The back half's copy of the last cached piece it received for each
+/// component, under the version it came with ([`Handed`]). It holds
+/// values the shared copy and the trap records mostly hold as well: the
+/// copies share storage.
+#[derive(Default)]
+struct Mirror(HashMap<Part, (u64, Piece)>);
+
+impl Mirror {
+    /// Completes `value`'s piece: a carried piece becomes the component's
+    /// mirrored one, a version-only value is filled in from the mirror,
+    /// and an uncached value drops the component's (stale) entry. A VM
+    /// table drops the entries of every VM it no longer lists, as the
+    /// cache did when it served the table. `Err(version)`: the mirror
+    /// holds no such version, and `value` lacks its piece.
+    fn fill(&mut self, value: &mut ComponentValue) -> Result<(), u64> {
+        let part = value.part;
+        match value.handed {
+            Handed::Uncached => {
+                if let Some(vms) = &value.state.vm_table {
+                    self.0.retain(|part, _| match part {
+                        Part::Vm(h) => vms.iter().any(|&(live, _)| live == *h),
+                        _ => true,
+                    });
+                }
+                self.0.remove(&part);
+            }
+            Handed::Carried(version) => {
+                if let Some(piece) = Piece::of(&value.state, part) {
+                    self.0.insert(part, (version, piece));
+                }
+            }
+            Handed::Mirrored(version) => match self.0.get(&part) {
+                Some((held, piece)) if *held == version => {
+                    piece.clone().install(&mut value.state, part);
+                }
+                _ => return Err(version),
+            },
+        }
+        Ok(())
+    }
 }
 
 impl Oracle {
@@ -1297,7 +1488,13 @@ impl Oracle {
     /// trap's recordings and reports through the bounded log; of `rec` it
     /// writes only the scratch `computed`, which it resets before use, so
     /// a contained panic leaves no half-written record.
-    fn spec_and_check(&self, cpu: usize, rec: &mut CpuRecord, call: &GhostCallData, name: &str) {
+    fn spec_and_check(
+        &self,
+        cpu: usize,
+        rec: &mut CpuRecord,
+        call: &GhostCallData,
+        name: &'static str,
+    ) {
         let CpuRecord {
             pre,
             post,
@@ -1337,7 +1534,7 @@ impl Oracle {
                     *trap_seq,
                     TrapRecord {
                         cpu,
-                        name: name.to_string(),
+                        name: name.into(),
                         outcome: if violations.is_empty() {
                             TrapOutcome::Clean
                         } else {
@@ -1360,7 +1557,7 @@ impl Oracle {
                     *trap_seq,
                     TrapRecord {
                         cpu,
-                        name: name.to_string(),
+                        name: name.into(),
                         outcome: TrapOutcome::Unchecked(why.into()),
                     },
                 );
@@ -1372,7 +1569,7 @@ impl Oracle {
                     *trap_seq,
                     TrapRecord {
                         cpu,
-                        name: name.to_string(),
+                        name: name.into(),
                         outcome: TrapOutcome::Violated(1),
                     },
                 );
@@ -1405,24 +1602,27 @@ impl Oracle {
             CheckMsg::TrapEnter {
                 cpu,
                 seq,
-                call,
-                cpu_state,
-            } => self.apply_trap_enter(cpu, seq, call, cpu_state),
+                esr,
+                fault_ipa,
+                regs,
+                loaded,
+            } => self.apply_trap_enter(cpu, seq, esr, fault_ipa, regs, loaded),
             CheckMsg::TrapExit {
                 cpu,
                 trap,
                 name,
-                cpu_state,
-                regs_post,
+                regs,
+                loaded,
                 degraded,
-            } => self.apply_trap_exit(cpu, trap, name, cpu_state, regs_post, degraded),
+            } => self.apply_trap_exit(cpu, trap, name, regs, loaded, degraded),
             CheckMsg::LockAcquired {
                 cpu,
                 trap,
-                value,
+                mut value,
                 reports,
                 check_ni,
             } => {
+                self.complete(cpu, trap, &mut value);
                 if !reports.is_empty() {
                     self.report_all_at(cpu, trap, reports);
                 }
@@ -1459,10 +1659,11 @@ impl Oracle {
             CheckMsg::LockReleasing {
                 cpu,
                 trap,
-                value,
+                mut value,
                 reports,
                 ..
             } => {
+                self.complete(cpu, trap, &mut value);
                 if !reports.is_empty() {
                     self.report_all_at(cpu, trap, reports);
                 }
@@ -1524,6 +1725,45 @@ impl Oracle {
         }
     }
 
+    /// Completes a lock event's value before anything else of the back
+    /// half reads it ([`Mirror::fill`]). Under shadow validation the piece
+    /// it ends up with must equal the full walk's (a difference is
+    /// reported as a [`Violation::ShadowDivergence`]), and the full walk's
+    /// is used.
+    fn complete(&self, cpu: usize, trap: Option<u64>, value: &mut ComponentValue) {
+        let filled = self.mirror.lock().fill(value);
+        let part = value.part;
+        let Some(full) = value.full.take() else {
+            if let Err(version) = filled {
+                panic!("the back half holds no version {version} of {part}");
+            }
+            return;
+        };
+        let served = filled.ok().and_then(|()| Piece::of(&value.state, part));
+        if served.as_ref() != Some(&*full) {
+            let diff = match &served {
+                Some(served) => Piece::divergence(&full, served),
+                None => format!(
+                    "  the back half holds no piece of version {:?}\n",
+                    value.handed
+                ),
+            };
+            let component = part
+                .component()
+                .map_or_else(|| part.to_string(), |c| format!("{c:?}"));
+            self.report_at(
+                cpu,
+                trap,
+                Violation::ShadowDivergence {
+                    seq: None,
+                    component,
+                    diff,
+                },
+            );
+        }
+        full.install(&mut value.state, part);
+    }
+
     /// Runs `f` over every tracker, in list order, and reports what they
     /// found as one batch.
     fn track(
@@ -1555,17 +1795,26 @@ impl Oracle {
     /// The shared copy's tick is read here, at apply time — in pipelined
     /// mode that is the correct point, because every shared-copy mutation
     /// also happens at apply time, in message order.
-    fn apply_trap_enter(&self, cpu: usize, seq: u64, call: GhostCallData, cpu_state: GhostCpu) {
+    fn apply_trap_enter(
+        &self,
+        cpu: usize,
+        seq: u64,
+        esr: Esr,
+        fault_ipa: Option<u64>,
+        regs: GprFile,
+        loaded: Option<Box<GhostLoadedVcpu>>,
+    ) {
         let tick = self.shared.lock().tick;
         let mut rec = self.cpus[cpu].lock();
         rec.pre.clear_parts();
         rec.post.clear_parts();
-        rec.call = Some(call);
+        rec.call = Some(GhostCallData::new(cpu, esr, fault_ipa, regs));
         rec.tick_at_entry = tick;
         rec.last_release.clear();
         rec.interleaved.clear();
         rec.trap_seq = Some(seq);
-        rec.pre.locals.insert(cpu, cpu_state);
+        let loaded = loaded.map(|l| *l);
+        rec.pre.locals.insert(cpu, GhostCpu { regs, loaded });
     }
 
     /// Back half of `trap_exit`: finish the recording, then run the
@@ -1576,8 +1825,8 @@ impl Oracle {
         cpu: usize,
         trap: Option<u64>,
         name: &'static str,
-        cpu_state: GhostCpu,
-        regs_post: GprFile,
+        regs: GprFile,
+        loaded: Option<Box<GhostLoadedVcpu>>,
         degraded: bool,
     ) {
         // The trackers settle first, before any of the skip paths below
@@ -1587,9 +1836,10 @@ impl Oracle {
         // Phase 1: finish the recording. Contained so a panic leaves the
         // per-CPU record consistent (the next trap_enter resets it anyway).
         let prep = contain(|| {
-            rec.post.locals.insert(cpu, cpu_state);
+            let loaded = loaded.map(|l| *l);
+            rec.post.locals.insert(cpu, GhostCpu { regs, loaded });
             let mut call = rec.call.take()?;
-            call.regs_post = regs_post;
+            call.regs_post = regs;
             Some(call)
         });
         let call = match prep {
@@ -1635,7 +1885,7 @@ impl Oracle {
                 trap,
                 TrapRecord {
                     cpu,
-                    name: name.to_string(),
+                    name: name.into(),
                     outcome: TrapOutcome::Unchecked("per-trap check budget exhausted".into()),
                 },
             );
@@ -1650,7 +1900,7 @@ impl Oracle {
                     trap,
                     TrapRecord {
                         cpu,
-                        name: name.to_string(),
+                        name: name.into(),
                         outcome: TrapOutcome::Unchecked("spec step quarantined".into()),
                     },
                 );
@@ -1672,7 +1922,7 @@ impl Oracle {
                     trap,
                     TrapRecord {
                         cpu,
-                        name: name.to_string(),
+                        name: name.into(),
                         outcome: TrapOutcome::Unchecked("spec step panicked (contained)".into()),
                     },
                 );
@@ -1713,13 +1963,13 @@ impl GhostHooks for Oracle {
                 front.events_this_trap = 0;
                 front.degraded = false;
             }
-            let call = GhostCallData::new(ctx.cpu, esr, fault_ipa, *regs);
-            let cpu_state = Self::ghost_cpu(regs, &loaded);
             self.dispatch(CheckMsg::TrapEnter {
                 cpu: ctx.cpu,
                 seq,
-                call,
-                cpu_state,
+                esr,
+                fault_ipa,
+                regs: *regs,
+                loaded: Self::loaded_vcpu(&loaded),
             });
         });
     }
@@ -1738,9 +1988,9 @@ impl GhostHooks for Oracle {
             front.in_trap = false;
             (front.trap_seq, front.call_mirror.take(), front.degraded)
         };
-        let prep = contain(|| Self::ghost_cpu(regs, &loaded));
-        let cpu_state = match prep {
-            Ok(state) => state,
+        let prep = contain(|| Self::loaded_vcpu(&loaded));
+        let loaded = match prep {
+            Ok(loaded) => loaded,
             Err(payload) => {
                 self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
                 self.quarantine
@@ -1777,15 +2027,15 @@ impl GhostHooks for Oracle {
             trap,
             Event::TrapExit {
                 cpu: ctx.cpu,
-                name: name.to_string(),
+                name: name.into(),
             },
         );
         self.dispatch(CheckMsg::TrapExit {
             cpu: ctx.cpu,
             trap,
             name,
-            cpu_state,
-            regs_post: *regs,
+            regs: *regs,
+            loaded,
             degraded,
         });
     }
@@ -1799,7 +2049,7 @@ impl GhostHooks for Oracle {
     }
 
     fn read_once(&self, ctx: &HookCtx<'_>, tag: &'static str, value: u64) {
-        self.stats.read_onces.fetch_add(1, Ordering::Relaxed);
+        self.stats.front.read_onces.fetch_add(1, Ordering::Relaxed);
         self.guarded(QuarantineKey::Hook("read_once"), || {
             let trap = self.current_trap(ctx.cpu);
             self.events.emit(
@@ -1981,6 +2231,8 @@ mod tests {
             },
             uniq: 0,
             live: live.to_vec(),
+            handed: Handed::Uncached,
+            full: None,
         }
     }
 
@@ -1994,6 +2246,8 @@ mod tests {
             state,
             uniq,
             live: Vec::new(),
+            handed: Handed::Uncached,
+            full: None,
         }
     }
 
@@ -2141,7 +2395,7 @@ mod tests {
                 None,
                 TrapRecord {
                     cpu: 0,
-                    name: format!("t{i}"),
+                    name: format!("t{i}").into(),
                     outcome: TrapOutcome::Clean,
                 },
             );
@@ -2352,6 +2606,47 @@ mod tests {
         assert_eq!(shared.state.host.as_ref(), computed.host.as_ref());
     }
 
+    #[test]
+    fn a_panic_between_serving_and_handing_over_makes_the_next_event_carry_the_value() {
+        use pkvm_aarch64::desc::Pte;
+        use pkvm_aarch64::memory::{MemRegion, PhysMem};
+        use pkvm_hyp::owner::{annotation_pte, OwnerId};
+        // A host stage 2 of one empty root page, its writes logged.
+        let mem = PhysMem::new(vec![MemRegion::ram(0x4000_0000, PAGE_SIZE)]);
+        mem.write_log().set_enabled(true);
+        let ctx = HookCtx { mem: &mem, cpu: 0 };
+        let root = PhysAddr::new(0x4000_0000);
+        let view = ComponentView::Host { root };
+        for mode in [CheckMode::Inline, CheckMode::pipelined()] {
+            mem.write_pte(root, 0, Pte(0)).unwrap();
+            let opts = OracleOpts::builder().check_mode(mode).build();
+            let o = Oracle::new(&MachineConfig::default(), opts);
+            let version_only = || o.cache_stats().version_only;
+            o.lock_acquired(&ctx, Component::Host, &view);
+            // The critical section changes the table; its release step
+            // serves the replayed value, then panics before handing it over.
+            mem.write_pte(root, 0, annotation_pte(OwnerId::HYP))
+                .unwrap();
+            o.guarded(QuarantineKey::Part(Part::Host), || {
+                let served = o
+                    .abscache
+                    .lock()
+                    .host(&mem, root, &o.globals, &mut Vec::new());
+                assert!(served.value.is_some());
+                panic!("between serving and handing over");
+            });
+            // The release carries the value the back half never received...
+            o.lock_releasing(&ctx, Component::Host, &view);
+            assert_eq!(version_only(), 0, "{mode:?}");
+            // ...so the next acquisition can travel as its version.
+            o.lock_acquired(&ctx, Component::Host, &view);
+            assert_eq!(version_only(), 1, "{mode:?}");
+            let vs = o.verdict().wait().violations();
+            let kinds: Vec<&str> = vs.iter().map(Violation::kind).collect();
+            assert_eq!(kinds, ["oracle-internal"], "{mode:?}: {vs:?}");
+        }
+    }
+
     fn bbm_violations(o: &Oracle) -> Vec<Violation> {
         o.violations()
             .into_iter()
@@ -2535,6 +2830,8 @@ mod tests {
                 },
                 uniq: 0,
                 live: Vec::new(),
+                handed: Handed::Uncached,
+                full: None,
             },
             reports: Vec::new(),
             check_ni: false,

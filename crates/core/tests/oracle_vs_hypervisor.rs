@@ -521,7 +521,7 @@ fn trap_trace_records_outcomes() {
     assert_eq!(r.machine.hvc(0, HVC_HOST_UNSHARE_HYP, &[SHARE_PFN]), 0);
     let _ = r.machine.hvc(0, 0xc600_9999, &[]);
     let trace = r.oracle.trace();
-    let names: Vec<&str> = trace.iter().map(|t| t.name.as_str()).collect();
+    let names: Vec<&str> = trace.iter().map(|t| t.name.as_ref()).collect();
     assert_eq!(names, vec!["host_share_hyp", "host_unshare_hyp", "unknown"]);
     assert!(trace.iter().all(|t| t.outcome == TrapOutcome::Clean));
     // A violated trap shows up as such.

@@ -940,7 +940,7 @@ impl<'a> Rd<'a> {
             4 => Event::TrapEnter { cpu: self.usize()? },
             5 => Event::TrapExit {
                 cpu: self.usize()?,
-                name: self.str()?,
+                name: self.str()?.into(),
             },
             6 => Event::LockAcquired {
                 cpu: self.usize()?,
@@ -952,7 +952,7 @@ impl<'a> Rd<'a> {
             },
             8 => Event::ReadOnce {
                 cpu: self.usize()?,
-                tag: self.str()?,
+                tag: self.str()?.into(),
                 value: self.u64()?,
             },
             9 => Event::TablePageAlloc {
@@ -978,7 +978,7 @@ impl<'a> Rd<'a> {
             },
             12 => Event::Check {
                 cpu: self.usize()?,
-                name: self.str()?,
+                name: self.str()?.into(),
                 outcome: match self.byte()? {
                     0 => TrapOutcome::Clean,
                     1 => TrapOutcome::Violated(self.usize()?),
