@@ -61,14 +61,6 @@ pub enum Fault {
     },
 }
 
-impl Fault {
-    /// Returns `true` for faults a well-behaved handler may resolve by
-    /// installing a mapping (translation faults), as opposed to errors.
-    pub fn is_translation(self) -> bool {
-        matches!(self, Fault::Translation { .. })
-    }
-}
-
 /// Walks the table rooted at `root` for input address `ia`, without a
 /// permission check.
 ///

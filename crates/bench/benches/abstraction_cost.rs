@@ -10,11 +10,10 @@
 use pkvm_bench::minibench::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use pkvm_aarch64::addr::PhysAddr;
 use pkvm_aarch64::attrs::Stage;
-use pkvm_aarch64::desc::Pte;
+use pkvm_aarch64::desc::{EntryKind, Pte};
 use pkvm_bench::{build_block_table, build_page_table};
-use pkvm_ghost::{interpret_pgtable, interpret_pgtable_with_meta, AbsCache};
+use pkvm_ghost::{interpret_pgtable, AbsCache};
 use pkvm_hyp::hooks::Component;
 
 fn bench_interpret_pages(c: &mut Criterion) {
@@ -61,21 +60,22 @@ fn bench_small_delta(c: &mut Criterion) {
         let (mem, root) = build_page_table(nr_pages);
         mem.write_log().set_enabled(true);
 
-        // Locate one leaf-level table node and its first descriptor; the
-        // per-iteration "critical section" toggles that descriptor between
-        // its value and an unmapped one, so every re-abstraction sees a
-        // one-descriptor delta (the cache diffs a same-value rewrite to
-        // nothing).
-        let mut anomalies = Vec::new();
-        let (_, meta) = interpret_pgtable_with_meta(&mem, Stage::Stage2, root, &mut anomalies);
-        assert!(anomalies.is_empty());
-        let meta = meta.expect("no table page is reachable twice");
-        let (&leaf_pfn, _) = meta
-            .iter()
-            .find(|(_, &(level, _))| level == 3)
-            .expect("page-grain table has leaf tables");
-        let leaf = PhysAddr::from_pfn(leaf_pfn);
+        // Locate one leaf-level table node, following the first table
+        // entry of each level down from the root, and its first
+        // descriptor; the per-iteration "critical section" toggles that
+        // descriptor between its value and an unmapped one, so every
+        // re-abstraction sees a one-descriptor delta (the cache diffs a
+        // same-value rewrite to nothing).
+        let mut leaf = root;
+        for level in 0..3 {
+            leaf = (0..512)
+                .map(|i| mem.read_pte(leaf, i).unwrap())
+                .find(|pte| pte.kind(level) == EntryKind::Table)
+                .expect("page-grain table has leaf tables")
+                .table_addr();
+        }
         let values = [mem.read_pte(leaf, 0).unwrap(), Pte(0)];
+        assert_eq!(values[0].kind(3), EntryKind::Page);
         let mut toggle = 0;
         let mut critical_section = || {
             toggle ^= 1;

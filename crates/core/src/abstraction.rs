@@ -70,10 +70,6 @@ pub enum Anomaly {
     },
 }
 
-/// Where each table node sits in the tree: `pfn -> (level, ia base of the
-/// node's span)`, as [`interpret_pgtable_with_meta`] reports it.
-pub type TableMeta = BTreeMap<u64, (u8, u64)>;
-
 /// One table node an interpretation read: where it sits in the tree, and
 /// the descriptors it was interpreted from, which the incremental cache
 /// (`abscache`) diffs a dirtied node against.
@@ -99,25 +95,6 @@ pub fn interpret_pgtable(
     anomalies: &mut Vec<Anomaly>,
 ) -> AbstractPgtable {
     interpret_tree(mem, stage, root, anomalies).0
-}
-
-/// [`interpret_pgtable`], additionally returning the [`TableMeta`] that
-/// locates every table node (`None` when a table page is reachable from
-/// two descriptors, so some node has no single location).
-pub fn interpret_pgtable_with_meta(
-    mem: &PhysMem,
-    stage: Stage,
-    root: PhysAddr,
-    anomalies: &mut Vec<Anomaly>,
-) -> (AbstractPgtable, Option<TableMeta>) {
-    let (pgt, nodes) = interpret_tree(mem, stage, root, anomalies);
-    let meta = nodes.map(|nodes| {
-        nodes
-            .iter()
-            .map(|(&pfn, node)| (pfn, (node.level, node.ia)))
-            .collect()
-    });
-    (pgt, meta)
 }
 
 /// The whole-tree walk behind [`interpret_pgtable`] and the incremental

@@ -7,11 +7,14 @@
 //! thing that cannot be deferred — the paper's recording discipline), and
 //! packages both into a `CheckMsg`. Hooks that only observe (table
 //! pages, TLB maintenance, ownership transfers) send the recorded event
-//! itself, as `CheckMsg::Observe`. The *back half* applies the message:
-//! it maintains the shared ghost copy and the per-trap pre/post records,
+//! itself, as `CheckMsg::Observe`, and a contained front-half panic
+//! travels as `CheckMsg::Panic`. The *back half* applies the message: it
+//! maintains the shared ghost copy and the per-trap pre/post records,
 //! runs the non-interference check, feeds observations to the trackers
-//! (`crate::trackers`), and at trap exit computes the spec and compares
-//! (`Oracle::apply_msg`).
+//! (`crate::trackers`), at trap exit computes the spec and compares
+//! (`Oracle::apply_msg`), and owns containment and quarantine: each
+//! message applies under one net, and every quarantine decision is taken
+//! in message order, so both modes make the same records.
 //!
 //! [`CheckMode`] selects where the back half runs:
 //!
@@ -40,6 +43,7 @@ use pkvm_aarch64::esr::Esr;
 use pkvm_aarch64::sysreg::GprFile;
 
 use crate::check::Violation;
+use crate::containment::QuarantineKey;
 use crate::event::Event;
 use crate::oracle::{ComponentValue, Oracle, TrapRecord};
 use crate::state::{GhostLoadedVcpu, Part};
@@ -132,7 +136,6 @@ pub(crate) enum CheckMsg {
         /// Abstraction anomalies / shadow divergences collected while
         /// abstracting (reported by the back half, in order).
         reports: Vec<Violation>,
-        check_ni: bool,
     },
     /// A lock release, with the abstraction computed under the lock.
     LockReleasing {
@@ -141,16 +144,12 @@ pub(crate) enum CheckMsg {
         value: ComponentValue,
         reports: Vec<Violation>,
     },
-    /// A degraded lock event (quarantine or budget): evict the component
-    /// from the shared copy instead of recording anything.
+    /// A lock event past the per-trap budget: evict the component from
+    /// the shared copy instead of recording anything.
     Evict {
         cpu: usize,
         trap: Option<u64>,
         part: Part,
-        /// Quarantine eviction also marks the component interleaved for
-        /// the running trap; budget eviction does not (the whole trap's
-        /// check is already being skipped).
-        quarantine: bool,
     },
     /// A `READ_ONCE` value for the running trap's call data.
     ReadOnce {
@@ -167,14 +166,24 @@ pub(crate) enum CheckMsg {
         seq: u64,
         event: Event,
     },
-    /// Violations produced on the mutator side (hypervisor panics,
-    /// contained front-half panics). Routed through the pipeline so every
+    /// Violations produced on the mutator side (hypervisor panics, a
+    /// trap exit without call data). Routed through the pipeline so every
     /// report lands in checker order — the derived sequence numbering
     /// stays identical across check modes.
     Report {
         cpu: usize,
         trap: Option<u64>,
         violations: Vec<Violation>,
+    },
+    /// A hook's front half panicked (contained): a failure of `key`, which
+    /// the back half counts, strikes and reports in message order. A lock
+    /// hook's panic is a lock event of its component at `cpu`/`trap`, so
+    /// it takes that component's quarantine decision first.
+    Panic {
+        cpu: usize,
+        trap: Option<u64>,
+        key: QuarantineKey,
+        payload: String,
     },
     /// Sync point: signal the gate once all earlier messages are applied.
     Barrier(BarrierGate),
@@ -351,8 +360,9 @@ pub(crate) fn checker_loop(
     }
 }
 
-/// A handle over a running oracle's checking machinery: mode inspection
-/// and explicit synchronisation. Obtain via `Oracle::checker`.
+/// A handle over a running oracle's checking machinery: explicit
+/// synchronisation and the distance between the two frontiers. Obtain
+/// via `Oracle::checker`.
 #[derive(Clone)]
 pub struct Checker {
     oracle: Arc<Oracle>,
@@ -361,11 +371,6 @@ pub struct Checker {
 impl Checker {
     pub(crate) fn new(oracle: Arc<Oracle>) -> Checker {
         Checker { oracle }
-    }
-
-    /// The mode this oracle checks in.
-    pub fn mode(&self) -> CheckMode {
-        self.oracle.check_mode()
     }
 
     /// Blocks until every event emitted so far has been checked. A no-op

@@ -22,7 +22,6 @@ use std::sync::Once;
 
 use pkvm_aarch64::sync::Mutex;
 
-use crate::checker::CacheLine;
 use crate::state::Part;
 
 thread_local! {
@@ -88,8 +87,8 @@ pub enum QuarantineKey {
     /// The spec step of the trap of this name.
     Spec(&'static str),
     /// Any other oracle step, by the hook that runs it (`trap_enter`,
-    /// `trap_exit`, `read_once`, `tlbi`, ...), or `checker` for a
-    /// pipelined message of no hook of its own.
+    /// `trap_exit`, `read_once`, `tlbi`, ...), or `checker` for a report
+    /// a hook hands on.
     Hook(&'static str),
 }
 
@@ -105,18 +104,18 @@ impl fmt::Display for QuarantineKey {
 
 /// Per-key failure accounting with time-boxed quarantine.
 ///
-/// Time is measured in traps: the oracle ticks the clock once per
-/// `trap_enter`. Until the first failure, every key is healthy and the
-/// lookups the oracle makes for every event return without the lock.
+/// Time is measured in traps: the oracle's back half ticks the clock once
+/// per trap entry it applies, and it alone reads and writes the records,
+/// in message order. Until the first failure, every key is healthy and
+/// the lookups it makes for every event return without the lock.
 #[derive(Debug)]
 pub struct Quarantine {
     /// Consecutive failures before a key is quarantined.
     threshold: u32,
     /// How many trap ticks a quarantined key sits out.
     duration: u64,
-    /// Bumped at every trap entry, on the mutator thread: kept off the
-    /// line of `failed`, which the checker thread reads at every trap.
-    tick: CacheLine<AtomicU64>,
+    /// The trap clock.
+    tick: AtomicU64,
     /// Some failure was ever recorded (`inner` is empty until then). Set
     /// with `Release` under the lock and read with `Acquire`; a lookup
     /// that sees it set takes the lock, which orders the record itself.
@@ -148,7 +147,7 @@ impl Quarantine {
         Quarantine {
             threshold: threshold.max(1),
             duration: duration.max(1),
-            tick: CacheLine(AtomicU64::new(0)),
+            tick: AtomicU64::new(0),
             failed: AtomicBool::new(false),
             inner: Mutex::new(HashMap::new()),
         }
@@ -157,11 +156,6 @@ impl Quarantine {
     /// Advances the trap clock (call once per trap entry).
     pub fn tick(&self) {
         self.tick.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current trap clock, for reports.
-    pub fn now(&self) -> u64 {
-        self.tick.load(Ordering::Relaxed)
     }
 
     /// Looks up the key's disposition, transitioning `Skip -> Recover`

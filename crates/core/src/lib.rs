@@ -64,7 +64,7 @@ mod trackers;
 pub use abscache::{AbsCache, CacheStats, Handoff};
 pub use abstraction::{
     abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
-    interpret_pgtable, interpret_pgtable_with_meta, Anomaly, TableMeta,
+    interpret_pgtable, Anomaly,
 };
 pub use calldata::GhostCallData;
 pub use check::{check_trap, normalize, CheckOutcome, Violation};

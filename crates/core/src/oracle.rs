@@ -19,10 +19,11 @@
 //!
 //! Since the [`Checker`] redesign the hooks are split into a *front
 //! half* that runs on the hypervisor thread (event emission, lock-held
-//! abstraction, degradation gating) and a *back half*
-//! (`Oracle::apply_msg`) that maintains the shared copy and runs the
-//! checks. [`CheckMode`] selects whether the back half runs inline in the
-//! hook or on a pipelined checker thread.
+//! abstraction, per-trap budget gating) and a *back half*
+//! (`Oracle::apply_msg`) that maintains the shared copy, runs the checks,
+//! and contains and quarantines what panics, in message order.
+//! [`CheckMode`] selects whether the back half runs inline in the hook or
+//! on a pipelined checker thread.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -557,8 +558,8 @@ impl Oracle {
         oracle
     }
 
-    /// A [`Checker`] handle over this oracle (mode inspection, explicit
-    /// synchronisation).
+    /// A [`Checker`] handle over this oracle (explicit synchronisation,
+    /// the check frontier).
     pub fn checker(self: &Arc<Self>) -> Checker {
         Checker::new(self.clone())
     }
@@ -567,11 +568,6 @@ impl Oracle {
     /// violations and stats, instead of scraping the atomics directly.
     pub fn verdict(self: &Arc<Self>) -> Verdict {
         Verdict::new(self.clone())
-    }
-
-    /// The configured [`CheckMode`].
-    pub fn check_mode(&self) -> CheckMode {
-        self.opts.check_mode
     }
 
     /// Blocks until every hook event emitted so far has been checked.
@@ -608,57 +604,72 @@ impl Oracle {
     }
 
     /// Hands one back-half message to the check core: applied on the
-    /// spot inline (preserving the classic synchronous semantics
-    /// bit-for-bit), queued to the checker thread pipelined.
+    /// spot inline, queued to the checker thread pipelined. Either way it
+    /// is applied by [`Oracle::apply_counted`], in message order.
     fn dispatch(&self, msg: CheckMsg) {
         match &self.pipeline {
-            None => self.apply_msg(msg),
+            None => self.apply_counted(msg),
             Some(p) => p.send(msg),
         }
     }
 
-    /// The checker thread's per-message entry: applies with a containment
-    /// net (a panicking check becomes a quarantine strike plus an
-    /// [`Violation::OracleInternal`], never a dead checker thread) and
-    /// advances the applied counter. Inline mode never comes through
-    /// here — the hook's own containment wraps the synchronous apply,
-    /// exactly as the classic oracle contained it.
+    /// The back half's one entry, in both modes: applies `msg` under a
+    /// containment net keyed by the hook that sent it. A panicking step
+    /// becomes a failure of that key ([`Oracle::fail`]), never a dead
+    /// checker thread or an unwind into the hypervisor, and a clean apply
+    /// is a success of it. Pipelined, it also advances the applied counter.
     pub(crate) fn apply_counted(&self, msg: CheckMsg) {
-        if let CheckMsg::Barrier(gate) = msg {
-            if let Some(p) = &self.pipeline {
-                p.note_applied();
+        use QuarantineKey::{Hook, Part};
+        // The key, and whether applying the message runs that key's step:
+        // a budget eviction skips its component's, and a front-half panic
+        // is its failure.
+        let (key, step) = match &msg {
+            CheckMsg::Barrier(gate) => {
+                if let Some(p) = &self.pipeline {
+                    p.note_applied();
+                }
+                let (lock, cvar) = &**gate;
+                *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
+                cvar.notify_all();
+                return;
             }
-            let (lock, cvar) = &*gate;
-            *lock.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            cvar.notify_all();
-            return;
-        }
-        let key = match &msg {
-            CheckMsg::TrapEnter { .. } => QuarantineKey::Hook("trap_enter"),
-            CheckMsg::TrapExit { .. } => QuarantineKey::Hook("trap_exit"),
+            CheckMsg::TrapEnter { .. } => (Hook("trap_enter"), true),
+            CheckMsg::TrapExit { .. } => (Hook("trap_exit"), true),
             CheckMsg::LockAcquired { value, .. } | CheckMsg::LockReleasing { value, .. } => {
-                QuarantineKey::Part(value.part)
+                (Part(value.part), true)
             }
-            CheckMsg::ReadOnce { .. } => QuarantineKey::Hook("read_once"),
-            _ => QuarantineKey::Hook("checker"),
+            CheckMsg::Evict { part, .. } => (Part(*part), false),
+            CheckMsg::ReadOnce { .. } => (Hook("read_once"), true),
+            CheckMsg::Observe { event, .. } => (Hook(observer(event)), true),
+            CheckMsg::Report { .. } => (Hook("checker"), true),
+            CheckMsg::Panic { key, .. } => (*key, false),
         };
         let res = contain(|| self.apply_msg(msg));
         if let Some(p) = &self.pipeline {
             p.note_applied();
         }
-        if let Err(payload) = res {
-            self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-            self.quarantine.record_failure(key);
-            self.report_all_at(
-                0,
-                None,
-                vec![Violation::OracleInternal {
-                    seq: None,
-                    component: key.to_string(),
-                    payload,
-                }],
-            );
+        match res {
+            Ok(()) if step => self.quarantine.record_success(key),
+            Ok(()) => {}
+            Err(payload) => self.fail(0, None, key, payload),
         }
+    }
+
+    /// One contained panic of `key`'s step: counted, struck against
+    /// `key`'s quarantine record, and reported at `cpu`/`trap` as a
+    /// [`Violation::OracleInternal`].
+    fn fail(&self, cpu: usize, trap: Option<u64>, key: QuarantineKey, payload: String) {
+        self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
+        self.quarantine.record_failure(key);
+        self.report_at(
+            cpu,
+            trap,
+            Violation::OracleInternal {
+                seq: None,
+                component: key.to_string(),
+                payload,
+            },
+        );
     }
 
     /// Resolution counters of the incremental abstraction cache (all zero
@@ -735,33 +746,25 @@ impl Oracle {
         }
     }
 
-    /// Runs one front-half oracle step with panics contained: a panic
-    /// becomes a [`Violation::OracleInternal`] and a strike against
-    /// `key`'s quarantine record, never an unwind into the hypervisor.
-    /// The report is routed through the pipeline ([`CheckMsg::Report`])
-    /// like every front-originated violation, so the derived sequence
-    /// numbering is identical in both check modes.
-    fn guarded(&self, key: QuarantineKey, f: impl FnOnce()) {
-        match contain(f) {
-            Ok(()) => self.quarantine.record_success(key),
-            Err(payload) => {
-                if let QuarantineKey::Part(part) = key {
-                    // The cache may count as handed over a value that never
-                    // reached the back half: the next event carries it.
-                    self.forget_handed(part);
-                }
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(key);
-                self.dispatch(CheckMsg::Report {
-                    cpu: 0,
-                    trap: None,
-                    violations: vec![Violation::OracleInternal {
-                        seq: None,
-                        component: key.to_string(),
-                        payload,
-                    }],
-                });
+    /// Runs the front half `f` of a hook at `cpu`/`trap` with panics
+    /// contained: a panic travels to the back half as one
+    /// [`CheckMsg::Panic`] of `key`, never an unwind into the hypervisor.
+    /// It lands in message order, like the messages `f` dispatches, so
+    /// the back half's quarantine records and the derived sequence
+    /// numbering are identical in both check modes.
+    fn guarded(&self, cpu: usize, trap: Option<u64>, key: QuarantineKey, f: impl FnOnce()) {
+        if let Err(payload) = contain(f) {
+            if let QuarantineKey::Part(part) = key {
+                // The cache may count as handed over a value that never
+                // reached the back half: the next event carries it.
+                self.forget_handed(part);
             }
+            self.dispatch(CheckMsg::Panic {
+                cpu,
+                trap,
+                key,
+                payload,
+            });
         }
     }
 
@@ -784,23 +787,27 @@ impl Oracle {
         }
     }
 
-    /// The front half of every observation hook: records `event` into the
-    /// stream and hands the back half the same event under the seq it
-    /// was recorded at (the anchor its trackers' violations carry).
+    /// The front half of every observation hook, contained under the
+    /// hook's key: records `event` into the stream and hands the back half
+    /// the same event under the seq it was recorded at (the anchor its
+    /// trackers' violations carry).
     fn observe(&self, cpu: usize, event: Event) {
         let trap = self.current_trap(cpu);
-        let seq = self.events.emit(cpu as u32, trap, event.clone());
-        self.dispatch(CheckMsg::Observe {
-            cpu,
-            trap,
-            seq,
-            event,
+        let key = QuarantineKey::Hook(observer(&event));
+        self.guarded(cpu, trap, key, || {
+            let seq = self.events.emit(cpu as u32, trap, event.clone());
+            self.dispatch(CheckMsg::Observe {
+                cpu,
+                trap,
+                seq,
+                event,
+            });
         });
     }
 
     /// The front half of both lock hooks: records the event, gates it on
-    /// quarantine and the per-trap budget, then abstracts the component
-    /// while its lock is held.
+    /// the per-trap budget, then abstracts the component while its lock
+    /// is held. Quarantine is the back half's call ([`Oracle::admit`]).
     fn lock_event(&self, ctx: &HookCtx<'_>, comp: Component, view: &ComponentView, acquired: bool) {
         let cpu = ctx.cpu;
         let trap = self.current_trap(cpu);
@@ -811,37 +818,14 @@ impl Oracle {
         };
         self.events.emit(cpu as u32, trap, event);
         let part = Part::from(comp);
-        let key = QuarantineKey::Part(part);
-        let check_ni = match self.quarantine.disposition(key) {
-            Disposition::Skip => {
-                self.note_quarantine_skip(cpu, trap, part);
-                return;
-            }
-            // Recovery from quarantine: re-seed the shared copy from a
-            // full abstraction pass. The component's state while benched
-            // is unknown, so an acquisition skips the non-interference
-            // comparison exactly once; a release *is* such a pass.
-            Disposition::Recover => {
-                self.stats
-                    .quarantine_recoveries
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Disposition::Process => true,
-        };
         if self.budget_exhausted(cpu) {
             self.stats
                 .budget_degraded_events
                 .fetch_add(1, Ordering::Relaxed);
-            self.dispatch(CheckMsg::Evict {
-                cpu,
-                trap,
-                part,
-                quarantine: false,
-            });
+            self.dispatch(CheckMsg::Evict { cpu, trap, part });
             return;
         }
-        self.guarded(key, || {
+        self.guarded(cpu, trap, QuarantineKey::Part(part), || {
             // Serving from the cache and handing the value over are one
             // step under the cache's lock, so a version-only value never
             // overtakes the value it refers to on its way to the back half.
@@ -853,7 +837,6 @@ impl Oracle {
                     trap,
                     value,
                     reports,
-                    check_ni,
                 }
             } else {
                 CheckMsg::LockReleasing {
@@ -866,7 +849,7 @@ impl Oracle {
         });
     }
 
-    /// Degrades one lock event: instead of abstracting the component, its
+    /// Degrades one lock event: instead of recording the component, its
     /// entry is evicted from the shared copy (and stamped), so nothing
     /// stale is ever compared later. Used when the component is
     /// quarantined or the per-trap budget ran out — the cheap-but-safe
@@ -894,21 +877,9 @@ impl Oracle {
         }
     }
 
-    /// Bookkeeping for a lock event skipped under quarantine: count it,
-    /// then have the back half evict the component so nothing stale is
-    /// compared, marking it interleaved so the running trap's check
-    /// ignores it.
-    fn note_quarantine_skip(&self, cpu: usize, trap: Option<u64>, part: Part) {
-        self.stats.quarantined_skips.fetch_add(1, Ordering::Relaxed);
-        self.dispatch(CheckMsg::Evict {
-            cpu,
-            trap,
-            part,
-            quarantine: true,
-        });
-    }
-
-    /// Number of components (or spec steps) currently quarantined.
+    /// Number of components (or spec steps) currently quarantined: back
+    /// half state, so in pipelined mode call [`Oracle::barrier`] (or go
+    /// through [`Verdict`]) first.
     pub fn quarantined(&self) -> usize {
         self.quarantine.active()
     }
@@ -1291,6 +1262,22 @@ fn divergence(
     out
 }
 
+/// The hook that records `event`, which keys its containment: an
+/// observation hook's name.
+fn observer(event: &Event) -> &'static str {
+    match event {
+        Event::TablePageAlloc { .. } => "table_page_alloc",
+        Event::TablePageFree { .. } => "table_page_free",
+        Event::PteDowngrade { .. } => "pte_downgrade",
+        Event::Tlbi { .. } => "tlbi",
+        Event::Dsb { .. } => "dsb",
+        Event::Transfer { .. } => "transfer",
+        Event::FirmwareDonate { .. } => "firmware_donated",
+        Event::HostRegain { .. } => "host_regain",
+        _ => "checker",
+    }
+}
+
 /// One component's abstraction, as recorded at a lock event. Computed by
 /// the front half under the component's lock, consumed by the back half.
 pub(crate) struct ComponentValue {
@@ -1593,10 +1580,9 @@ impl Oracle {
     }
 
     /// The back half: applies one [`CheckMsg`] to the ghost copy and runs
-    /// the checks it triggers. In [`CheckMode::Inline`] this runs on the
-    /// hook's thread (inside the hook's own containment, exactly like the
-    /// classic synchronous oracle); pipelined it runs on the checker
-    /// thread via [`Oracle::apply_counted`].
+    /// the checks it triggers, under [`Oracle::apply_counted`]'s net: on
+    /// the hook's thread in [`CheckMode::Inline`], on the checker thread
+    /// pipelined.
     pub(crate) fn apply_msg(&self, msg: CheckMsg) {
         match msg {
             CheckMsg::TrapEnter {
@@ -1618,83 +1604,20 @@ impl Oracle {
             CheckMsg::LockAcquired {
                 cpu,
                 trap,
-                mut value,
+                value,
                 reports,
-                check_ni,
-            } => {
-                self.complete(cpu, trap, &mut value);
-                if !reports.is_empty() {
-                    self.report_all_at(cpu, trap, reports);
-                }
-                self.track_host(cpu, trap, &value);
-                if check_ni {
-                    self.noninterference_check(cpu, trap, &value);
-                }
-                let part = value.part;
-                // Safe to read outside the rec lock: the mutator holds the
-                // component's lock across this message, so no foreign trap
-                // can stamp this component right now.
-                let version = self.shared.lock().versions.get(&part).copied();
-                let mut rec = self.cpus[cpu].lock();
-                if trap.is_some() {
-                    // A re-acquisition after one of our own releases: if
-                    // the stamp moved in between, a foreign trap updated
-                    // the component and the atomic per-trap check no
-                    // longer applies to it.
-                    if let Some(&last) = rec.last_release.get(&part) {
-                        if version != Some(last) {
-                            rec.interleaved.insert(part);
-                        }
-                    }
-                    // First acquisition within the trap defines the
-                    // pre-state.
-                    if !rec.pre.has(part) {
-                        rec.pre.copy_part(&value.state, part);
-                    }
-                } else {
-                    drop(rec);
-                    self.shared.lock().set(&value);
-                }
-            }
+            } => self.apply_lock(cpu, trap, value, reports, true),
             CheckMsg::LockReleasing {
                 cpu,
                 trap,
-                mut value,
+                value,
                 reports,
-                ..
-            } => {
-                self.complete(cpu, trap, &mut value);
-                if !reports.is_empty() {
-                    self.report_all_at(cpu, trap, reports);
-                }
-                self.track_host(cpu, trap, &value);
-                let part = value.part;
-                let version = {
-                    let mut shared = self.shared.lock();
-                    shared.set(&value);
-                    shared.versions.get(&part).copied()
-                };
-                let mut rec = self.cpus[cpu].lock();
-                if trap.is_some() {
-                    // Last release within the trap defines the post-state.
-                    rec.post.copy_part(&value.state, part);
-                    if let Some(v) = version {
-                        rec.last_release.insert(part, v);
-                    }
-                }
-            }
-            CheckMsg::Evict {
-                cpu,
-                trap,
-                part,
-                quarantine,
-            } => {
-                self.evict_shared(part);
-                // Quarantine skips additionally blind the running trap's
-                // check to the component; budget evictions skip the whole
-                // trap's check anyway.
-                if quarantine && trap.is_some() {
-                    self.cpus[cpu].lock().interleaved.insert(part);
+            } => self.apply_lock(cpu, trap, value, reports, false),
+            CheckMsg::Evict { cpu, trap, part } => {
+                // Past the budget, a lock event still takes its component's
+                // quarantine decision, which evicts a benched one itself.
+                if self.admit(cpu, trap, part) != Disposition::Skip {
+                    self.evict_shared(part);
                 }
             }
             CheckMsg::ReadOnce { cpu, tag, value } => {
@@ -1718,10 +1641,119 @@ impl Oracle {
                 trap,
                 violations,
             } => self.report_all_at(cpu, trap, violations),
+            CheckMsg::Panic {
+                cpu,
+                trap,
+                key,
+                payload,
+            } => {
+                // A benched component's panic is one more skipped event.
+                if let QuarantineKey::Part(part) = key {
+                    if self.admit(cpu, trap, part) == Disposition::Skip {
+                        return;
+                    }
+                }
+                self.fail(0, None, key, payload);
+            }
             // Barriers are handled in `apply_counted` (outside the
             // containment net, so the poster can never hang); inline mode
             // never dispatches one.
             CheckMsg::Barrier(_) => {}
+        }
+    }
+
+    /// The quarantine decision for one lock event of `part`, taken in
+    /// message order. A benched component is evicted from the shared copy
+    /// (and stamped), so nothing stale is compared later, and the running
+    /// trap's check ignores it; the skip, or the recovery that ends the
+    /// bench, is counted.
+    fn admit(&self, cpu: usize, trap: Option<u64>, part: Part) -> Disposition {
+        let disposition = self.quarantine.disposition(QuarantineKey::Part(part));
+        match disposition {
+            Disposition::Skip => {
+                self.stats.quarantined_skips.fetch_add(1, Ordering::Relaxed);
+                self.evict_shared(part);
+                if trap.is_some() {
+                    self.cpus[cpu].lock().interleaved.insert(part);
+                }
+            }
+            Disposition::Recover => {
+                self.stats
+                    .quarantine_recoveries
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Disposition::Process => {}
+        }
+        disposition
+    }
+
+    /// Back half of both lock hooks: records the component's value into
+    /// the shared copy and the running trap's pre- (`acquired`) or
+    /// post-state, after its quarantine decision. A benched component's
+    /// value only passes through the mirror, so later version-only values
+    /// resolve, and is discarded with its reports. Recovery re-seeds the
+    /// shared copy from this full abstraction: the component's state while
+    /// benched is unknown, so an acquisition skips the non-interference
+    /// comparison exactly once; a release *is* such a pass.
+    fn apply_lock(
+        &self,
+        cpu: usize,
+        trap: Option<u64>,
+        mut value: ComponentValue,
+        reports: Vec<Violation>,
+        acquired: bool,
+    ) {
+        let part = value.part;
+        let disposition = self.admit(cpu, trap, part);
+        if disposition == Disposition::Skip {
+            let _ = self.mirror.lock().fill(&mut value);
+            return;
+        }
+        self.complete(cpu, trap, &mut value);
+        if !reports.is_empty() {
+            self.report_all_at(cpu, trap, reports);
+        }
+        self.track_host(cpu, trap, &value);
+        if !acquired {
+            let version = {
+                let mut shared = self.shared.lock();
+                shared.set(&value);
+                shared.versions.get(&part).copied()
+            };
+            let mut rec = self.cpus[cpu].lock();
+            if trap.is_some() {
+                // Last release within the trap defines the post-state.
+                rec.post.copy_part(&value.state, part);
+                if let Some(v) = version {
+                    rec.last_release.insert(part, v);
+                }
+            }
+            return;
+        }
+        if disposition == Disposition::Process {
+            self.noninterference_check(cpu, trap, &value);
+        }
+        // Safe to read outside the rec lock: the mutator holds the
+        // component's lock across this message, so no foreign trap can
+        // stamp this component right now.
+        let version = self.shared.lock().versions.get(&part).copied();
+        let mut rec = self.cpus[cpu].lock();
+        if trap.is_some() {
+            // A re-acquisition after one of our own releases: if the stamp
+            // moved in between, a foreign trap updated the component and
+            // the atomic per-trap check no longer applies to it.
+            if let Some(&last) = rec.last_release.get(&part) {
+                if version != Some(last) {
+                    rec.interleaved.insert(part);
+                }
+            }
+            // First acquisition within the trap defines the pre-state.
+            if !rec.pre.has(part) {
+                rec.pre.copy_part(&value.state, part);
+            }
+        } else {
+            drop(rec);
+            self.shared.lock().set(&value);
         }
     }
 
@@ -1791,10 +1823,11 @@ impl Oracle {
         }
     }
 
-    /// Back half of `trap_enter`: reset the per-CPU recording in place.
-    /// The shared copy's tick is read here, at apply time — in pipelined
-    /// mode that is the correct point, because every shared-copy mutation
-    /// also happens at apply time, in message order.
+    /// Back half of `trap_enter`: tick the quarantine's trap clock, then
+    /// reset the per-CPU recording in place. The shared copy's tick is
+    /// read here, at apply time — in pipelined mode that is the correct
+    /// point, because every shared-copy mutation also happens at apply
+    /// time, in message order.
     fn apply_trap_enter(
         &self,
         cpu: usize,
@@ -1804,6 +1837,7 @@ impl Oracle {
         regs: GprFile,
         loaded: Option<Box<GhostLoadedVcpu>>,
     ) {
+        self.quarantine.tick();
         let tick = self.shared.lock().tick;
         let mut rec = self.cpus[cpu].lock();
         rec.pre.clear_parts();
@@ -1818,8 +1852,8 @@ impl Oracle {
     }
 
     /// Back half of `trap_exit`: finish the recording, then run the
-    /// ternary check (with the same phased containment as the classic
-    /// oracle).
+    /// ternary check, whose spec step has a containment net and a
+    /// quarantine record of its own.
     fn apply_trap_exit(
         &self,
         cpu: usize,
@@ -1833,51 +1867,26 @@ impl Oracle {
         // (break-before-make drains its per-CPU ledger here).
         self.track(cpu, trap, |t| t.trap_exit(cpu, name));
         let mut rec = self.cpus[cpu].lock();
-        // Phase 1: finish the recording. Contained so a panic leaves the
-        // per-CPU record consistent (the next trap_enter resets it anyway).
-        let prep = contain(|| {
-            let loaded = loaded.map(|l| *l);
-            rec.post.locals.insert(cpu, GhostCpu { regs, loaded });
-            let mut call = rec.call.take()?;
-            call.regs_post = regs;
-            Some(call)
-        });
-        let call = match prep {
-            Ok(Some(call)) => call,
-            Ok(None) => {
-                // No call data: trap_enter never ran (or its delivery was
-                // dropped). A confused recording, not a hypervisor bug.
-                drop(rec);
-                self.report_at(
-                    cpu,
-                    trap,
-                    Violation::OracleSelfCheck {
-                        seq: None,
-                        context: "trap_exit".into(),
-                        detail: "no recorded call data (trap_enter not delivered?)".into(),
-                    },
-                );
-                return;
-            }
-            Err(payload) => {
-                drop(rec);
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine
-                    .record_failure(QuarantineKey::Hook("trap_exit"));
-                self.report_at(
-                    cpu,
-                    trap,
-                    Violation::OracleInternal {
-                        seq: None,
-                        component: "trap_exit".into(),
-                        payload,
-                    },
-                );
-                return;
-            }
+        let loaded = loaded.map(|l| *l);
+        rec.post.locals.insert(cpu, GhostCpu { regs, loaded });
+        let Some(mut call) = rec.call.take() else {
+            // No call data: trap_enter never ran (or its delivery was
+            // dropped). A confused recording, not a hypervisor bug.
+            drop(rec);
+            self.report_at(
+                cpu,
+                trap,
+                Violation::OracleSelfCheck {
+                    seq: None,
+                    context: "trap_exit".into(),
+                    detail: "no recorded call data (trap_enter not delivered?)".into(),
+                },
+            );
+            return;
         };
-        // Phase 2: the check — unless this trap degraded under budget
-        // pressure, or this handler's spec step is quarantined.
+        call.regs_post = regs;
+        // The check — unless this trap degraded under budget pressure, or
+        // this handler's spec step is quarantined.
         if degraded {
             self.stats.degraded_traps.fetch_add(1, Ordering::Relaxed);
             self.stats.traps_unchecked.fetch_add(1, Ordering::Relaxed);
@@ -1916,8 +1925,6 @@ impl Oracle {
         match contain(|| self.spec_and_check(cpu, &mut rec, &call, name)) {
             Ok(()) => self.quarantine.record_success(spec_key),
             Err(payload) => {
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine.record_failure(spec_key);
                 self.push_trace(
                     trap,
                     TrapRecord {
@@ -1926,15 +1933,7 @@ impl Oracle {
                         outcome: TrapOutcome::Unchecked("spec step panicked (contained)".into()),
                     },
                 );
-                self.report_at(
-                    cpu,
-                    trap,
-                    Violation::OracleInternal {
-                        seq: None,
-                        component: spec_key.to_string(),
-                        payload,
-                    },
-                );
+                self.fail(cpu, trap, spec_key, payload);
             }
         }
     }
@@ -1949,9 +1948,7 @@ impl GhostHooks for Oracle {
         regs: &GprFile,
         loaded: Option<(Handle, usize, VcpuView)>,
     ) {
-        // The quarantine clock counts traps.
-        self.quarantine.tick();
-        self.guarded(QuarantineKey::Hook("trap_enter"), || {
+        self.guarded(ctx.cpu, None, QuarantineKey::Hook("trap_enter"), || {
             let seq = self
                 .events
                 .emit(ctx.cpu as u32, None, Event::TrapEnter { cpu: ctx.cpu });
@@ -1980,63 +1977,45 @@ impl GhostHooks for Oracle {
         regs: &GprFile,
         loaded: Option<(Handle, usize, VcpuView)>,
     ) {
+        let cpu = ctx.cpu;
         let (trap, mirror, degraded) = {
-            let mut front = self.fronts[ctx.cpu].lock();
+            let mut front = self.fronts[cpu].lock();
             if !front.in_trap {
                 return;
             }
             front.in_trap = false;
             (front.trap_seq, front.call_mirror.take(), front.degraded)
         };
-        let prep = contain(|| Self::loaded_vcpu(&loaded));
-        let loaded = match prep {
-            Ok(loaded) => loaded,
-            Err(payload) => {
-                self.stats.contained_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine
-                    .record_failure(QuarantineKey::Hook("trap_exit"));
+        self.guarded(cpu, trap, QuarantineKey::Hook("trap_exit"), || {
+            let loaded = Self::loaded_vcpu(&loaded);
+            let Some((esr, x0)) = mirror else {
+                // No call data: trap_enter never ran (or its delivery was
+                // dropped). A confused recording, not a hypervisor bug.
                 self.dispatch(CheckMsg::Report {
-                    cpu: ctx.cpu,
+                    cpu,
                     trap,
-                    violations: vec![Violation::OracleInternal {
+                    violations: vec![Violation::OracleSelfCheck {
                         seq: None,
-                        component: "trap_exit".into(),
-                        payload,
+                        context: "trap_exit".into(),
+                        detail: "no recorded call data (trap_enter not delivered?)".into(),
                     }],
                 });
                 return;
-            }
-        };
-        let Some((esr, x0)) = mirror else {
-            // No call data: trap_enter never ran (or its delivery was
-            // dropped). A confused recording, not a hypervisor bug.
-            self.dispatch(CheckMsg::Report {
-                cpu: ctx.cpu,
-                trap,
-                violations: vec![Violation::OracleSelfCheck {
-                    seq: None,
-                    context: "trap_exit".into(),
-                    detail: "no recorded call data (trap_enter not delivered?)".into(),
-                }],
-            });
-            return;
-        };
-        let name = Self::trap_name_of(esr, x0);
-        self.events.emit(
-            ctx.cpu as u32,
-            trap,
-            Event::TrapExit {
-                cpu: ctx.cpu,
+            };
+            let name = Self::trap_name_of(esr, x0);
+            let event = Event::TrapExit {
+                cpu,
                 name: name.into(),
-            },
-        );
-        self.dispatch(CheckMsg::TrapExit {
-            cpu: ctx.cpu,
-            trap,
-            name,
-            regs: *regs,
-            loaded,
-            degraded,
+            };
+            self.events.emit(cpu as u32, trap, event);
+            self.dispatch(CheckMsg::TrapExit {
+                cpu,
+                trap,
+                name,
+                regs: *regs,
+                loaded,
+                degraded,
+            });
         });
     }
 
@@ -2050,22 +2029,16 @@ impl GhostHooks for Oracle {
 
     fn read_once(&self, ctx: &HookCtx<'_>, tag: &'static str, value: u64) {
         self.stats.front.read_onces.fetch_add(1, Ordering::Relaxed);
-        self.guarded(QuarantineKey::Hook("read_once"), || {
-            let trap = self.current_trap(ctx.cpu);
-            self.events.emit(
-                ctx.cpu as u32,
-                trap,
-                Event::ReadOnce {
-                    cpu: ctx.cpu,
-                    tag: tag.into(),
-                    value,
-                },
-            );
-            self.dispatch(CheckMsg::ReadOnce {
-                cpu: ctx.cpu,
-                tag,
+        let cpu = ctx.cpu;
+        let trap = self.current_trap(cpu);
+        self.guarded(cpu, trap, QuarantineKey::Hook("read_once"), || {
+            let event = Event::ReadOnce {
+                cpu,
+                tag: tag.into(),
                 value,
-            });
+            };
+            self.events.emit(cpu as u32, trap, event);
+            self.dispatch(CheckMsg::ReadOnce { cpu, tag, value });
         });
     }
 
@@ -2081,71 +2054,52 @@ impl GhostHooks for Oracle {
 
     fn pte_downgrade(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr: u64) {
         let cpu = ctx.cpu;
-        self.guarded(QuarantineKey::Hook("pte_downgrade"), || {
-            self.observe(cpu, Event::PteDowngrade { cpu, vmid, ia, nr })
-        });
+        self.observe(cpu, Event::PteDowngrade { cpu, vmid, ia, nr });
     }
 
     fn tlbi(&self, ctx: &HookCtx<'_>, vmid: u16, ia: u64, nr: u64, broadcast: bool) {
         let cpu = ctx.cpu;
-        self.guarded(QuarantineKey::Hook("tlbi"), || {
-            self.observe(
-                cpu,
-                Event::Tlbi {
-                    vmid,
-                    ia,
-                    nr,
-                    broadcast,
-                    cpu,
-                },
-            )
-        });
+        let event = Event::Tlbi {
+            vmid,
+            ia,
+            nr,
+            broadcast,
+            cpu,
+        };
+        self.observe(cpu, event);
     }
 
     fn dsb(&self, ctx: &HookCtx<'_>) {
-        let cpu = ctx.cpu;
-        self.guarded(QuarantineKey::Hook("dsb"), || {
-            self.observe(cpu, Event::Dsb { cpu })
-        });
+        self.observe(ctx.cpu, Event::Dsb { cpu: ctx.cpu });
     }
 
     fn transfer(&self, ctx: &HookCtx<'_>, edge: TransferEdge, pfn: u64, nr: u64, dirty: bool) {
         let cpu = ctx.cpu;
-        self.guarded(QuarantineKey::Hook("transfer"), || {
-            self.observe(
-                cpu,
-                Event::Transfer {
-                    cpu,
-                    edge,
-                    pfn,
-                    nr,
-                    dirty,
-                },
-            )
-        });
+        let event = Event::Transfer {
+            cpu,
+            edge,
+            pfn,
+            nr,
+            dirty,
+        };
+        self.observe(cpu, event);
     }
 
     fn firmware_donated(&self, ctx: &HookCtx<'_>, handle: Handle, uniq: u64, pfn: u64, nr: u64) {
         let cpu = ctx.cpu;
-        self.guarded(QuarantineKey::Hook("firmware_donated"), || {
-            self.observe(
-                cpu,
-                Event::FirmwareDonate {
-                    cpu,
-                    handle,
-                    uniq,
-                    pfn,
-                    nr,
-                },
-            )
-        });
+        let event = Event::FirmwareDonate {
+            cpu,
+            handle,
+            uniq,
+            pfn,
+            nr,
+        };
+        self.observe(cpu, event);
     }
 
     fn host_regain(&self, ctx: &HookCtx<'_>, pfn: u64, nr: u64) {
         let cpu = ctx.cpu;
-        self.guarded(QuarantineKey::Hook("host_regain"), || {
-            self.observe(cpu, Event::HostRegain { cpu, pfn, nr })
-        });
+        self.observe(cpu, Event::HostRegain { cpu, pfn, nr });
     }
 
     fn hyp_panic(&self, ctx: &HookCtx<'_>, reason: &str) {
@@ -2376,15 +2330,31 @@ mod tests {
         assert_eq!(shared.vm_uniq[&h], 5);
     }
 
+    /// An oracle with default switches, checking in `mode`.
+    fn oracle_in(mode: CheckMode) -> Arc<Oracle> {
+        let opts = OracleOpts::builder().check_mode(mode).build();
+        Oracle::new(&MachineConfig::default(), opts)
+    }
+
+    /// Both check modes, inline first.
+    const MODES: [CheckMode; 2] = [
+        CheckMode::Inline,
+        CheckMode::Pipelined { channel_cap: 1024 },
+    ];
+
     #[test]
     fn hyp_panic_is_a_violation() {
-        let o = oracle();
         let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
         let ctx = HookCtx { mem: &mem, cpu: 0 };
-        o.hyp_panic(&ctx, "BUG()");
-        assert!(
-            matches!(&o.violations()[0], Violation::HypPanic { reason, .. } if reason == "BUG()")
-        );
+        for mode in MODES {
+            let o = oracle_in(mode);
+            o.hyp_panic(&ctx, "BUG()");
+            let vs = o.verdict().wait().violations();
+            assert!(
+                matches!(&vs[..], [Violation::HypPanic { reason, .. }] if reason == "BUG()"),
+                "{mode:?}: {vs:?}"
+            );
+        }
     }
 
     #[test]
@@ -2425,32 +2395,97 @@ mod tests {
 
     #[test]
     fn contained_panics_report_and_then_quarantine() {
-        let o = Oracle::new(
-            &MachineConfig::default(),
-            OracleOpts::builder()
+        // The VM table needs no memory to abstract.
+        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
+        let ctx = HookCtx { mem: &mem, cpu: 0 };
+        let table = ComponentView::VmTable {
+            vms: Vec::new(),
+            uniqs: Vec::new(),
+        };
+        let smc = |o: &Oracle| {
+            o.trap_enter(&ctx, Esr::smc64(), None, &GprFile::default(), None);
+            o.trap_exit(&ctx, &GprFile::default(), None);
+        };
+        for mode in MODES {
+            let opts = OracleOpts::builder()
                 .quarantine_threshold(3)
                 .quarantine_traps(2)
-                .build(),
-        );
-        let host = QuarantineKey::Part(Part::Host);
-        for _ in 0..3 {
-            o.guarded(host, || panic!("chaos made me do it"));
+                .check_mode(mode)
+                .build();
+            let o = Oracle::new(&MachineConfig::default(), opts);
+            let key = QuarantineKey::Part(Part::VmTable);
+            for _ in 0..3 {
+                o.guarded(0, None, key, || panic!("chaos made me do it"));
+            }
+            // Benched: the next lock event of the table is skipped...
+            o.lock_acquired(&ctx, Component::VmTable, &table);
+            let v = o.verdict();
+            let vs = v.wait().violations();
+            assert_eq!(vs.len(), 3, "{mode:?}: {vs:?}");
+            assert!(vs.iter().all(|v| matches!(
+                v,
+                Violation::OracleInternal { component, payload, .. }
+                    if component == "vm_table" && payload.contains("chaos")
+            )));
+            assert_eq!(o.quarantined(), 1, "{mode:?}");
+            // ...and after its bench time (two traps) the table recovers
+            // exactly once, then is processed as usual.
+            smc(&o);
+            smc(&o);
+            o.lock_releasing(&ctx, Component::VmTable, &table);
+            o.lock_acquired(&ctx, Component::VmTable, &table);
+            let stats = v.wait().stats();
+            assert_eq!(o.violations().len(), 3, "{mode:?}: {:?}", o.violations());
+            assert_eq!(
+                (
+                    stats.contained_panics,
+                    stats.quarantined_skips,
+                    stats.quarantine_recoveries
+                ),
+                (3, 1, 1),
+                "{mode:?}"
+            );
+            assert_eq!(o.quarantined(), 0, "{mode:?}");
         }
-        let vs = o.violations();
-        assert_eq!(vs.len(), 3);
-        assert!(vs.iter().all(|v| matches!(
-            v,
-            Violation::OracleInternal { component, payload, .. }
-                if component == "host" && payload.contains("chaos")
-        )));
-        assert_eq!(o.stats_snapshot().contained_panics, 3);
-        assert_eq!(o.quarantine.disposition(host), Disposition::Skip);
-        assert_eq!(o.quarantined(), 1);
-        // After its bench time the component recovers exactly once.
-        o.quarantine.tick();
-        o.quarantine.tick();
-        assert_eq!(o.quarantine.disposition(host), Disposition::Recover);
-        assert_eq!(o.quarantine.disposition(host), Disposition::Process);
+    }
+
+    #[test]
+    fn a_panicking_spec_step_is_quarantined_alike_in_both_modes() {
+        // With no lock event recorded, a share's spec step finds no host
+        // in its pre-state and panics at every trap: the spec key's
+        // failures, skips and recoveries run on the trap clock, which the
+        // back half ticks in message order, so a checker that lags a whole
+        // run behind makes the same records as the inline one.
+        let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
+        let ctx = HookCtx { mem: &mem, cpu: 0 };
+        let mut regs = GprFile::default();
+        regs.set(0, hypercalls::HVC_HOST_SHARE_HYP);
+        let runs: Vec<_> = MODES
+            .iter()
+            .map(|&mode| {
+                let o = oracle_in(mode);
+                for _ in 0..80 {
+                    o.trap_enter(&ctx, Esr::hvc64(0), None, &regs, None);
+                    o.trap_exit(&ctx, &regs, None);
+                }
+                let v = o.verdict();
+                let vs = v.wait().violations();
+                let seen: Vec<_> = vs.iter().map(|v| (v.kind(), v.event_seq())).collect();
+                (seen, v.stats())
+            })
+            .collect();
+        let (inline, stats) = &runs[0];
+        assert_eq!(inline.len(), 15, "{inline:?}");
+        assert!(inline.iter().all(|(kind, _)| *kind == "oracle-internal"));
+        assert_eq!(
+            (
+                stats.contained_panics,
+                stats.quarantined_skips,
+                stats.quarantine_recoveries
+            ),
+            (15, 65, 4)
+        );
+        assert_eq!(runs[0], runs[1], "inline and pipelined records diverge");
     }
 
     #[test]
@@ -2559,16 +2594,24 @@ mod tests {
 
     #[test]
     fn trap_exit_without_call_data_is_a_self_check_not_a_panic() {
-        let o = oracle();
         let mem = pkvm_aarch64::memory::PhysMem::new(vec![]);
         let ctx = HookCtx { mem: &mem, cpu: 0 };
-        // Force the inconsistent recording a dropped trap_enter leaves.
-        o.fronts[0].lock().in_trap = true;
-        o.trap_exit(&ctx, &GprFile::default(), None);
-        assert!(matches!(
-            &o.violations()[0],
-            Violation::OracleSelfCheck { context, .. } if context == "trap_exit"
-        ));
+        for mode in MODES {
+            let o = oracle_in(mode);
+            // Force the inconsistent recording a dropped trap_enter leaves.
+            o.fronts[0].lock().in_trap = true;
+            o.trap_exit(&ctx, &GprFile::default(), None);
+            let v = o.verdict();
+            let vs = v.wait().violations();
+            assert!(
+                matches!(
+                    &vs[..],
+                    [Violation::OracleSelfCheck { context, .. }] if context == "trap_exit"
+                ),
+                "{mode:?}: {vs:?}"
+            );
+            assert_eq!(v.stats().contained_panics, 0, "{mode:?}");
+        }
     }
 
     #[test]
@@ -2627,7 +2670,7 @@ mod tests {
             // serves the replayed value, then panics before handing it over.
             mem.write_pte(root, 0, annotation_pte(OwnerId::HYP))
                 .unwrap();
-            o.guarded(QuarantineKey::Part(Part::Host), || {
+            o.guarded(0, None, QuarantineKey::Part(Part::Host), || {
                 let served = o
                     .abscache
                     .lock()
@@ -2834,7 +2877,6 @@ mod tests {
                 full: None,
             },
             reports: Vec::new(),
-            check_ni: false,
         });
         let vs = o.violations();
         assert_eq!(vs.len(), 1, "{vs:?}");

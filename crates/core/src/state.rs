@@ -14,7 +14,6 @@ use std::sync::{Arc, OnceLock};
 
 use pkvm_aarch64::sysreg::GprFile;
 use pkvm_hyp::hooks::Component;
-use pkvm_hyp::machine::Machine;
 use pkvm_hyp::vm::Handle;
 
 use crate::mapping::Mapping;
@@ -39,20 +38,6 @@ pub struct GhostGlobals {
 }
 
 impl GhostGlobals {
-    /// Copies the globals out of a booted machine. The specification never
-    /// reads the machine again — maintaining the paper's hygiene
-    /// distinction between implementation and specification state.
-    pub fn from_machine(m: &Machine) -> GhostGlobals {
-        GhostGlobals {
-            nr_cpus: m.nr_cpus(),
-            physvirt_offset: m.state.layout.physvirt_offset,
-            uart_va: m.state.layout.uart_va.bits(),
-            hyp_range: m.state.hyp_range,
-            ram: m.config().dram.clone(),
-            mmio: m.config().mmio.clone(),
-        }
-    }
-
     /// The linear-map hypervisor VA of physical address `pa`.
     pub fn hyp_va(&self, pa: u64) -> u64 {
         pa.wrapping_add(self.physvirt_offset)

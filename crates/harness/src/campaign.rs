@@ -17,14 +17,16 @@
 //! stream's global sequence numbers are an approximate linearisation of
 //! the campaign — each action is emitted immediately before it executes —
 //! so a violating campaign can be [`replay`]ed single-threaded from the
-//! recorded seeds and schedule alone, [`minimize`]d to a short reproducer
-//! by greedy chunk removal, or persisted to a `.pkvmtrace` file (see
-//! [`crate::tracefile`]) and replayed in a fresh process.
+//! recorded seeds and schedule alone, [`minimize`](crate::minimize())d to
+//! a short reproducer by greedy chunk removal, or persisted to a
+//! `.pkvmtrace` file (see [`crate::tracefile`]) and replayed in a fresh
+//! process.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use pkvm_aarch64::addr::PhysAddr;
+use pkvm_ghost::containment::payload_to_string;
 use pkvm_ghost::event::{Event, EventRecord};
 use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::{CheckMode, StatsSnapshot, Violation};
@@ -463,7 +465,7 @@ pub fn run(cfg: &CampaignCfg) -> CampaignReport {
                     seed: seeds[i],
                     steps: 0,
                     stats: RunStats::default(),
-                    panicked: Some(panic_message(&payload)),
+                    panicked: Some(payload_to_string(payload)),
                 },
             })
             .collect()
@@ -499,16 +501,6 @@ pub fn run(cfg: &CampaignCfg) -> CampaignReport {
         resilience: verdict.as_ref().map(|v| v.stats()).unwrap_or_default(),
         chaos_injected: proxy.chaos_injected(),
         trace,
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked (non-string payload)".into()
     }
 }
 
@@ -672,11 +664,6 @@ where
     Ok(rm.outcome())
 }
 
-// The greedy minimizer moved to its own module so campaign post-mortems
-// and fuzzer crash triage share it; re-exported here because
-// `campaign::minimize` predates the split.
-pub use crate::minimize::minimize;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,6 +762,7 @@ mod tests {
 
     #[test]
     fn minimized_trace_still_violates_and_is_no_longer() {
+        use crate::minimize;
         let faults = FaultSet::none();
         faults.inject(Fault::SynShareWrongState);
         let report = CampaignCfg::builder()

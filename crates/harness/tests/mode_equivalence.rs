@@ -3,22 +3,22 @@
 //! back half runs on differs. Over a 32-seed sweep of clean, fault-heavy,
 //! chaotic and fuzz-session workloads, both modes must settle into
 //! identical verdicts: the same violations (kind and event seq), the same
-//! canonical event-stream signature, the same step counts and the same
-//! coverage summaries.
+//! oracle counters, the same canonical event-stream signature, the same
+//! step counts and the same coverage summaries.
 //!
 //! The whole sweep is one `#[test]` on purpose: the coverage registry is
 //! process-global, and a lone test per binary keeps the per-run coverage
 //! deltas clean.
 //!
-//! Quarantine is disabled (threshold `u32::MAX`) for these runs: it is
-//! the one front-half decision fed by back-half state (contained-panic
-//! counts), so under a lagging checker it can legitimately gate a later
-//! trap than inline mode would — the documented accepted divergence.
-//! Everything else must be bit-identical.
+//! Every run checks at the oracle's default switches, quarantine
+//! included: containment and quarantine are back-half policy, applied in
+//! message order, so a checker that lags the execution frontier makes the
+//! same quarantine records as the inline one. A lock-event-heavy chaotic
+//! profile, which quarantines, holds the sweep to that.
 
 use pkvm_ghost::event::canonical_signature;
 use pkvm_ghost::oracle::OracleOpts;
-use pkvm_ghost::CheckMode;
+use pkvm_ghost::{CheckMode, StatsSnapshot};
 use pkvm_harness::campaign::CampaignCfg;
 use pkvm_harness::chaos::ChaosCfg;
 use pkvm_harness::coverage::{snapshot, CoverageSummary};
@@ -30,6 +30,8 @@ use pkvm_hyp::faults::{Fault, FaultSet};
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     violations: Vec<(&'static str, Option<u64>)>,
+    /// The oracle's counters (campaigns only).
+    stats: StatsSnapshot,
     hyp_panic: Option<String>,
     signature: u64,
     steps: u64,
@@ -37,20 +39,30 @@ struct Fingerprint {
     spec_cov: Vec<(&'static str, u64)>,
 }
 
-/// Oracle switches shared by every run: quarantine off (see module doc),
-/// everything else at defaults.
+/// Oracle switches shared by every run: the defaults, in `mode`.
 fn opts(mode: CheckMode) -> OracleOpts {
-    OracleOpts::builder()
-        .quarantine_threshold(u32::MAX)
-        .check_mode(mode)
+    OracleOpts::builder().check_mode(mode).build()
+}
+
+/// Hook-plane chaos at `seed` (bit flips, torn reads, duplicated lock
+/// events) that drops each lock event with probability `drop`.
+fn chaos(seed: u64, drop: f64) -> ChaosCfg {
+    ChaosCfg::builder()
+        .seed(seed)
+        .bit_flip(0.02)
+        .torn_read_once(0.05)
+        .drop_lock_event(drop)
+        .dup_lock_event(0.02)
         .build()
 }
 
 /// One single-worker campaign at `seed`, fingerprinted. The profile
-/// varies what the workload stresses: clean drives valid ops only,
-/// faulty drives a heavy invalid fraction, chaotic additionally injects
-/// hook-plane chaos (bit flips, torn reads, dropped/duplicated lock
-/// events) so real violations flow through the pipeline.
+/// varies what the workload stresses: clean (0) drives valid ops only,
+/// faulty (1) drives a heavy invalid fraction, chaotic (2) additionally
+/// injects hook-plane chaos so real violations flow through the
+/// pipeline, and lock-chaotic (4) drops almost a third of the lock
+/// events, so the spec steps of the traps that lose them panic often
+/// enough to be quarantined.
 fn campaign_fingerprint(seed: u64, profile: u64, mode: CheckMode) -> Fingerprint {
     let before = snapshot();
     let mut b = CampaignCfg::builder()
@@ -63,15 +75,8 @@ fn campaign_fingerprint(seed: u64, profile: u64, mode: CheckMode) -> Fingerprint
     b = match profile {
         0 => b.invalid_fraction(0.0),
         1 => b.invalid_fraction(0.6),
-        _ => b.chaos(
-            ChaosCfg::builder()
-                .seed(seed)
-                .bit_flip(0.02)
-                .torn_read_once(0.05)
-                .drop_lock_event(0.02)
-                .dup_lock_event(0.02)
-                .build(),
-        ),
+        2 => b.chaos(chaos(seed, 0.02)),
+        _ => b.chaos(chaos(seed, 0.3)),
     };
     let report = b.run();
     let cov = CoverageSummary::since(&before);
@@ -82,6 +87,7 @@ fn campaign_fingerprint(seed: u64, profile: u64, mode: CheckMode) -> Fingerprint
             .iter()
             .map(|v| (v.kind(), v.event_seq()))
             .collect(),
+        stats: report.resilience,
         hyp_panic: report.hyp_panic.clone(),
         signature: canonical_signature(&trace.events),
         steps: report.workers[0].steps,
@@ -113,6 +119,7 @@ fn fuzz_fingerprint(seed: u64, mode: CheckMode) -> Fingerprint {
             .iter()
             .map(|c| (c.sig.kind, Some(c.count)))
             .collect(),
+        stats: StatsSnapshot::default(),
         hyp_panic: None,
         signature: (report.execs << 32)
             ^ (report.corpus_size as u64)
@@ -154,6 +161,21 @@ fn inline_and_pipelined_agree_across_32_seeds() {
         runs_with_violations > 0,
         "no seed produced a violation — the sweep never exercised the violation path"
     );
+
+    // Quarantine at its defaults: the lock-chaotic profile's skips and
+    // recoveries must agree by mode, and some run must quarantine, or the
+    // agreement says nothing about quarantine.
+    let mut quarantined = 0;
+    for seed in 0..8u64 {
+        let inline = campaign_fingerprint(seed, 4, CheckMode::Inline);
+        let piped = campaign_fingerprint(seed, 4, CheckMode::pipelined());
+        assert_eq!(
+            inline, piped,
+            "seed {seed} (lock-chaotic): inline and pipelined verdicts diverge"
+        );
+        quarantined += inline.stats.quarantined_skips;
+    }
+    assert!(quarantined > 0, "no lock-chaotic run quarantined anything");
 
     // The break-before-make spec check is pure back-half state, so the
     // missing-TLBI bug must surface as the *same* violations — kind and
@@ -220,6 +242,7 @@ fn android_fingerprint(mode: CheckMode) -> Fingerprint {
             .iter()
             .map(|v| (v.kind(), v.event_seq()))
             .collect(),
+        stats: report.resilience,
         hyp_panic: report.hyp_panic.clone(),
         signature: canonical_signature(&trace.events),
         steps: report.workers[0].steps,

@@ -83,11 +83,6 @@ impl core::fmt::Display for OwnerId {
     }
 }
 
-/// Reads the page state of a *valid* leaf descriptor.
-pub fn pte_page_state(pte: Pte) -> Option<PageState> {
-    PageState::from_sw(pte.sw())
-}
-
 /// Builds the invalid descriptor annotating `owner` as the owner of an
 /// unmapped range (identity annotation for the host is just a zero PTE).
 pub fn annotation_pte(owner: OwnerId) -> Pte {

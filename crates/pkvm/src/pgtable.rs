@@ -530,16 +530,6 @@ pub fn destroy(mem: &PhysMem, pgt: &KvmPgtable, mm: &mut dyn MmOps) -> Vec<Table
     st.events
 }
 
-/// Convenience: number of pages spanned by `size` bytes.
-pub fn size_to_pages(size: u64) -> u64 {
-    size / PAGE_SIZE
-}
-
-/// Convenience: `nr` pages at `level` granularity worth of bytes.
-pub fn pages_to_size(nr: u64) -> u64 {
-    nr * PAGE_SIZE
-}
-
 /// Returns the number of 4 KiB pages one entry at `level` maps (re-export
 /// for visitors).
 pub fn entry_pages(level: u8) -> u64 {

@@ -104,13 +104,6 @@ pub enum VcpuSlot {
     LoadedOn(usize),
 }
 
-impl VcpuSlot {
-    /// Returns `true` for `Present`.
-    pub fn is_present(&self) -> bool {
-        matches!(self, VcpuSlot::Present(_))
-    }
-}
-
 /// VM state protected by the per-VM lock.
 #[derive(Debug)]
 pub struct VmInner {

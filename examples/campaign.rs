@@ -6,8 +6,9 @@
 //!
 //! Run with `cargo run --release --example campaign -- [workers] [steps-per-worker] [seed]`.
 
-use pkvm_harness::campaign::{minimize, replay, CampaignCfg};
+use pkvm_harness::campaign::{replay, CampaignCfg};
 use pkvm_harness::cli::num_arg;
+use pkvm_harness::minimize;
 
 const USAGE: &str = "usage: campaign [workers] [steps-per-worker] [seed]";
 

@@ -17,12 +17,16 @@
 //! - `record <file> [seed] [steps]` — run one all-families chaotic
 //!   campaign, persist its trace to `<file>` (`.pkvmtrace` format),
 //!   replay it in-process and print the canonical verdict line.
-//! - `replay <file>` — load `<file>` in a *fresh* process, replay it,
-//!   and print the same canonical verdict line. A recorded campaign is
-//!   bit-identically replayable iff the two lines match.
+//! - `replay <file> [pipelined]` — load `<file>` in a *fresh* process,
+//!   replay it, and print the same canonical verdict line. A recorded
+//!   campaign is bit-identically replayable iff the two lines match.
+//!   With `pipelined`, the replay oracle checks under
+//!   `CheckMode::pipelined()` instead of the recorded mode, and must
+//!   still print the same line.
 //!
 //! Run with `cargo run --release --example chaos -- <mode> [args]`.
 
+use pkvm_ghost::CheckMode;
 use pkvm_harness::campaign::{replay, replay_stream, CampaignCfg, ReplayOutcome};
 use pkvm_harness::chaos::{detection_matrix, mutation_sweep, ChaosCfg, ChaosFamily, MatrixCfg};
 use pkvm_harness::cli::num_arg;
@@ -33,7 +37,7 @@ const USAGE: &str = "usage: chaos matrix [runs] [seed]\n\
 \x20      chaos campaign [seed] [steps]\n\
 \x20      chaos mutation [seed] [steps]\n\
 \x20      chaos record <file.pkvmtrace> [seed] [steps]\n\
-\x20      chaos replay <file.pkvmtrace>";
+\x20      chaos replay <file.pkvmtrace> [pipelined]";
 
 /// The canonical verdict line: everything that must survive a trip
 /// through the trace file — violation count, kinds, the event sequence
@@ -195,7 +199,15 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            let header = reader.header().clone();
+            let mut header = reader.header().clone();
+            match args.next().as_deref() {
+                None => {}
+                Some("pipelined") => header.oracle_opts.check_mode = CheckMode::pipelined(),
+                Some(_) => {
+                    eprintln!("{USAGE}");
+                    std::process::exit(2);
+                }
+            }
             let mut events = 0u64;
             let outcome = replay_stream(
                 &header,

@@ -2,7 +2,8 @@
 //! clean runs, deterministic replay of an injected bug from the recorded
 //! seeds and schedule alone, and trace minimization.
 
-use pkvm_repro::harness::campaign::{minimize, replay, CampaignCfg};
+use pkvm_repro::harness::campaign::{replay, CampaignCfg};
+use pkvm_repro::harness::minimize;
 use pkvm_repro::hyp::faults::{Fault, FaultSet};
 
 #[test]
