@@ -10,14 +10,75 @@
 //! regions model devices. Accesses to MMIO are permitted but *logged*, so
 //! tests (and the linear-map-overlap reproduction) can observe the
 //! hypervisor touching device memory it never intended to.
+//!
+//! Bulk accesses ([`PhysMem::read_bytes`], [`PhysMem::write_bytes`],
+//! [`PhysMem::page_is_zero`], [`PhysMem::read_table`]) work a page at a
+//! time: one region check, one page lookup and one slice copy or scan per
+//! page, never per byte or word.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::sync::{Mutex, RwLock};
 
 use crate::addr::{PhysAddr, PAGE_MASK, PAGE_SIZE};
 use crate::desc::Pte;
+
+/// The hasher of the simulation's page-keyed maps: the page store, the
+/// write log's dedup set and the TLBs, whose keys are page frame numbers
+/// or page addresses (with a VMID). SipHash's flood resistance buys
+/// nothing for keys the simulation makes itself, and it costs more than
+/// the lookup it serves. Each word is added and multiplied by an odd
+/// constant, which mixes every key bit into the high bits; `finish`
+/// rotates them down, because the hash table indexes by the low bits,
+/// which the product leaves as regular as the keys are (all zero for
+/// 2 MiB-strided frames or page addresses).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PfnHasher(u64);
+
+/// The 64-bit golden ratio, an odd constant with well-spread bits.
+const PFN_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for PfnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(PFN_HASH_MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// Builds [`PfnHasher`]s for `HashMap`/`HashSet`.
+pub(crate) type PfnHash = BuildHasherDefault<PfnHasher>;
+
+/// Splits the `len` bytes from `pa` at page boundaries, yielding each
+/// piece's first address and its range in a `len`-byte buffer.
+fn page_spans(pa: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let a = pa.wrapping_add(done as u64);
+            let n = (PAGE_SIZE - a.page_offset()).min((len - done) as u64) as usize;
+            done += n;
+            (a, done - n..done)
+        })
+    })
+}
 
 /// Dirty-page tracking: a generational log of every page the simulated
 /// system writes.
@@ -47,7 +108,7 @@ struct WriteLogInner {
     /// `(generation, pfn)` in non-decreasing generation order.
     entries: VecDeque<(u64, u64)>,
     /// Pages already logged in the current generation (dedup).
-    seen: HashSet<u64>,
+    seen: HashSet<u64, PfnHash>,
     /// Snapshots older than this have lost entries to trimming.
     trimmed_before: u64,
 }
@@ -208,7 +269,7 @@ impl std::error::Error for BusError {}
 /// Sparse simulated physical memory.
 pub struct PhysMem {
     regions: Vec<MemRegion>,
-    pages: RwLock<HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>>,
+    pages: RwLock<HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, PfnHash>>,
     mmio_reads: AtomicU64,
     mmio_writes: AtomicU64,
     write_log: WriteLog,
@@ -237,7 +298,7 @@ impl PhysMem {
         }
         Self {
             regions,
-            pages: RwLock::new(HashMap::new()),
+            pages: RwLock::new(HashMap::default()),
             mmio_reads: AtomicU64::new(0),
             mmio_writes: AtomicU64::new(0),
             write_log: WriteLog::default(),
@@ -334,53 +395,54 @@ impl PhysMem {
     pub fn write_u64(&self, pa: PhysAddr, value: u64) -> Result<(), BusError> {
         assert!(pa.bits().is_multiple_of(8), "misaligned u64 write at {pa}");
         self.note_access(pa, true)?;
-        self.write_log.record(pa.pfn());
         let mut pages = self.pages.write();
-        let page = pages
-            .entry(pa.pfn())
-            .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
+        // Recorded under the store's lock (see `WriteLog`): recorded
+        // before it, a snapshot taken in between would read the old word
+        // and never hear of the new one.
+        self.write_log.record(pa.pfn());
+        let page = pages.entry(pa.pfn()).or_insert_with(zeroed_page);
         let off = (pa.bits() & PAGE_MASK) as usize;
         page[off..off + 8].copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
-    /// Reads `buf.len()` bytes starting at `pa` (may cross page boundaries).
+    /// Reads `buf.len()` bytes starting at `pa` (may cross page
+    /// boundaries), one slice copy per page.
     ///
     /// # Errors
     ///
-    /// Returns [`BusError`] if any touched page is outside every region.
+    /// Returns [`BusError`] if any touched page is outside every region;
+    /// the bytes of the pages before it have been read.
     pub fn read_bytes(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), BusError> {
         let pages = self.pages.read();
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = pa.wrapping_add(i as u64);
-            if a.page_offset() == 0 || i == 0 {
-                self.note_access(a, false)?;
+        for (a, span) in page_spans(pa, buf.len()) {
+            self.note_access(a, false)?;
+            let off = a.page_offset() as usize;
+            let dst = &mut buf[span];
+            match pages.get(&a.pfn()) {
+                None => dst.fill(0),
+                Some(page) => dst.copy_from_slice(&page[off..off + dst.len()]),
             }
-            *b = match pages.get(&a.pfn()) {
-                None => 0,
-                Some(page) => page[(a.bits() & PAGE_MASK) as usize],
-            };
         }
         Ok(())
     }
 
-    /// Writes `buf` starting at `pa` (may cross page boundaries).
+    /// Writes `buf` starting at `pa` (may cross page boundaries), one
+    /// slice copy per page: an unaligned page-sized write spills into the
+    /// next page, as pKVM bug 1's memset does.
     ///
     /// # Errors
     ///
-    /// Returns [`BusError`] if any touched page is outside every region.
+    /// Returns [`BusError`] if any touched page is outside every region;
+    /// the pages before it have been written.
     pub fn write_bytes(&self, pa: PhysAddr, buf: &[u8]) -> Result<(), BusError> {
         let mut pages = self.pages.write();
-        for (i, b) in buf.iter().enumerate() {
-            let a = pa.wrapping_add(i as u64);
-            if a.page_offset() == 0 || i == 0 {
-                self.note_access(a, true)?;
-                self.write_log.record(a.pfn());
-            }
-            let page = pages
-                .entry(a.pfn())
-                .or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
-            page[(a.bits() & PAGE_MASK) as usize] = *b;
+        for (a, span) in page_spans(pa, buf.len()) {
+            self.note_access(a, true)?;
+            self.write_log.record(a.pfn());
+            let off = a.page_offset() as usize;
+            let page = pages.entry(a.pfn()).or_insert_with(zeroed_page);
+            page[off..off + span.len()].copy_from_slice(&buf[span]);
         }
         Ok(())
     }
@@ -392,10 +454,26 @@ impl PhysMem {
     /// Returns [`BusError`] for addresses outside every region.
     pub fn zero_page(&self, pa: PhysAddr) -> Result<(), BusError> {
         self.note_access(pa, true)?;
+        let mut pages = self.pages.write();
         self.write_log.record(pa.pfn());
         // Dropping the backing restores zero-fill semantics cheaply.
-        self.pages.write().remove(&pa.pfn());
+        pages.remove(&pa.pfn());
         Ok(())
+    }
+
+    /// Returns `true` if the 4 KiB page containing `pa` reads as all
+    /// zeros, in one region check and one page lookup: an unbacked page
+    /// is zero without a scan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BusError`] for addresses outside every region.
+    pub fn page_is_zero(&self, pa: PhysAddr) -> Result<bool, BusError> {
+        self.note_access(pa, false)?;
+        let pages = self.pages.read();
+        Ok(pages
+            .get(&pa.pfn())
+            .is_none_or(|page| page.iter().all(|&b| b == 0)))
     }
 
     /// Reads the `idx`th descriptor of the table whose base is `table`.
@@ -466,6 +544,11 @@ impl PhysMem {
     }
 }
 
+/// A fresh backing page: zero-filled, like memory never written.
+fn zeroed_page() -> Box<[u8; PAGE_SIZE as usize]> {
+    Box::new([0; PAGE_SIZE as usize])
+}
+
 impl core::fmt::Debug for PhysMem {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PhysMem")
@@ -478,6 +561,8 @@ impl core::fmt::Debug for PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SHIFT;
+    use std::hash::BuildHasher;
 
     fn mem() -> PhysMem {
         PhysMem::new(vec![
@@ -663,5 +748,258 @@ mod tests {
         let snap2 = m.write_log().snapshot_generation();
         m.write_u64(PhysAddr::new(0x4000_5000), 9).unwrap();
         assert_eq!(dirty_since(m.write_log(), snap2).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_word_read_after_a_snapshot_is_current_or_its_page_is_dirty() {
+        // A writer hammers one word while the reader snapshots, reads it
+        // twice and asks the log. Two different reads mean a write landed
+        // after the first read, so after the snapshot: the page must be
+        // dirty since it. Recorded before the store's lock, a write could
+        // be logged just before the snapshot and stored just after the
+        // first read. The writer zeroes the word's page every other time,
+        // and touches a second page in between, which keeps the word's
+        // own record from being refreshed at once.
+        const ROUNDS: u32 = 200_000;
+        let m = mem();
+        m.write_log().set_enabled(true);
+        let pa = PhysAddr::new(0x4000_0000);
+        let other = PhysAddr::new(0x4000_1000);
+        let stop = AtomicBool::new(false);
+        let missed = std::thread::scope(|s| {
+            s.spawn(|| {
+                for v in 1.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    match v % 2 {
+                        0 => m.zero_page(pa).unwrap(),
+                        _ => m.write_u64(pa, v).unwrap(),
+                    }
+                    m.write_u64(other, v).unwrap();
+                }
+            });
+            let mut missed = 0;
+            for _ in 0..ROUNDS {
+                let snap = m.write_log().snapshot_generation();
+                let first = m.read_u64(pa).unwrap();
+                let again = m.read_u64(pa).unwrap();
+                let mut dirty = false;
+                let answered = m
+                    .write_log()
+                    .for_each_dirty_since(snap, |pfn| dirty |= pfn == pa.pfn());
+                if first != again && answered && !dirty {
+                    missed += 1;
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            missed
+        });
+        assert_eq!(
+            missed, 0,
+            "{missed} of {ROUNDS} stale reads went unreported"
+        );
+    }
+
+    /// The reference's memory: each written page's bytes by frame number.
+    type Model = HashMap<u64, [u8; PAGE_SIZE as usize]>;
+
+    /// The byte-at-a-time reference of `write_bytes` (`write`) and
+    /// `read_bytes`: a region check at the first byte and at every page
+    /// boundary, then one byte. Returns the result and the addresses it
+    /// checked.
+    fn reference(
+        m: &PhysMem,
+        model: &mut Model,
+        pa: u64,
+        buf: &mut [u8],
+        write: bool,
+    ) -> (Result<(), BusError>, Vec<u64>) {
+        let mut checked = Vec::new();
+        for (i, b) in buf.iter_mut().enumerate() {
+            let a = pa.wrapping_add(i as u64);
+            if a & PAGE_MASK == 0 || i == 0 {
+                checked.push(a);
+                if m.region_of(PhysAddr::new(a)).is_none() {
+                    let addr = PhysAddr::new(a);
+                    return (Err(BusError { addr }), checked);
+                }
+            }
+            let (pfn, off) = (a >> PAGE_SHIFT, (a & PAGE_MASK) as usize);
+            if write {
+                model.entry(pfn).or_insert([0; PAGE_SIZE as usize])[off] = *b;
+            } else {
+                *b = model.get(&pfn).map_or(0, |page| page[off]);
+            }
+        }
+        (Ok(()), checked)
+    }
+
+    /// A seeded stream (splitmix64) for the property below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn bulk_accesses_match_the_byte_at_a_time_reference() {
+        for seed in 0..64 {
+            let mut rng = Rng(seed);
+            let m = mem();
+            m.write_log().set_enabled(true);
+            let mut model = Model::new();
+            for op in 0..8 {
+                // Unaligned starts in RAM, at RAM's end (spans run off
+                // it), in MMIO, and below RAM (no region at all).
+                let base = match rng.below(4) {
+                    0 => 0x4000_0000 + rng.below(4) * PAGE_SIZE,
+                    1 => 0x4100_0000 - (1 + rng.below(3)) * PAGE_SIZE,
+                    2 => 0x900_0000 + rng.below(16) * PAGE_SIZE,
+                    _ => 0x4000_0000 - PAGE_SIZE,
+                };
+                let pa = base + rng.below(PAGE_SIZE);
+                let len = rng.below(3 * PAGE_SIZE + 1) as usize;
+                let write = rng.below(2) == 0;
+                let ctx = format!("seed {seed}, op {op}: {len} bytes at {pa:#x}, write {write}");
+                let mut buf: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+                let mut want = buf.clone();
+                let (expect, checked) = reference(&m, &mut model, pa, &mut want, write);
+                // The pages accessed before any bus error.
+                let reached = &checked[..checked.len() - usize::from(expect.is_err())];
+                let mmio = reached
+                    .iter()
+                    .filter(|&&a| m.is_mmio(PhysAddr::new(a)))
+                    .count();
+                let (reads, writes) = (m.mmio_reads(), m.mmio_writes());
+                let snap = m.write_log().snapshot_generation();
+                let got = if write {
+                    m.write_bytes(PhysAddr::new(pa), &buf)
+                } else {
+                    m.read_bytes(PhysAddr::new(pa), &mut buf)
+                };
+                assert_eq!(got, expect, "{ctx}");
+                assert!(buf == want, "{ctx}: read-back");
+                let mut dirty = Vec::new();
+                m.write_log()
+                    .for_each_dirty_since(snap, |pfn| dirty.push(pfn));
+                dirty.reverse();
+                let logged: Vec<u64> = match write {
+                    true => reached.iter().map(|a| a >> PAGE_SHIFT).collect(),
+                    false => Vec::new(),
+                };
+                assert_eq!(dirty, logged, "{ctx}: write-log pages");
+                let counted = (m.mmio_reads() - reads, m.mmio_writes() - writes);
+                let mmio = mmio as u64;
+                assert_eq!(counted, if write { (0, mmio) } else { (mmio, 0) }, "{ctx}");
+                // Every word of every page reached reads back, through
+                // the word path, what the reference holds.
+                for &a in reached {
+                    let page = model.get(&(a >> PAGE_SHIFT));
+                    for off in (0..PAGE_SIZE as usize).step_by(8) {
+                        let word = page.map_or(0, |p| {
+                            u64::from_le_bytes(p[off..off + 8].try_into().unwrap())
+                        });
+                        let w = PhysAddr::new((a & !PAGE_MASK) + off as u64);
+                        assert_eq!(m.read_u64(w).unwrap(), word, "{ctx}: word at {w}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unaligned_page_sized_write_spills_into_the_next_page() {
+        let m = mem();
+        m.write_bytes(PhysAddr::new(0x4000_1008), &[0xff; PAGE_SIZE as usize])
+            .unwrap();
+        assert_eq!(m.read_u64(PhysAddr::new(0x4000_1000)).unwrap(), 0);
+        assert_eq!(m.read_u64(PhysAddr::new(0x4000_2000)).unwrap(), u64::MAX);
+        assert_eq!(m.read_u64(PhysAddr::new(0x4000_2008)).unwrap(), 0);
+        assert_eq!(m.backed_pages(), 2);
+    }
+
+    #[test]
+    fn an_unbacked_page_is_zero_without_being_backed() {
+        let m = mem();
+        assert_eq!(m.page_is_zero(PhysAddr::new(0x4000_3000)), Ok(true));
+        assert_eq!(m.backed_pages(), 0);
+    }
+
+    #[test]
+    fn a_zeroed_page_is_zero() {
+        let m = mem();
+        let pa = PhysAddr::new(0x4000_3000);
+        m.write_u64(pa.wrapping_add(0x80), 7).unwrap();
+        m.zero_page(pa).unwrap();
+        assert_eq!(m.page_is_zero(pa), Ok(true));
+        // Backed, but written with zeros only.
+        m.write_bytes(pa, &[0; 64]).unwrap();
+        assert_eq!(m.backed_pages(), 1);
+        assert_eq!(m.page_is_zero(pa.wrapping_add(0xfff)), Ok(true));
+    }
+
+    #[test]
+    fn a_page_whose_only_non_zero_word_is_the_last_is_not_zero() {
+        let m = mem();
+        let pa = PhysAddr::new(0x4000_3000);
+        m.write_u64(pa.wrapping_add(PAGE_SIZE - 8), 1).unwrap();
+        assert_eq!(m.page_is_zero(pa), Ok(false));
+        assert_eq!(m.page_is_zero(pa.wrapping_add(PAGE_SIZE)), Ok(true));
+    }
+
+    #[test]
+    fn a_page_outside_every_region_is_a_bus_error() {
+        let m = mem();
+        let pa = PhysAddr::new(0x4100_0000);
+        assert_eq!(m.page_is_zero(pa), Err(BusError { addr: pa }));
+    }
+
+    #[test]
+    fn dense_and_2mib_strided_pfns_both_hash_well() {
+        // A hash table of 2n buckets indexes by the hash's low bits and
+        // tags each slot with its top 7. Random hashes of n keys fill
+        // about 79% of n distinct buckets.
+        fn spread(hashes: Vec<u64>) -> (usize, usize) {
+            let mask = (2 * hashes.len() - 1) as u64;
+            let buckets: HashSet<u64> = hashes.iter().map(|h| h & mask).collect();
+            let tags: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            (buckets.len(), tags.len())
+        }
+        let n = 4096;
+        let hash = PfnHash::default();
+        let pfn = |stride: u64| {
+            (0..n)
+                .map(|i| hash.hash_one(0x40000 + i * stride))
+                .collect()
+        };
+        let tlb_key = |stride: u64| {
+            (0..n)
+                .map(|i| hash.hash_one((7u16, (0x40000 + i * stride) << 12)))
+                .collect()
+        };
+        for (keys, hashes) in [
+            ("dense pfns", pfn(1)),
+            ("2 MiB-strided pfns", pfn(512)),
+            ("dense TLB keys", tlb_key(1)),
+            ("2 MiB-strided TLB keys", tlb_key(512)),
+        ] {
+            let (buckets, tags) = spread(hashes);
+            assert!(
+                buckets >= n as usize * 7 / 10,
+                "{keys}: {buckets} buckets of {n} keys"
+            );
+            assert!(tags >= 120, "{keys}: {tags} tags of 128");
+        }
     }
 }

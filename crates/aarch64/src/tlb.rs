@@ -30,6 +30,7 @@ use std::sync::Arc;
 use crate::sync::{Mutex, RwLock};
 
 use crate::addr::{PAGE_MASK, PAGE_SIZE};
+use crate::memory::PfnHash;
 use crate::walk::{Access, Translation};
 
 /// The VMID used for the host's stage 2 translations.
@@ -106,11 +107,11 @@ pub trait TlbInvalidationPolicy: Send + Sync {
 /// One CPU's private TLB.
 #[derive(Debug, Default)]
 struct CpuTlb {
-    entries: RwLock<HashMap<(u16, u64), Translation>>,
+    entries: RwLock<HashMap<(u16, u64), Translation, PfnHash>>,
     /// Keys covered by a suppressed (delayed or dropped) invalidation:
     /// still served, but known-stale. Cleared by a delivered covering
     /// invalidation or a fresh fill of the same key.
-    stale: Mutex<HashSet<(u16, u64)>>,
+    stale: Mutex<HashSet<(u16, u64), PfnHash>>,
     /// Delayed invalidations awaiting [`TlbSet::settle`].
     pending: Mutex<Vec<TlbiScope>>,
 }

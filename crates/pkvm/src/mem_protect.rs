@@ -778,7 +778,7 @@ pub fn host_reclaim_page(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult
         // The wipe check's input: whatever content the host will actually
         // see. Scanned here, under the host lock, so the reported flag is
         // identical in both check modes.
-        let dirty = page_is_dirty(ctx.mem, phys);
+        let dirty = ctx.mem.page_is_zero(phys).is_ok_and(|zero| !zero);
         cov::hit("host_reclaim_page/ok");
         tlbi_range(ctx, VMID_HOST, phys.bits(), 1);
         set_owner_pool(
@@ -818,11 +818,6 @@ pub fn retire_firmware_locked(
         1,
         annotation_pte(OwnerId::HYP),
     )
-}
-
-/// Returns `true` if the page at `pa` holds any non-zero word.
-fn page_is_dirty(mem: &PhysMem, pa: PhysAddr) -> bool {
-    (0..PAGE_SIZE / 8).any(|i| mem.read_u64(pa.wrapping_add(i * 8)).is_ok_and(|v| v != 0))
 }
 
 /// `__pkvm_vm_load_firmware`: donate `nr` host pages at `pfn` to the
