@@ -302,10 +302,11 @@ impl Machine {
             }
 
             let mut inner = self.state.vm_lock(ctx, &vm);
-            // Queue every guest-mapped page for host reclaim. With the
+            // Queue every guest-mapped page for host reclaim, over the
+            // whole 48-bit IPA space `host_map_guest` admits. With the
             // synthetic teardown bug, the pages are instead handed straight
             // back to the host — unwiped, skipping the reclaim protocol.
-            let mapped = crate::pgtable::collect_mapped(ctx.mem, &inner.pgt, 0, 1 << 40);
+            let mapped = crate::pgtable::collect_mapped(ctx.mem, &inner.pgt, 0, 1 << 48);
             if ctx.faults.is(Fault::SynTeardownSkipsUnmap) {
                 let host = self.state.host_lock(ctx);
                 for (_, pa, nr, _) in &mapped {
@@ -835,6 +836,42 @@ mod tests {
         assert_eq!(m.hvc(0, HVC_TEARDOWN_VM, &[handle as u64]), 0);
         // The guest page is now reclaimable.
         assert_eq!(m.hvc(0, HVC_HOST_RECLAIM_PAGE, &[GUEST_PFN]), 0);
+        assert!(m.panicked().is_none());
+    }
+
+    #[test]
+    fn teardown_queues_guest_pages_from_the_whole_ipa_space_for_reclaim() {
+        let m = boot();
+        let handle = make_vm(&m, 1);
+        assert_eq!(m.hvc(0, HVC_VCPU_LOAD, &[handle as u64, 0]), 0);
+        assert_eq!(
+            m.hvc(
+                0,
+                HVC_TOPUP_MEMCACHE,
+                &[PhysAddr::from_pfn(MC_PFN).bits(), 16]
+            ),
+            0
+        );
+        // Below and above 2^40, up to the last gfn `host_map_guest` admits.
+        let gfns = [0x10, 0xfff_ffff, 0x1000_0000, 0xf_ffff_ffff];
+        for (i, gfn) in (0u64..).zip(gfns) {
+            assert_eq!(m.hvc(0, HVC_HOST_MAP_GUEST, &[GUEST_PFN + i, gfn]), 0);
+        }
+        assert_eq!(m.hvc(0, HVC_VCPU_PUT, &[]), 0);
+        assert_eq!(m.hvc(0, HVC_TEARDOWN_VM, &[handle as u64]), 0);
+        for (i, gfn) in (0u64..).zip(gfns) {
+            let pfn = GUEST_PFN + i;
+            assert_eq!(
+                m.hvc(0, HVC_HOST_RECLAIM_PAGE, &[pfn]),
+                0,
+                "page mapped at gfn {gfn:#x} reclaims"
+            );
+            assert!(
+                m.host_access(1, PhysAddr::from_pfn(pfn).bits(), Access::Read)
+                    .is_ok(),
+                "the host reads the page it mapped at gfn {gfn:#x}"
+            );
+        }
         assert!(m.panicked().is_none());
     }
 
