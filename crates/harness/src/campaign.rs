@@ -22,6 +22,7 @@
 //! `.pkvmtrace` file (see [`crate::tracefile`]) and replayed in a fresh
 //! process.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -422,51 +423,59 @@ pub fn run(cfg: &CampaignCfg) -> CampaignReport {
                         .filter(|c| c.p_bit_flip > 0.0)
                         .map(|c| ChaosDriver::new(&c, w));
                     let mut steps = 0;
-                    while steps < cfg.steps_per_worker && !stop.load(Ordering::Relaxed) {
-                        t.step();
-                        if let Some(d) = chaos_driver.as_mut() {
-                            d.step(&t.proxy);
-                        }
-                        steps += 1;
-                        if steps % POLL_INTERVAL == 0 {
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
+                    // A panic ends the worker's run, not its report: the
+                    // steps and counters stay on this side of the catch.
+                    let panicked = catch_unwind(AssertUnwindSafe(|| {
+                        while steps < cfg.steps_per_worker && !stop.load(Ordering::Relaxed) {
+                            t.step();
+                            if let Some(d) = chaos_driver.as_mut() {
+                                d.step(&t.proxy);
                             }
-                            // In pipelined mode the count lags the
-                            // execution frontier, so stop-on-violation
-                            // fires a few steps late — the violation
-                            // itself (and its sequence id) is unaffected.
-                            let dirty = oracle.as_ref().is_some_and(|o| o.violation_count() > 0)
-                                || t.proxy.machine.panicked().is_some();
-                            if cfg.stop_on_violation && dirty {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
+                            steps += 1;
+                            if steps % POLL_INTERVAL == 0 {
+                                if deadline.is_some_and(|d| Instant::now() >= d) {
+                                    stop.store(true, Ordering::Relaxed);
+                                    break;
+                                }
+                                // In pipelined mode the count lags the
+                                // execution frontier, so stop-on-violation
+                                // fires a few steps late — the violation
+                                // itself (and its sequence id) is
+                                // unaffected.
+                                let dirty =
+                                    oracle.as_ref().is_some_and(|o| o.violation_count() > 0)
+                                        || t.proxy.machine.panicked().is_some();
+                                if cfg.stop_on_violation && dirty {
+                                    stop.store(true, Ordering::Relaxed);
+                                    break;
+                                }
                             }
                         }
+                    }))
+                    .err()
+                    .map(payload_to_string);
+                    WorkerReport {
+                        worker: w,
+                        seed,
+                        steps,
+                        stats: t.stats,
+                        panicked,
                     }
-                    (w, seed, steps, t.stats)
                 })
             })
             .collect();
         handles
             .into_iter()
             .enumerate()
-            .map(|(i, h)| match h.join() {
-                Ok((w, seed, steps, stats)) => WorkerReport {
-                    worker: w,
-                    seed,
-                    steps,
-                    stats,
-                    panicked: None,
-                },
-                Err(payload) => WorkerReport {
+            .map(|(i, h)| {
+                // Only a panic before the first step gets here.
+                h.join().unwrap_or_else(|payload| WorkerReport {
                     worker: i,
                     seed: seeds[i],
                     steps: 0,
                     stats: RunStats::default(),
                     panicked: Some(payload_to_string(payload)),
-                },
+                })
             })
             .collect()
     });

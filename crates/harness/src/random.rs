@@ -304,10 +304,7 @@ impl RandomTester {
     fn pick_idle_cpu(&mut self) -> Option<usize> {
         match self.cfg.pin_cpu {
             Some(c) => (self.model.loaded.get(c) == Some(&None)).then_some(c),
-            None => {
-                let idle = self.model.idle_cpus();
-                idle.choose(&mut self.rng).copied()
-            }
+            None => self.rng.choose_from(self.model.idle_cpus()),
         }
     }
 
@@ -315,12 +312,7 @@ impl RandomTester {
     fn pick_busy_cpu(&mut self) -> Option<usize> {
         match self.cfg.pin_cpu {
             Some(c) => matches!(self.model.loaded.get(c), Some(Some(_))).then_some(c),
-            None => {
-                let busy: Vec<usize> = (0..self.model.loaded.len())
-                    .filter(|&c| self.model.loaded[c].is_some())
-                    .collect();
-                busy.choose(&mut self.rng).copied()
-            }
+            None => self.rng.choose_from(self.model.busy_cpus()),
         }
     }
 
@@ -336,8 +328,7 @@ impl RandomTester {
     }
 
     fn op_share(&mut self) {
-        let free = self.model.free_pages();
-        let Some(&pfn) = free.choose(&mut self.rng) else {
+        let Some(pfn) = self.model.pick(PageUse::Free, &mut self.rng) else {
             return;
         };
         let cpu = self.rand_cpu();
@@ -349,8 +340,7 @@ impl RandomTester {
     }
 
     fn op_unshare(&mut self) {
-        let shared = self.model.pages_in(PageUse::SharedHyp);
-        let Some(&pfn) = shared.choose(&mut self.rng) else {
+        let Some(pfn) = self.model.pick(PageUse::SharedHyp, &mut self.rng) else {
             return;
         };
         let cpu = self.rand_cpu();
@@ -378,19 +368,14 @@ impl RandomTester {
     }
 
     fn op_init_vcpu(&mut self) {
-        let candidates: Vec<(u32, usize)> = self
-            .model
-            .vms
-            .iter()
-            .flat_map(|v| {
-                v.vcpus
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, vc)| !vc.initialized)
-                    .map(move |(i, _)| (v.handle, i))
-            })
-            .collect();
-        let Some(&(handle, idx)) = candidates.choose(&mut self.rng) else {
+        let candidates = self.model.vms.iter().flat_map(|v| {
+            v.vcpus
+                .iter()
+                .enumerate()
+                .filter(|(_, vc)| !vc.initialized)
+                .map(move |(i, _)| (v.handle, i))
+        });
+        let Some((handle, idx)) = self.rng.choose_from(candidates) else {
             return;
         };
         let cpu = self.rand_cpu();
@@ -411,19 +396,14 @@ impl RandomTester {
         let Some(cpu) = self.pick_idle_cpu() else {
             return;
         };
-        let candidates: Vec<(u32, usize)> = self
-            .model
-            .vms
-            .iter()
-            .flat_map(|v| {
-                v.vcpus
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, vc)| vc.initialized && vc.loaded_on.is_none())
-                    .map(move |(i, _)| (v.handle, i))
-            })
-            .collect();
-        let Some(&(handle, idx)) = candidates.choose(&mut self.rng) else {
+        let candidates = self.model.vms.iter().flat_map(|v| {
+            v.vcpus
+                .iter()
+                .enumerate()
+                .filter(|(_, vc)| vc.initialized && vc.loaded_on.is_none())
+                .map(move |(i, _)| (v.handle, i))
+        });
+        let Some((handle, idx)) = self.rng.choose_from(candidates) else {
             return;
         };
         let ok = self.proxy.vcpu_load(cpu, handle, idx as u64).is_ok();
@@ -484,8 +464,7 @@ impl RandomTester {
             return;
         };
         let (handle, _idx) = self.model.loaded[cpu].expect("busy cpu");
-        let free = self.model.free_pages();
-        let Some(&pfn) = free.choose(&mut self.rng) else {
+        let Some(pfn) = self.model.pick(PageUse::Free, &mut self.rng) else {
             return;
         };
         let gfn = {
@@ -512,34 +491,33 @@ impl RandomTester {
             return;
         };
         let (handle, idx) = self.model.loaded[cpu].expect("busy cpu");
-        let (mapped, guest_shared) = {
-            let Some(vm) = self.model.vm(handle) else {
-                return;
-            };
-            (vm.mapped.clone(), vm.guest_shared.clone())
+        let Some(vm) = self.model.vm(handle) else {
+            return;
         };
         // Choose a guest action over its mapped/shared frames.
         let op = match self.rng.gen_range(0..5u32) {
-            0 => mapped
+            0 => vm
+                .mapped
                 .choose(&mut self.rng)
                 .map(|&(g, _)| GuestOp::Read(g * PAGE_SIZE)),
             1 => {
                 let v = self.rng.gen_u64();
-                mapped
+                vm.mapped
                     .choose(&mut self.rng)
                     .map(|&(g, _)| GuestOp::Write(g * PAGE_SIZE, v))
             }
             2 => {
-                let sharable: Vec<u64> = mapped
+                let sharable = vm
+                    .mapped
                     .iter()
-                    .filter(|(g, _)| !guest_shared.contains(g))
                     .map(|&(g, _)| g)
-                    .collect();
-                sharable
-                    .choose(&mut self.rng)
-                    .map(|&g| GuestOp::HvcShareHost(g * PAGE_SIZE))
+                    .filter(|g| !vm.guest_shared.contains(g));
+                self.rng
+                    .choose_from(sharable)
+                    .map(|g| GuestOp::HvcShareHost(g * PAGE_SIZE))
             }
-            3 => guest_shared
+            3 => vm
+                .guest_shared
                 .choose(&mut self.rng)
                 .map(|&g| GuestOp::HvcUnshareHost(g * PAGE_SIZE)),
             _ => Some(GuestOp::Wfi),
@@ -580,14 +558,13 @@ impl RandomTester {
     }
 
     fn op_teardown(&mut self) {
-        let candidates: Vec<u32> = self
+        let candidates = self
             .model
             .vms
             .iter()
             .filter(|v| v.vcpus.iter().all(|vc| vc.loaded_on.is_none()))
-            .map(|v| v.handle)
-            .collect();
-        let Some(&handle) = candidates.choose(&mut self.rng) else {
+            .map(|v| v.handle);
+        let Some(handle) = self.rng.choose_from(candidates) else {
             return;
         };
         let cpu = self.rand_cpu();
@@ -599,8 +576,7 @@ impl RandomTester {
     }
 
     fn op_reclaim(&mut self) {
-        let reclaimable = self.model.pages_in(PageUse::Reclaimable);
-        let Some(&pfn) = reclaimable.choose(&mut self.rng) else {
+        let Some(pfn) = self.model.pick(PageUse::Reclaimable, &mut self.rng) else {
             return;
         };
         let cpu = self.rand_cpu();
@@ -619,8 +595,7 @@ impl RandomTester {
     fn op_host_access(&mut self) {
         // Pick a page and reject the access if the model predicts a fault
         // (the "crash the host" analog).
-        let all: Vec<u64> = self.model.pages.iter().map(|&(p, _)| p).collect();
-        let Some(&pfn) = all.choose(&mut self.rng) else {
+        let Some(&(pfn, _)) = self.model.pages.choose(&mut self.rng) else {
             return;
         };
         if self.model.host_access_would_fault(pfn) {
@@ -644,14 +619,13 @@ impl RandomTester {
         if self.model.pages.len() >= self.cfg.max_pages {
             return;
         }
-        let candidates: Vec<u32> = self
+        let candidates = self
             .model
             .vms
             .iter()
             .filter(|v| v.protected && v.vcpus.iter().all(|vc| !vc.initialized))
-            .map(|v| v.handle)
-            .collect();
-        let Some(&handle) = candidates.choose(&mut self.rng) else {
+            .map(|v| v.handle);
+        let Some(handle) = self.rng.choose_from(candidates) else {
             return;
         };
         let nr = self.rng.gen_range(1..=4u64);
@@ -876,7 +850,7 @@ mod tests {
         t.run(800);
         assert!(t.stats.per_op.get("firmware").copied().unwrap_or(0) > 0);
         assert!(
-            !t.model.pages_in(PageUse::Firmware).is_empty(),
+            t.model.pages_in(PageUse::Firmware).next().is_some(),
             "no firmware load ever succeeded: {:?}",
             t.stats
         );

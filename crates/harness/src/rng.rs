@@ -47,6 +47,18 @@ impl Rng {
         T::sample(range, self)
     }
 
+    /// A uniformly random item of `items`. It draws what
+    /// [`SliceChoose::choose`] draws over `items` collected:
+    /// `gen_range(0..n)` for `n > 0` items, nothing for none. It walks
+    /// `items` twice instead of collecting them.
+    pub fn choose_from<I: Iterator + Clone>(&mut self, mut items: I) -> Option<I::Item> {
+        let n = items.clone().count();
+        if n == 0 {
+            return None;
+        }
+        items.nth(self.gen_range(0..n))
+    }
+
     // Debiased via rejection sampling (Lemire-style threshold would be
     // faster; the tester is nowhere near RNG-bound).
     fn below(&mut self, n: u64) -> u64 {
@@ -153,6 +165,20 @@ mod tests {
         assert!((1000..2000).contains(&hits), "p=0.15 gave {hits}/10000");
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
         assert!((0..100).all(|_| rng.gen_bool(1.0)));
+    }
+
+    #[test]
+    fn choose_from_draws_what_choose_draws_over_the_collected_items() {
+        for n in 0..20u64 {
+            for seed in 0..20 {
+                let items = (0..n * 3).filter(|x| x % 3 == 1);
+                let collected: Vec<u64> = items.clone().collect();
+                let mut a = Rng::seed_from_u64(seed);
+                let mut b = a.clone();
+                assert_eq!(a.choose_from(items), collected.choose(&mut b).copied());
+                assert_eq!(a.gen_u64(), b.gen_u64(), "n {n} seed {seed}");
+            }
+        }
     }
 
     #[test]

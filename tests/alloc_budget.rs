@@ -1,17 +1,19 @@
-//! The oracle's heap allocations per checked step, with a budget.
+//! Heap allocations per tester step, unchecked and the oracle's, with
+//! budgets.
 //!
 //! This binary installs a counting global allocator that counts, per
 //! thread, the calls into the allocator (`alloc`, `alloc_zeroed`,
 //! `realloc`) that the counting thread makes. Each test thread counts only
 //! itself, so the suites' parallel test threads do not disturb one
 //! another. A fixed 2,000-step episode runs on a fresh machine unchecked,
-//! then under the inline oracle, then under the pipelined one. The same
-//! seed sends the same traffic every time, so the inline difference is
-//! what the oracle allocates (front half, back half, event stream), and
-//! the pipelined one is what the driving thread still allocates when the
-//! back half runs on the checker thread, which is not counted. The
-//! figures are printed (run with `--nocapture` to see them) and held to
-//! budgets.
+//! then under the inline oracle, then under the pipelined one. The
+//! unchecked count is what the driver (tester, model, proxy) and the
+//! hypervisor allocate. The same seed sends the same traffic every time,
+//! so the inline difference is what the oracle allocates (front half,
+//! back half, event stream), and the pipelined one is what the driving
+//! thread still allocates when the back half runs on the checker thread,
+//! which is not counted. The figures are printed (run with `--nocapture`
+//! to see them) and held to budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,29 +101,33 @@ fn episode(seed: u64, weights: Weights, mode: Option<CheckMode>) -> u64 {
     n
 }
 
-/// Oracle allocations per step of one mix on the driving thread, inline
-/// and pipelined, each minus unchecked.
-fn oracle_allocations_per_step(what: &str, seed: u64, weights: Weights) -> (f64, f64) {
+/// Allocations per step of one mix on the driving thread: unchecked, and
+/// the oracle's inline and pipelined (each minus unchecked).
+fn allocations_per_step(what: &str, seed: u64, weights: Weights) -> (f64, f64, f64) {
     let unchecked = episode(seed, weights, None);
     let inline = episode(seed, weights, Some(CheckMode::Inline));
     let pipelined = episode(seed, weights, Some(CheckMode::pipelined()));
     let per_step = |checked: u64| (checked as f64 - unchecked as f64) / STEPS as f64;
     let (inline, pipelined) = (per_step(inline), per_step(pipelined));
+    let unchecked = unchecked as f64 / STEPS as f64;
     println!(
-        "{what}: {STEPS} steps, unchecked {:.1}/step; oracle allocations/step \
+        "{what}: {STEPS} steps, unchecked {unchecked:.2}/step; oracle allocations/step \
          on the driving thread: inline {inline:.2}, pipelined {pipelined:.2}",
-        unchecked as f64 / STEPS as f64,
     );
-    (inline, pipelined)
+    (unchecked, inline, pipelined)
 }
 
 /// The Android mix at the benchmark's first `android_mix` seed.
 #[test]
 fn android_mix_oracle_allocations_stay_in_budget() {
-    let (inline, pipelined) = oracle_allocations_per_step(
+    let (unchecked, inline, pipelined) = allocations_per_step(
         "android mix at 0xa4d",
         worker_seed(0xa4d, 0),
         android_weights(),
+    );
+    assert!(
+        unchecked <= BUDGET_ANDROID_UNCHECKED,
+        "unchecked {unchecked:.2} > {BUDGET_ANDROID_UNCHECKED}"
     );
     assert!(
         inline <= BUDGET_ANDROID,
@@ -136,10 +142,14 @@ fn android_mix_oracle_allocations_stay_in_budget() {
 /// The default mix at the benchmark's first `random_e3` seed.
 #[test]
 fn default_mix_oracle_allocations_stay_in_budget() {
-    let (inline, pipelined) = oracle_allocations_per_step(
+    let (unchecked, inline, pipelined) = allocations_per_step(
         "default mix at 0xe3",
         worker_seed(0xe3, 0),
         DEFAULT_OP_WEIGHTS,
+    );
+    assert!(
+        unchecked <= BUDGET_DEFAULT_UNCHECKED,
+        "unchecked {unchecked:.2} > {BUDGET_DEFAULT_UNCHECKED}"
     );
     assert!(
         inline <= BUDGET_DEFAULT,
@@ -163,3 +173,11 @@ const BUDGET_ANDROID: f64 = 14.0;
 const BUDGET_DEFAULT: f64 = 11.0;
 const BUDGET_ANDROID_PIPELINED: f64 = 5.0;
 const BUDGET_DEFAULT_PIPELINED: f64 = 3.75;
+
+// Unchecked allocations per step (the driver and the hypervisor): 4.7 on
+// the default mix and 5.3 on the Android mix while the generator's model
+// collected a fresh list of candidate pages for each pick; 2.46 and 3.37
+// since it picks from an index. The budgets leave about a fifth of
+// headroom, below the figures of the collecting model.
+const BUDGET_DEFAULT_UNCHECKED: f64 = 3.0;
+const BUDGET_ANDROID_UNCHECKED: f64 = 4.1;
