@@ -23,6 +23,8 @@
 //! implementation and the specification meet at the same architectural
 //! interface as in the paper.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod attrs;
 pub mod desc;

@@ -1,9 +1,11 @@
 //! Simulated physical memory.
 //!
-//! Physical memory is a sparse, page-granular byte store: pages are
-//! allocated zero-filled on first write, so very large physical address
-//! spaces (needed to reproduce pKVM bug 5, where huge DRAM made the linear
-//! map overlap the IO space) cost nothing until touched.
+//! Physical memory is a sparse store of 64-bit words: 512-byte blocks are
+//! backed zero-filled at their first non-zero write, so very large
+//! physical address spaces (needed to reproduce pKVM bug 5, where huge
+//! DRAM made the linear map overlap the IO space) cost nothing until
+//! touched. Accesses take no lock: the directory's slots are installed
+//! once and never cleared, and each word is an atomic.
 //!
 //! The address space is described by a list of [`MemRegion`]s: RAM regions
 //! back translation tables, hypervisor memory and host/guest pages; MMIO
@@ -13,17 +15,18 @@
 //!
 //! Bulk accesses ([`PhysMem::read_bytes`], [`PhysMem::write_bytes`],
 //! [`PhysMem::page_is_zero`], [`PhysMem::read_table`]) work a page at a
-//! time: one region check, one page lookup and one slice copy or scan per
-//! page, never per byte or word.
+//! time: one region check and one page lookup per page, then one load or
+//! store per word.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use crate::sync::{Mutex, RwLock};
+use crate::sync::Mutex;
 
-use crate::addr::{PhysAddr, PAGE_MASK, PAGE_SIZE};
+use crate::addr::{PhysAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use crate::desc::Pte;
 
 /// The hasher of the simulation's page-keyed maps: the page store, the
@@ -89,6 +92,16 @@ fn page_spans(pa: PhysAddr, len: usize) -> impl Iterator<Item = (PhysAddr, Range
 /// may have invalidated it. Writes racing with the read land at or after
 /// the snapshot generation and so are re-reported next time — the log
 /// over-approximates, never under-reports.
+///
+/// [`PhysMem`]'s writers store and then record the page, holding the
+/// log's lock across both while tracking is on. A reader that sees a
+/// store therefore finds its record at its next query: the query takes
+/// the same lock, after the writer released it. A write recorded before
+/// a snapshot was also stored before it, so every read after the
+/// snapshot sees the new word. Storing without the lock and recording
+/// after would leave a window in which a query misses a store that a
+/// read already saw; recording before the store would let a snapshot
+/// fall between the record and the store.
 ///
 /// Tracking is off by default (one relaxed atomic load per write); the
 /// instrumented machine switches it on when its hooks want dirty
@@ -181,20 +194,32 @@ impl WriteLog {
         true
     }
 
-    fn record(&self, pfn: u64) {
+    /// Runs `store`, a write to page `pfn`, then records the page. While
+    /// tracking is on, both happen under the log's lock, so no snapshot
+    /// or query falls between a store and its record; while it is off,
+    /// the store takes no lock.
+    fn store_and_record<R>(&self, pfn: u64, store: impl FnOnce() -> R) -> R {
         if !self.enabled() {
-            return;
+            return store();
         }
         let mut l = self.inner.lock();
-        if !l.seen.insert(pfn) {
+        let stored = store();
+        l.record(pfn);
+        stored
+    }
+}
+
+impl WriteLogInner {
+    fn record(&mut self, pfn: u64) {
+        if !self.seen.insert(pfn) {
             return;
         }
-        let g = l.generation;
-        l.entries.push_back((g, pfn));
-        if l.entries.len() > WRITE_LOG_CAP {
-            l.entries.drain(..WRITE_LOG_CAP / 2);
+        let g = self.generation;
+        self.entries.push_back((g, pfn));
+        if self.entries.len() > WRITE_LOG_CAP {
+            self.entries.drain(..WRITE_LOG_CAP / 2);
             // The oldest retained generation may now be incomplete.
-            l.trimmed_before = l.entries.front().map_or(g + 1, |&(g, _)| g + 1);
+            self.trimmed_before = self.entries.front().map_or(g + 1, |&(g, _)| g + 1);
         }
     }
 }
@@ -266,10 +291,164 @@ impl core::fmt::Display for BusError {
 
 impl std::error::Error for BusError {}
 
+/// Bytes in a block, the store's unit of backing: 64 words, an eighth
+/// of a page. Most pages the simulation touches hold a few descriptors
+/// or parameters, so blocks, not pages, keep its memory small.
+const BLOCK_BYTES: usize = 512;
+/// Words in a block.
+const BLOCK_WORDS: usize = BLOCK_BYTES / 8;
+/// Blocks in a page.
+const PAGE_BLOCKS: usize = PAGE_SIZE as usize / BLOCK_BYTES;
+/// Slots in a directory node: a leaf's pages (2 MiB), a middle node's
+/// leaves (1 GiB).
+const NODE_SLOTS: usize = 512;
+/// log2 of the bytes a leaf covers.
+const LEAF_SHIFT: u64 = 21;
+/// log2 of the bytes a middle node covers, one directory slot's worth.
+const MID_SHIFT: u64 = 30;
+
+/// 512 bytes of memory, each word single-copy atomic.
+type Block = [AtomicU64; BLOCK_WORDS];
+/// A page's blocks, each backed by its first non-zero write.
+type Page = [OnceLock<Box<Block>>; PAGE_BLOCKS];
+/// The pages of 2 MiB.
+type Leaf = [OnceLock<Box<Page>>; NODE_SLOTS];
+/// The leaves of 1 GiB.
+type Mid = [OnceLock<Box<Leaf>>; NODE_SLOTS];
+
+/// `N` empty slots, built on the heap.
+fn slots<T, const N: usize>() -> Box<[OnceLock<T>; N]> {
+    let slots: Box<[OnceLock<T>]> = std::iter::repeat_with(OnceLock::new).take(N).collect();
+    slots.try_into().ok().expect("N slots")
+}
+
+/// The slot of byte offset `off` in a node whose slots cover `1 << shift`
+/// bytes each.
+fn slot(off: u64, shift: u64) -> usize {
+    (off >> shift) as usize % NODE_SLOTS
+}
+
+/// One region's storage: one slot per GiB of the region, each holding a
+/// middle node once the GiB is first written with a non-zero value.
+struct Directory(Box<[OnceLock<Box<Mid>>]>);
+
+impl Directory {
+    fn new(size: u64) -> Directory {
+        let gibs = size.div_ceil(1 << MID_SHIFT) as usize;
+        Directory(std::iter::repeat_with(OnceLock::new).take(gibs).collect())
+    }
+
+    /// The page at region offset `off`, if any block of it is backed.
+    #[inline]
+    fn page(&self, off: u64) -> Option<&Page> {
+        let mid = self.0[(off >> MID_SHIFT) as usize].get()?;
+        let leaf = mid[slot(off, LEAF_SHIFT)].get()?;
+        leaf[slot(off, PAGE_SHIFT)].get().map(|page| &**page)
+    }
+
+    /// The page at region offset `off`, installing the nodes on its path.
+    /// Each slot is installed once; a racing installer waits and uses
+    /// the winner's node.
+    fn page_or_install(&self, off: u64) -> &Page {
+        let mid = self.0[(off >> MID_SHIFT) as usize].get_or_init(slots);
+        let leaf = mid[slot(off, LEAF_SHIFT)].get_or_init(slots);
+        leaf[slot(off, PAGE_SHIFT)].get_or_init(slots)
+    }
+
+    /// Backed nodes on every level: middle nodes, leaves, pages, blocks.
+    fn census(&self) -> [usize; 4] {
+        let mut n = [0; 4];
+        for mid in self.0.iter().filter_map(OnceLock::get) {
+            n[0] += 1;
+            for leaf in mid.iter().filter_map(OnceLock::get) {
+                n[1] += 1;
+                for page in leaf.iter().filter_map(OnceLock::get) {
+                    n[2] += 1;
+                    n[3] += page.iter().filter(|b| b.get().is_some()).count();
+                }
+            }
+        }
+        n
+    }
+}
+
+/// Block `b` of `page`, backed zero-filled if it was not.
+fn block_or_back(page: &Page, b: usize) -> &Block {
+    page[b].get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU64::new(0))))
+}
+
+/// The word at byte offset `off` of `page`, if its block is backed.
+#[inline]
+fn word(page: &Page, off: u64) -> Option<&AtomicU64> {
+    let w = (off & PAGE_MASK) as usize / 8;
+    page[w / BLOCK_WORDS]
+        .get()
+        .map(|block| &block[w % BLOCK_WORDS])
+}
+
+/// Splits the `len` bytes from byte `off` of a page at word boundaries,
+/// yielding each piece's word index in the page, its bytes within the
+/// word and its range in a `len`-byte buffer.
+fn word_spans(off: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let at = off + done;
+            let n = (8 - at % 8).min(len - done);
+            done += n;
+            (at / 8, at % 8..at % 8 + n, done - n..done)
+        })
+    })
+}
+
+/// Writes `src` into the page at region offset `off` of `dir`, from
+/// that offset's byte in the page, one store per word. A word written
+/// only in part is updated by compare-and-swap, so racing writes to its
+/// other bytes survive. Zero words of unbacked blocks back nothing.
+fn write_page(dir: &Directory, off: u64, src: &[u8]) {
+    let mut page = dir.page(off);
+    for (w, bytes, span) in word_spans((off & PAGE_MASK) as usize, src.len()) {
+        let mut le = [0; 8];
+        le[bytes.clone()].copy_from_slice(&src[span]);
+        let value = u64::from_le_bytes(le);
+        let cell = match page.and_then(|p| p[w / BLOCK_WORDS].get()) {
+            Some(block) => &block[w % BLOCK_WORDS],
+            None if value == 0 => continue,
+            None => {
+                let p = *page.get_or_insert_with(|| dir.page_or_install(off));
+                &block_or_back(p, w / BLOCK_WORDS)[w % BLOCK_WORDS]
+            }
+        };
+        if bytes.len() == 8 {
+            cell.store(value, Ordering::Release);
+        } else {
+            let mask = (u64::MAX >> (64 - 8 * bytes.len())) << (8 * bytes.start);
+            let _ = cell.fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
+                Some(old & !mask | value)
+            });
+        }
+    }
+}
+
 /// Sparse simulated physical memory.
+///
+/// Each region has a directory with one slot per GiB. Below it, a
+/// middle node holds 512 leaves of 2 MiB, and a leaf holds 512 pages of
+/// eight 512-byte blocks of [`AtomicU64`] words. A block is backed at
+/// its first non-zero write, and so is every node on its path. Zero
+/// writes to unbacked blocks back nothing, since such blocks read as
+/// zero. Every slot is a [`OnceLock`] that is installed once and never
+/// cleared: readers take no lock, and [`PhysMem::zero_page`] zeroes in
+/// place.
+///
+/// A word access is single-copy atomic, like an aligned 64-bit access on
+/// Armv8-A. Stores release and loads acquire, so a reader that sees a
+/// descriptor also sees the table it links. A bulk access is a sequence
+/// of word accesses, not one atomic copy.
 pub struct PhysMem {
     regions: Vec<MemRegion>,
-    pages: RwLock<HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, PfnHash>>,
+    /// Each region's storage, in `regions` order.
+    dirs: Vec<Directory>,
     mmio_reads: AtomicU64,
     mmio_writes: AtomicU64,
     write_log: WriteLog,
@@ -297,8 +476,8 @@ impl PhysMem {
             );
         }
         Self {
+            dirs: regions.iter().map(|r| Directory::new(r.size)).collect(),
             regions,
-            pages: RwLock::new(HashMap::default()),
             mmio_reads: AtomicU64::new(0),
             mmio_writes: AtomicU64::new(0),
             write_log: WriteLog::default(),
@@ -340,24 +519,55 @@ impl PhysMem {
         &self.write_log
     }
 
-    /// Number of RAM pages currently backed by real storage (touched pages).
-    pub fn backed_pages(&self) -> usize {
-        self.pages.read().len()
+    fn census(&self) -> [usize; 4] {
+        self.dirs.iter().fold([0; 4], |mut n, dir| {
+            n.iter_mut().zip(dir.census()).for_each(|(a, b)| *a += b);
+            n
+        })
     }
 
-    fn note_access(&self, pa: PhysAddr, write: bool) -> Result<(), BusError> {
-        match self.region_of(pa) {
-            None => Err(BusError { addr: pa }),
-            Some(r) if r.kind == RegionKind::Mmio => {
-                if write {
-                    self.mmio_writes.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.mmio_reads.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            }
-            Some(_) => Ok(()),
+    /// Number of pages with at least one backed block (pages that were
+    /// ever written with a non-zero value).
+    pub fn backed_pages(&self) -> usize {
+        self.census()[2]
+    }
+
+    /// Number of backed 512-byte blocks (blocks that were ever written
+    /// with a non-zero value).
+    pub fn backed_blocks(&self) -> usize {
+        self.census()[3]
+    }
+
+    /// Heap bytes the store holds: directories, nodes and blocks. Blocks
+    /// are never freed, so this only grows, bounded by the blocks ever
+    /// written with a non-zero value.
+    pub fn store_bytes(&self) -> usize {
+        let dirs: usize = self.dirs.iter().map(|d| d.0.len()).sum();
+        let [mids, leaves, pages, blocks] = self.census();
+        dirs * size_of::<OnceLock<Box<Mid>>>()
+            + mids * size_of::<Mid>()
+            + leaves * size_of::<Leaf>()
+            + pages * size_of::<Page>()
+            + blocks * size_of::<Block>()
+    }
+
+    /// The region holding `pa` and `pa`'s offset in it, counting an
+    /// access to MMIO.
+    #[inline]
+    fn locate(&self, pa: PhysAddr, write: bool) -> Result<(&Directory, u64), BusError> {
+        let Some(i) = self.regions.iter().position(|r| r.contains(pa)) else {
+            return Err(BusError { addr: pa });
+        };
+        let r = &self.regions[i];
+        if r.kind == RegionKind::Mmio {
+            let counter = if write {
+                &self.mmio_writes
+            } else {
+                &self.mmio_reads
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
+        Ok((&self.dirs[i], pa.bits() - r.base.bits()))
     }
 
     /// Reads a naturally-aligned 64-bit word.
@@ -372,15 +582,9 @@ impl PhysMem {
     /// misaligned descriptor accesses).
     pub fn read_u64(&self, pa: PhysAddr) -> Result<u64, BusError> {
         assert!(pa.bits().is_multiple_of(8), "misaligned u64 read at {pa}");
-        self.note_access(pa, false)?;
-        let pages = self.pages.read();
-        Ok(match pages.get(&pa.pfn()) {
-            None => 0,
-            Some(page) => {
-                let off = (pa.bits() & PAGE_MASK) as usize;
-                u64::from_le_bytes(page[off..off + 8].try_into().unwrap())
-            }
-        })
+        let (dir, off) = self.locate(pa, false)?;
+        let word = dir.page(off).and_then(|page| word(page, off));
+        Ok(word.map_or(0, |w| w.load(Ordering::Acquire)))
     }
 
     /// Writes a naturally-aligned 64-bit word.
@@ -394,86 +598,99 @@ impl PhysMem {
     /// Panics on misaligned addresses.
     pub fn write_u64(&self, pa: PhysAddr, value: u64) -> Result<(), BusError> {
         assert!(pa.bits().is_multiple_of(8), "misaligned u64 write at {pa}");
-        self.note_access(pa, true)?;
-        let mut pages = self.pages.write();
-        // Recorded under the store's lock (see `WriteLog`): recorded
-        // before it, a snapshot taken in between would read the old word
-        // and never hear of the new one.
-        self.write_log.record(pa.pfn());
-        let page = pages.entry(pa.pfn()).or_insert_with(zeroed_page);
-        let off = (pa.bits() & PAGE_MASK) as usize;
-        page[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        let (dir, off) = self.locate(pa, true)?;
+        self.write_log.store_and_record(pa.pfn(), || {
+            match dir.page(off).and_then(|p| word(p, off)) {
+                Some(w) => w.store(value, Ordering::Release),
+                None if value == 0 => {}
+                None => {
+                    let w = (off & PAGE_MASK) as usize / 8;
+                    let block = block_or_back(dir.page_or_install(off), w / BLOCK_WORDS);
+                    block[w % BLOCK_WORDS].store(value, Ordering::Release);
+                }
+            }
+        });
         Ok(())
     }
 
     /// Reads `buf.len()` bytes starting at `pa` (may cross page
-    /// boundaries), one slice copy per page.
+    /// boundaries), one page lookup per page and one load per word.
     ///
     /// # Errors
     ///
     /// Returns [`BusError`] if any touched page is outside every region;
     /// the bytes of the pages before it have been read.
     pub fn read_bytes(&self, pa: PhysAddr, buf: &mut [u8]) -> Result<(), BusError> {
-        let pages = self.pages.read();
         for (a, span) in page_spans(pa, buf.len()) {
-            self.note_access(a, false)?;
-            let off = a.page_offset() as usize;
+            let (dir, off) = self.locate(a, false)?;
             let dst = &mut buf[span];
-            match pages.get(&a.pfn()) {
-                None => dst.fill(0),
-                Some(page) => dst.copy_from_slice(&page[off..off + dst.len()]),
+            let Some(page) = dir.page(off) else {
+                dst.fill(0);
+                continue;
+            };
+            let page_off = off & PAGE_MASK;
+            for (w, bytes, span) in word_spans(page_off as usize, dst.len()) {
+                let word = word(page, 8 * w as u64).map_or(0, |w| w.load(Ordering::Acquire));
+                dst[span].copy_from_slice(&word.to_le_bytes()[bytes]);
             }
         }
         Ok(())
     }
 
     /// Writes `buf` starting at `pa` (may cross page boundaries), one
-    /// slice copy per page: an unaligned page-sized write spills into the
-    /// next page, as pKVM bug 1's memset does.
+    /// page lookup per page and one store per word: an unaligned
+    /// page-sized write spills into the next page, as pKVM bug 1's
+    /// memset does.
     ///
     /// # Errors
     ///
     /// Returns [`BusError`] if any touched page is outside every region;
     /// the pages before it have been written.
     pub fn write_bytes(&self, pa: PhysAddr, buf: &[u8]) -> Result<(), BusError> {
-        let mut pages = self.pages.write();
         for (a, span) in page_spans(pa, buf.len()) {
-            self.note_access(a, true)?;
-            self.write_log.record(a.pfn());
-            let off = a.page_offset() as usize;
-            let page = pages.entry(a.pfn()).or_insert_with(zeroed_page);
-            page[off..off + span.len()].copy_from_slice(&buf[span]);
+            let (dir, off) = self.locate(a, true)?;
+            let src = &buf[span];
+            self.write_log
+                .store_and_record(a.pfn(), || write_page(dir, off, src));
         }
         Ok(())
     }
 
-    /// Zeroes the 4 KiB page containing `pa`.
+    /// Zeroes the 4 KiB page containing `pa` in place: its backed blocks
+    /// stay backed.
     ///
     /// # Errors
     ///
     /// Returns [`BusError`] for addresses outside every region.
     pub fn zero_page(&self, pa: PhysAddr) -> Result<(), BusError> {
-        self.note_access(pa, true)?;
-        let mut pages = self.pages.write();
-        self.write_log.record(pa.pfn());
-        // Dropping the backing restores zero-fill semantics cheaply.
-        pages.remove(&pa.pfn());
+        let (dir, off) = self.locate(pa, true)?;
+        self.write_log.store_and_record(pa.pfn(), || {
+            for block in dir
+                .page(off)
+                .into_iter()
+                .flatten()
+                .filter_map(OnceLock::get)
+            {
+                block.iter().for_each(|w| w.store(0, Ordering::Release));
+            }
+        });
         Ok(())
     }
 
     /// Returns `true` if the 4 KiB page containing `pa` reads as all
     /// zeros, in one region check and one page lookup: an unbacked page
-    /// is zero without a scan.
+    /// or block is zero without a scan.
     ///
     /// # Errors
     ///
     /// Returns [`BusError`] for addresses outside every region.
     pub fn page_is_zero(&self, pa: PhysAddr) -> Result<bool, BusError> {
-        self.note_access(pa, false)?;
-        let pages = self.pages.read();
-        Ok(pages
-            .get(&pa.pfn())
-            .is_none_or(|page| page.iter().all(|&b| b == 0)))
+        let (dir, off) = self.locate(pa, false)?;
+        Ok(dir.page(off).is_none_or(|page| {
+            page.iter()
+                .filter_map(OnceLock::get)
+                .all(|block| block.iter().all(|w| w.load(Ordering::Acquire) == 0))
+        }))
     }
 
     /// Reads the `idx`th descriptor of the table whose base is `table`.
@@ -487,12 +704,12 @@ impl PhysMem {
     }
 
     /// Reads all 512 descriptors of the table page whose base is `table`
-    /// in one access: one region check, one lock acquire, one page lookup
-    /// and one 4 KiB copy instead of 512 of each. An unbacked page reads
-    /// as all-zero descriptors, matching [`PhysMem::read_u64`]'s
-    /// zero-fill semantics. The page-table interpreter leans on this:
-    /// abstracting a table level touches every descriptor, and the
-    /// per-descriptor bookkeeping dominates the walk otherwise.
+    /// in one access: one region check and one page lookup instead of
+    /// 512 of each. An unbacked page or block reads as all-zero
+    /// descriptors, matching [`PhysMem::read_u64`]'s zero-fill
+    /// semantics. The page-table interpreter leans on this: abstracting
+    /// a table level touches every descriptor, and the per-descriptor
+    /// bookkeeping dominates the walk otherwise.
     ///
     /// # Errors
     ///
@@ -520,15 +737,20 @@ impl PhysMem {
     /// Panics if `table` is not page aligned (table bases always are).
     pub fn read_table_into(&self, table: PhysAddr, out: &mut [Pte; 512]) -> Result<(), BusError> {
         assert!(table.is_page_aligned(), "misaligned table base {table}");
-        self.note_access(table, false)?;
-        let pages = self.pages.read();
-        match pages.get(&table.pfn()) {
-            Some(page) => {
-                for (pte, chunk) in out.iter_mut().zip(page.chunks_exact(8)) {
-                    *pte = Pte(u64::from_le_bytes(chunk.try_into().unwrap()));
+        let (dir, off) = self.locate(table, false)?;
+        let Some(page) = dir.page(off) else {
+            out.fill(Pte(0));
+            return Ok(());
+        };
+        for (ptes, block) in out.chunks_exact_mut(BLOCK_WORDS).zip(page) {
+            match block.get() {
+                Some(block) => {
+                    for (pte, w) in ptes.iter_mut().zip(block.iter()) {
+                        *pte = Pte(w.load(Ordering::Acquire));
+                    }
                 }
+                None => ptes.fill(Pte(0)),
             }
-            None => out.fill(Pte(0)),
         }
         Ok(())
     }
@@ -544,16 +766,12 @@ impl PhysMem {
     }
 }
 
-/// A fresh backing page: zero-filled, like memory never written.
-fn zeroed_page() -> Box<[u8; PAGE_SIZE as usize]> {
-    Box::new([0; PAGE_SIZE as usize])
-}
-
 impl core::fmt::Debug for PhysMem {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PhysMem")
             .field("regions", &self.regions)
             .field("backed_pages", &self.backed_pages())
+            .field("backed_blocks", &self.backed_blocks())
             .finish()
     }
 }
@@ -561,7 +779,7 @@ impl core::fmt::Debug for PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PAGE_SHIFT;
+    use std::collections::HashMap;
     use std::hash::BuildHasher;
 
     fn mem() -> PhysMem {
@@ -916,6 +1134,301 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Memory as one byte array per region, for the property below:
+    /// 16 pages of RAM and 4 of MMIO, with the 512-byte blocks that were
+    /// ever written a non-zero byte.
+    struct Dense {
+        regions: Vec<(MemRegion, Vec<u8>)>,
+        nonzero: std::collections::BTreeSet<u64>,
+    }
+
+    impl Dense {
+        fn new() -> Dense {
+            let regions = [
+                MemRegion::ram(0x4000_0000, 16 * PAGE_SIZE),
+                MemRegion::mmio(0x900_0000, 4 * PAGE_SIZE),
+            ];
+            Dense {
+                regions: regions.map(|r| (r, vec![0; r.size as usize])).into(),
+                nonzero: Default::default(),
+            }
+        }
+
+        fn mem(&self) -> PhysMem {
+            PhysMem::new(self.regions.iter().map(|(r, _)| *r).collect())
+        }
+
+        fn byte(&mut self, a: u64) -> &mut u8 {
+            let (r, bytes) = self
+                .regions
+                .iter_mut()
+                .find(|(r, _)| r.contains(PhysAddr::new(a)))
+                .expect("reached");
+            &mut bytes[(a - r.base.bits()) as usize]
+        }
+
+        fn is_mmio(&self, a: u64) -> bool {
+            let a = PhysAddr::new(a);
+            self.regions
+                .iter()
+                .any(|(r, _)| r.contains(a) && r.kind == RegionKind::Mmio)
+        }
+
+        /// The first address of each page `[pa, pa + len)` reaches, and
+        /// the bus error of the first page outside every region: the
+        /// region checks of a bulk access.
+        fn reach(&self, pa: u64, len: u64) -> (Vec<u64>, Result<(), BusError>) {
+            let mut reached = Vec::new();
+            let mut a = pa;
+            while a < pa + len {
+                let addr = PhysAddr::new(a);
+                if !self.regions.iter().any(|(r, _)| r.contains(addr)) {
+                    return (reached, Err(BusError { addr }));
+                }
+                reached.push(a);
+                a = (a & !PAGE_MASK) + PAGE_SIZE;
+            }
+            (reached, Ok(()))
+        }
+
+        /// Writes `buf` at `pa` over the pages `reached`.
+        fn write(&mut self, pa: u64, buf: &[u8], reached: &[u64]) {
+            let end = reached.last().map_or(pa, |&a| (a & !PAGE_MASK) + PAGE_SIZE);
+            for (i, &b) in buf.iter().enumerate() {
+                let a = pa + i as u64;
+                if a >= end {
+                    break;
+                }
+                *self.byte(a) = b;
+                if b != 0 {
+                    self.nonzero.insert(a & !(BLOCK_BYTES as u64 - 1));
+                }
+            }
+        }
+
+        fn read(&mut self, pa: u64, len: usize) -> Vec<u8> {
+            (0..len as u64).map(|i| *self.byte(pa + i)).collect()
+        }
+    }
+
+    /// A zero, sparse or dense word, so that zero writes reach unbacked
+    /// blocks.
+    fn value(rng: &mut Rng) -> u64 {
+        match rng.below(3) {
+            0 => 0,
+            1 => (rng.next() & 0xff) << (8 * rng.below(8)),
+            _ => rng.next(),
+        }
+    }
+
+    #[test]
+    fn the_store_matches_a_dense_byte_array() {
+        for seed in 0..64 {
+            let mut rng = Rng(seed ^ 0xd5e);
+            let mut dense = Dense::new();
+            let m = dense.mem();
+            m.write_log().set_enabled(true);
+            for op in 0..40 {
+                // Starts in RAM, at RAM's end (spans run off it), in
+                // MMIO, at MMIO's end and below RAM (no region at all).
+                let page = match rng.below(5) {
+                    0 => 0x4000_0000 + rng.below(4) * PAGE_SIZE,
+                    1 => 0x4001_0000 - (1 + rng.below(3)) * PAGE_SIZE,
+                    2 => 0x900_0000 + rng.below(4) * PAGE_SIZE,
+                    3 => 0x900_4000 - PAGE_SIZE,
+                    _ => 0x4000_0000 - PAGE_SIZE,
+                };
+                let pa = page + rng.below(PAGE_SIZE);
+                let word = pa & !7;
+                let kind = rng.below(7);
+                let ctx = format!("seed {seed}, op {op}: kind {kind} at {pa:#x}");
+                let (reads, writes) = (m.mmio_reads(), m.mmio_writes());
+                let snap = m.write_log().snapshot_generation();
+                let (reached, wrote) = match kind {
+                    0 => {
+                        let v = value(&mut rng);
+                        let (reached, expect) = dense.reach(word, 8);
+                        dense.write(word, &v.to_le_bytes(), &reached);
+                        let got = m.write_u64(PhysAddr::new(word), v);
+                        assert_eq!(got, expect, "{ctx}");
+                        (reached, true)
+                    }
+                    1 => {
+                        let (reached, expect) = dense.reach(word, 8);
+                        let got = m.read_u64(PhysAddr::new(word));
+                        let want = expect
+                            .map(|()| u64::from_le_bytes(dense.read(word, 8).try_into().unwrap()));
+                        assert_eq!(got, want, "{ctx}");
+                        (reached, false)
+                    }
+                    2 => {
+                        let len = rng.below(5 * PAGE_SIZE / 2) as usize;
+                        let buf: Vec<u8> = (0..len / 8 + 1)
+                            .flat_map(|_| value(&mut rng).to_le_bytes())
+                            .take(len)
+                            .collect();
+                        let (reached, expect) = dense.reach(pa, len as u64);
+                        dense.write(pa, &buf, &reached);
+                        assert_eq!(m.write_bytes(PhysAddr::new(pa), &buf), expect, "{ctx}");
+                        (reached, true)
+                    }
+                    3 => {
+                        let len = rng.below(5 * PAGE_SIZE / 2) as usize;
+                        let (reached, expect) = dense.reach(pa, len as u64);
+                        let mut buf = vec![0xa5; len];
+                        assert_eq!(m.read_bytes(PhysAddr::new(pa), &mut buf), expect, "{ctx}");
+                        if expect.is_ok() {
+                            assert!(buf == dense.read(pa, len), "{ctx}: bytes");
+                        }
+                        (reached, false)
+                    }
+                    4 => {
+                        let (reached, expect) = dense.reach(pa, 1);
+                        let zeros = [0; PAGE_SIZE as usize];
+                        dense.write(page, &zeros, &reached);
+                        assert_eq!(m.zero_page(PhysAddr::new(pa)), expect, "{ctx}");
+                        (reached, true)
+                    }
+                    5 => {
+                        let (reached, expect) = dense.reach(pa, 1);
+                        let want = expect
+                            .map(|()| dense.read(page, PAGE_SIZE as usize).iter().all(|&b| b == 0));
+                        assert_eq!(m.page_is_zero(PhysAddr::new(pa)), want, "{ctx}");
+                        (reached, false)
+                    }
+                    _ => {
+                        let (reached, expect) = dense.reach(page, 1);
+                        let mut out = [Pte(7); 512];
+                        let got = m.read_table_into(PhysAddr::new(page), &mut out);
+                        assert_eq!(got, expect, "{ctx}");
+                        for (i, pte) in out.iter().enumerate() {
+                            let want = match expect {
+                                Ok(()) => {
+                                    let bytes = dense.read(page + 8 * i as u64, 8);
+                                    u64::from_le_bytes(bytes.try_into().unwrap())
+                                }
+                                Err(_) => 7,
+                            };
+                            assert_eq!(pte.bits(), want, "{ctx}: descriptor {i}");
+                        }
+                        (reached, false)
+                    }
+                };
+                let mmio = reached.iter().filter(|&&a| dense.is_mmio(a)).count() as u64;
+                let counted = (m.mmio_reads() - reads, m.mmio_writes() - writes);
+                let want = if wrote { (0, mmio) } else { (mmio, 0) };
+                assert_eq!(counted, want, "{ctx}: MMIO accesses");
+                let mut dirty = Vec::new();
+                m.write_log()
+                    .for_each_dirty_since(snap, |pfn| dirty.push(pfn));
+                dirty.reverse();
+                let logged: Vec<u64> = match wrote {
+                    true => reached.iter().map(|a| a >> PAGE_SHIFT).collect(),
+                    false => Vec::new(),
+                };
+                assert_eq!(dirty, logged, "{ctx}: write-log pages");
+                // Only blocks ever written a non-zero byte are backed.
+                let pages: HashSet<u64> = dense.nonzero.iter().map(|b| b >> PAGE_SHIFT).collect();
+                assert_eq!(m.backed_blocks(), dense.nonzero.len(), "{ctx}: blocks");
+                assert_eq!(m.backed_pages(), pages.len(), "{ctx}: pages");
+            }
+            // Every byte of both regions reads back as the reference.
+            for (r, bytes) in &dense.regions {
+                let mut all = vec![0; bytes.len()];
+                m.read_bytes(r.base, &mut all).unwrap();
+                assert!(&all == bytes, "seed {seed}: contents of {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn racing_first_writes_to_one_fresh_block_both_survive() {
+        // Two threads write different words of a block nobody backed
+        // yet, so both try to install it (and the page and nodes above
+        // it). A write to a block another thread's install replaced
+        // would be lost.
+        for round in 0..2_000u64 {
+            let m = mem();
+            let pa = PhysAddr::new(0x4000_0000 + (round % 8) * 0x20_0000 + 0x200);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for w in 0..2u64 {
+                    let (m, start) = (&m, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        m.write_u64(pa.wrapping_add(8 * w), round + w + 1).unwrap();
+                    });
+                }
+            });
+            assert_eq!(m.read_u64(pa).unwrap(), round + 1, "round {round}");
+            assert_eq!(
+                m.read_u64(pa.wrapping_add(8)).unwrap(),
+                round + 2,
+                "round {round}"
+            );
+            assert_eq!(m.backed_blocks(), 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn a_reader_racing_a_writer_sees_only_whole_words() {
+        // The writer flips a word between two values whose halves and
+        // bytes all differ, by word and by bulk writes, and zeroes its
+        // page between rounds; every read must return one whole value.
+        const OLD: u64 = 0x0123_4567_89ab_cdef;
+        const NEW: u64 = !OLD;
+        let m = mem();
+        let pa = PhysAddr::new(0x4000_0008);
+        m.write_u64(pa, OLD).unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0u64.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let v = if i % 2 == 0 { NEW } else { OLD };
+                    match i % 3 {
+                        0 => m.write_u64(pa, v).unwrap(),
+                        1 => m.write_bytes(pa, &v.to_le_bytes()).unwrap(),
+                        _ => {
+                            m.zero_page(pa).unwrap();
+                            m.write_u64(pa, v).unwrap();
+                        }
+                    }
+                }
+            });
+            for _ in 0..200_000 {
+                let mut table = [Pte(0); 512];
+                m.read_table_into(PhysAddr::new(0x4000_0000), &mut table)
+                    .unwrap();
+                let mut bytes = [0; 8];
+                m.read_bytes(pa, &mut bytes).unwrap();
+                for got in [
+                    m.read_u64(pa).unwrap(),
+                    table[1].bits(),
+                    u64::from_le_bytes(bytes),
+                ] {
+                    assert!([OLD, NEW, 0].contains(&got), "torn read {got:#x}");
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+
+    #[test]
+    fn a_terabyte_of_ram_costs_a_directory_slot_per_gib() {
+        let m = PhysMem::new(vec![MemRegion::ram(0x4000_0000, 1 << 40)]);
+        let slot = size_of::<OnceLock<Box<Mid>>>();
+        assert_eq!(m.store_bytes(), 1024 * slot);
+        // A write near the top backs one block and the nodes above it.
+        m.write_u64(PhysAddr::new(0x4000_0000 + (1 << 40) - 8), 1)
+            .unwrap();
+        let path = size_of::<Mid>() + size_of::<Leaf>() + size_of::<Page>() + size_of::<Block>();
+        assert_eq!(m.store_bytes(), 1024 * slot + path);
+        assert_eq!((m.backed_pages(), m.backed_blocks()), (1, 1));
     }
 
     #[test]

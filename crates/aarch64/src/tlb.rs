@@ -104,24 +104,28 @@ pub trait TlbInvalidationPolicy: Send + Sync {
     fn remote(&self, issuer: usize, target: usize, scope: &TlbiScope) -> RemoteDelivery;
 }
 
-/// One CPU's private TLB.
+/// One CPU's private TLB, behind one lock: a lookup, fill or
+/// invalidation takes it once.
 #[derive(Debug, Default)]
-struct CpuTlb {
-    entries: RwLock<HashMap<(u16, u64), Translation, PfnHash>>,
+struct CpuTlb(Mutex<CpuTlbState>);
+
+#[derive(Debug, Default)]
+struct CpuTlbState {
+    entries: HashMap<(u16, u64), Translation, PfnHash>,
     /// Keys covered by a suppressed (delayed or dropped) invalidation:
     /// still served, but known-stale. Cleared by a delivered covering
     /// invalidation or a fresh fill of the same key.
-    stale: Mutex<HashSet<(u16, u64), PfnHash>>,
+    stale: HashSet<(u16, u64), PfnHash>,
     /// Delayed invalidations awaiting [`TlbSet::settle`].
-    pending: Mutex<Vec<TlbiScope>>,
+    pending: Vec<TlbiScope>,
 }
 
-impl CpuTlb {
-    fn apply(&self, scope: &TlbiScope) {
+impl CpuTlbState {
+    fn apply(&mut self, scope: &TlbiScope) {
+        let e = &mut self.entries;
         match *scope {
             TlbiScope::Range { vmid, ia, nr_pages } => {
                 let base = ia & !PAGE_MASK;
-                let mut e = self.entries.write();
                 // Walk the smaller side: a handful of pages removes
                 // directly (with wrapping arithmetic so a large range
                 // near the address-space top cannot overflow-panic); a
@@ -131,26 +135,21 @@ impl CpuTlb {
                         e.remove(&(vmid, base.wrapping_add(i.wrapping_mul(PAGE_SIZE))));
                     }
                 } else {
-                    e.retain(|&(v, page), _| !scope.covers(v, page) || v != vmid);
-                    let _ = base;
+                    e.retain(|&(v, page), _| !scope.covers(v, page));
                 }
             }
-            TlbiScope::Vmid { vmid } => {
-                self.entries.write().retain(|&(v, _), _| v != vmid);
-            }
-            TlbiScope::All => self.entries.write().clear(),
+            TlbiScope::Vmid { vmid } => e.retain(|&(v, _), _| v != vmid),
+            TlbiScope::All => e.clear(),
         }
-        self.stale
-            .lock()
-            .retain(|&(v, page)| !scope.covers(v, page));
+        if !self.stale.is_empty() {
+            self.stale.retain(|&(v, page)| !scope.covers(v, page));
+        }
     }
 
-    fn mark_stale(&self, scope: &TlbiScope) {
-        let e = self.entries.read();
-        let mut stale = self.stale.lock();
-        for &(v, page) in e.keys() {
+    fn mark_stale(&mut self, scope: &TlbiScope) {
+        for &(v, page) in self.entries.keys() {
             if scope.covers(v, page) {
-                stale.insert((v, page));
+                self.stale.insert((v, page));
             }
         }
     }
@@ -213,21 +212,16 @@ impl TlbSet {
     /// (the hardware re-walks), so the hit/miss statistics match
     /// observable behaviour.
     pub fn lookup(&self, cpu: usize, vmid: u16, ia: u64, access: Access) -> Option<Translation> {
-        let tlb = self.tlb(cpu);
-        let page = ia & !PAGE_MASK;
-        let hit = tlb
-            .entries
-            .read()
-            .get(&(vmid, page))
-            .copied()
-            .filter(|tr| match access {
-                Access::Read => tr.attrs.perms.r,
-                Access::Write => tr.attrs.perms.w,
-                Access::Exec => tr.attrs.perms.x,
-            });
+        let key = (vmid, ia & !PAGE_MASK);
+        let tlb = self.tlb(cpu).0.lock();
+        let hit = tlb.entries.get(&key).copied().filter(|tr| match access {
+            Access::Read => tr.attrs.perms.r,
+            Access::Write => tr.attrs.perms.w,
+            Access::Exec => tr.attrs.perms.x,
+        });
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if tlb.stale.lock().contains(&(vmid, page)) {
+            if tlb.stale.contains(&key) {
                 self.stale_served.fetch_add(1, Ordering::Relaxed);
             }
         } else {
@@ -245,10 +239,10 @@ impl TlbSet {
     pub fn fill(&self, cpu: usize, vmid: u16, ia: u64, mut tr: Translation) {
         let offset = ia & PAGE_MASK;
         tr.oa = crate::addr::PhysAddr::new(tr.oa.bits().wrapping_sub(offset));
-        let tlb = self.tlb(cpu);
-        let page = ia & !PAGE_MASK;
-        tlb.entries.write().insert((vmid, page), tr);
-        tlb.stale.lock().remove(&(vmid, page));
+        let key = (vmid, ia & !PAGE_MASK);
+        let mut tlb = self.tlb(cpu).0.lock();
+        tlb.entries.insert(key, tr);
+        tlb.stale.remove(&key);
     }
 
     /// `tlbi ipas2e1(is)`-style: drops the cached translation of one page.
@@ -281,11 +275,11 @@ impl TlbSet {
 
     /// One TLBI operation: always applied to the issuing CPU; with
     /// `broadcast` also offered to every other CPU, subject to the
-    /// installed [`TlbInvalidationPolicy`].
+    /// installed [`TlbInvalidationPolicy`], which is read once.
     pub fn invalidate(&self, cpu: usize, scope: TlbiScope, broadcast: bool) {
         self.invalidations.fetch_add(1, Ordering::Relaxed);
         let issuer = if cpu < self.cpus.len() { cpu } else { 0 };
-        self.cpus[issuer].apply(&scope);
+        self.cpus[issuer].0.lock().apply(&scope);
         if !broadcast {
             return;
         }
@@ -297,12 +291,13 @@ impl TlbSet {
             let delivery = policy.as_ref().map_or(RemoteDelivery::Deliver, |p| {
                 p.remote(issuer, target, &scope)
             });
+            let mut tlb = tlb.0.lock();
             match delivery {
                 RemoteDelivery::Deliver => tlb.apply(&scope),
                 RemoteDelivery::Delay => {
                     self.suppressed_remote.fetch_add(1, Ordering::Relaxed);
                     tlb.mark_stale(&scope);
-                    tlb.pending.lock().push(scope);
+                    tlb.pending.push(scope);
                 }
                 RemoteDelivery::Drop => {
                     self.suppressed_remote.fetch_add(1, Ordering::Relaxed);
@@ -315,21 +310,20 @@ impl TlbSet {
     /// Applies `cpu`'s delayed invalidations (the late end of a
     /// [`RemoteDelivery::Delay`]). Dropped deliveries never settle.
     pub fn settle(&self, cpu: usize) {
-        let tlb = self.tlb(cpu);
-        let pending: Vec<TlbiScope> = tlb.pending.lock().drain(..).collect();
-        for scope in &pending {
-            tlb.apply(scope);
+        let mut tlb = self.tlb(cpu).0.lock();
+        for scope in std::mem::take(&mut tlb.pending) {
+            tlb.apply(&scope);
         }
     }
 
     /// Total cached entries across all CPUs (tests and reports).
     pub fn len(&self) -> usize {
-        self.cpus.iter().map(|t| t.entries.read().len()).sum()
+        self.cpus.iter().map(|t| t.0.lock().entries.len()).sum()
     }
 
     /// Cached entries in `cpu`'s TLB.
     pub fn cpu_len(&self, cpu: usize) -> usize {
-        self.tlb(cpu).entries.read().len()
+        self.tlb(cpu).0.lock().entries.len()
     }
 
     /// Returns `true` if nothing is cached on any CPU.
@@ -341,7 +335,7 @@ impl TlbSet {
     /// delivery was suppressed) — the soundness witness: the harness can
     /// assert every stale serve maps to one of these.
     pub fn stale_keys(&self, cpu: usize) -> Vec<(u16, u64)> {
-        let mut keys: Vec<(u16, u64)> = self.tlb(cpu).stale.lock().iter().copied().collect();
+        let mut keys: Vec<(u16, u64)> = self.tlb(cpu).0.lock().stale.iter().copied().collect();
         keys.sort_unstable();
         keys
     }

@@ -563,13 +563,36 @@ struct Run {
     ptes: Range<usize>,
 }
 
-/// The maximal runs of indices at which `old` and `new` differ.
+/// Descriptors a diff compares at once: an aligned block this long that
+/// is equal throughout is skipped with one OR-reduction.
+const DIFF_BLOCK: usize = 8;
+
+/// The maximal runs of indices at which `old` and `new` (equally long)
+/// differ. Most of a dirty node is unchanged, so the search for a run's
+/// start skips equal blocks of [`DIFF_BLOCK`] descriptors whole.
 fn changed_runs<'p>(old: &'p [Pte], new: &'p [Pte]) -> impl Iterator<Item = Range<usize>> + 'p {
+    let n = old.len();
+    let block_equal = move |i: usize| {
+        let (a, b) = (&old[i..i + DIFF_BLOCK], &new[i..i + DIFF_BLOCK]);
+        a.iter().zip(b).fold(0, |acc, (x, y)| acc | (x.0 ^ y.0)) == 0
+    };
     let mut at = 0;
     std::iter::from_fn(move || {
-        let differ = |i: &usize| old[*i] != new[*i];
-        let start = (at..old.len()).find(differ)?;
-        at = (start..old.len()).find(|i| !differ(i)).unwrap_or(old.len());
+        let mut start = at;
+        loop {
+            if start == n {
+                at = n;
+                return None;
+            }
+            if start % DIFF_BLOCK == 0 && start + DIFF_BLOCK <= n && block_equal(start) {
+                start += DIFF_BLOCK;
+            } else if old[start] == new[start] {
+                start += 1;
+            } else {
+                break;
+            }
+        }
+        at = (start..n).find(|&i| old[i] == new[i]).unwrap_or(n);
         Some(start..at)
     })
 }
@@ -1176,5 +1199,56 @@ mod tests {
         cache.invalidate(Component::Host);
         check_agrees(&mut cache, &m, root);
         assert_eq!(cache.stats.full_cold, 2);
+    }
+
+    #[test]
+    fn changed_runs_finds_runs_at_block_edges() {
+        let runs = |changed: &[usize]| {
+            let old = [Pte(0); 512];
+            let mut new = old;
+            for &i in changed {
+                new[i] = Pte(1 << (i % 64));
+            }
+            changed_runs(&old, &new).collect::<Vec<_>>()
+        };
+        assert_eq!(runs(&[]), vec![]);
+        assert_eq!(runs(&[0]), vec![0..1]);
+        assert_eq!(runs(&[7]), vec![7..8]);
+        assert_eq!(runs(&[8]), vec![8..9]);
+        assert_eq!(runs(&[7, 8]), vec![7..9], "a run across a block edge");
+        assert_eq!(runs(&[6, 9]), vec![6..7, 9..10]);
+        assert_eq!(runs(&(8..24).collect::<Vec<_>>()), vec![8..24]);
+        assert_eq!(runs(&(15..33).collect::<Vec<_>>()), vec![15..33]);
+        assert_eq!(runs(&[504, 511]), vec![504..505, 511..512]);
+        assert_eq!(runs(&(0..512).collect::<Vec<_>>()), vec![0..512]);
+        // Slices that end inside a block, against a one-at-a-time diff.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for seed in 0..500 {
+            let len = [512, 13, 8, 7, 0][seed % 5];
+            let old: Vec<Pte> = (0..len).map(|i| Pte(i as u64)).collect();
+            let mut new = old.clone();
+            for pte in new.iter_mut() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(7) {
+                    pte.0 ^= 1 << (x >> 58);
+                }
+            }
+            let mut want = Vec::new();
+            let mut i = 0;
+            while i < len {
+                if old[i] != new[i] {
+                    let start = i;
+                    while i < len && old[i] != new[i] {
+                        i += 1;
+                    }
+                    want.push(start..i);
+                }
+                i += 1;
+            }
+            let got: Vec<_> = changed_runs(&old, &new).collect();
+            assert_eq!(got, want, "seed {seed}");
+        }
     }
 }

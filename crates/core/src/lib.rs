@@ -44,6 +44,8 @@
 //! assert!(oracle.is_clean(), "{:#?}", oracle.violations());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod abscache;
 pub mod abstraction;
 pub mod calldata;

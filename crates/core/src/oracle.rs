@@ -1632,7 +1632,7 @@ impl Oracle {
                 event,
             } => {
                 if let Event::Transfer { edge, .. } = event {
-                    crate::spec::spec_hit(transfer_point(edge));
+                    crate::spec::SPEC_COV.hit(transfer_point(edge));
                 }
                 self.track(cpu, trap, |t| t.observe(seq, &event));
             }

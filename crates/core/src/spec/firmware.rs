@@ -35,7 +35,7 @@ pub fn vm_load_firmware(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/vm_load_firmware/unchecked");
+        crate::spec::spec_hit!("spec/vm_load_firmware/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -46,13 +46,13 @@ pub fn vm_load_firmware(
     let phys = pfn << PAGE_SHIFT;
 
     if nr == 0 || nr > MAX_FIRMWARE_PAGES || gfn >= 1 << 36 {
-        crate::spec::spec_hit("spec/vm_load_firmware/einval");
+        crate::spec::spec_hit!("spec/vm_load_firmware/einval");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let table_pre = g_pre.vm_table.as_ref().expect("vm_table locked by handler");
     if !table_pre.iter().any(|&(h, _)| h == handle) {
-        crate::spec::spec_hit("spec/vm_load_firmware/enoent");
+        crate::spec::spec_hit!("spec/vm_load_firmware/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -61,22 +61,22 @@ pub fn vm_load_firmware(
         // (`protected` is immutable metadata): accept that one error
         // parametrically, since the ghost cannot see the flag here.
         if call.ret() == Errno::EPERM.to_ret() {
-            crate::spec::spec_hit("spec/vm_load_firmware/eperm");
+            crate::spec::spec_hit!("spec/vm_load_firmware/eperm");
             epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
             return SpecVerdict::Checked;
         }
-        crate::spec::spec_hit("spec/vm_load_firmware/unchecked2");
+        crate::spec::spec_hit!("spec/vm_load_firmware/unchecked2");
         return SpecVerdict::Unchecked("vm not recorded");
     };
     if !vm_pre.protected {
-        crate::spec::spec_hit("spec/vm_load_firmware/eperm");
+        crate::spec::spec_hit!("spec/vm_load_firmware/eperm");
         epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     // "Before any vCPU runs": the whole point of protected boot is that
     // the firmware is in place before the guest can observe anything.
     if !vm_pre.vcpus.iter().all(|v| matches!(v, GhostVcpu::Uninit)) {
-        crate::spec::spec_hit("spec/vm_load_firmware/ebusy");
+        crate::spec::spec_hit!("spec/vm_load_firmware/ebusy");
         epilogue_host_call(g_pre, call, g_post, Errno::EBUSY.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -87,7 +87,7 @@ pub fn vm_load_firmware(
         if !is_owned_exclusively_by_host(host_pre, g_pre, pa)
             || vm_pre.pgt.mapping.lookup(gipa).is_some()
         {
-            crate::spec::spec_hit("spec/vm_load_firmware/eperm2");
+            crate::spec::spec_hit!("spec/vm_load_firmware/eperm2");
             epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
             return SpecVerdict::Checked;
         }
@@ -118,7 +118,7 @@ pub fn vm_load_firmware(
         },
     });
     vm.firmware.extend((0..nr).map(|i| pfn + i));
-    crate::spec::spec_hit("spec/vm_load_firmware/ok");
+    crate::spec::spec_hit!("spec/vm_load_firmware/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }

@@ -22,7 +22,7 @@ pub fn host_abort(
     call: &GhostCallData,
     g_post: &mut GhostState,
 ) -> SpecVerdict {
-    crate::spec::spec_hit("spec/host_abort");
+    crate::spec::spec_hit!("spec/host_abort");
     // The handler may or may not have taken the host lock (a raced stage 1
     // re-walk bails out before it); where it did, the tracked abstraction
     // must be exactly preserved.

@@ -29,7 +29,7 @@ pub fn host_share_hyp(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/host_share_hyp/unchecked");
+        crate::spec::spec_hit!("spec/host_share_hyp/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -45,7 +45,7 @@ pub fn host_share_hyp(
     let host_pre = g_pre.host.as_ref().expect("host locked by handler");
     if !is_owned_exclusively_by_host(host_pre, g_pre, phys) {
         ret = Errno::EPERM.to_ret();
-        crate::spec::spec_hit("spec/host_share_hyp/ok");
+        crate::spec::spec_hit!("spec/host_share_hyp/ok");
         epilogue_host_call(g_pre, call, g_post, ret, 0, 0);
         return SpecVerdict::Checked;
     }
@@ -84,14 +84,14 @@ pub fn host_share_hyp(
     }) {
         // A correct layout never has the linear-map VA of a host page
         // already mapped: this is how the aliasing of real bug 5 surfaces.
-        crate::spec::spec_hit("spec/host_share_hyp/impossible");
+        crate::spec::spec_hit!("spec/host_share_hyp/impossible");
         return SpecVerdict::Impossible(format!(
             "hyp VA {collision:#x} already mapped while sharing phys {phys:#x}"
         ));
     }
 
     // (6) Epilogue: update the host register state.
-    crate::spec::spec_hit("spec/host_share_hyp/ok2");
+    crate::spec::spec_hit!("spec/host_share_hyp/ok2");
     epilogue_host_call(g_pre, call, g_post, ret, 0, 0);
     SpecVerdict::Checked
 }
@@ -103,7 +103,7 @@ pub fn host_unshare_hyp(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/host_unshare_hyp/unchecked");
+        crate::spec::spec_hit!("spec/host_unshare_hyp/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -122,7 +122,7 @@ pub fn host_unshare_hyp(
         Some(MapletTarget::Mapped { attrs, .. }) if attrs.state == Some(PageState::SharedBorrowed)
     );
     if !host_ok || !hyp_ok {
-        crate::spec::spec_hit("spec/host_unshare_hyp/eperm");
+        crate::spec::spec_hit!("spec/host_unshare_hyp/eperm");
         epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -144,7 +144,7 @@ pub fn host_unshare_hyp(
         .pgt
         .mapping
         .remove(hyp_addr, 1);
-    crate::spec::spec_hit("spec/host_unshare_hyp/ok");
+    crate::spec::spec_hit!("spec/host_unshare_hyp/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }
@@ -162,7 +162,7 @@ pub fn host_reclaim_page(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/host_reclaim_page/unchecked");
+        crate::spec::spec_hit!("spec/host_reclaim_page/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -171,12 +171,12 @@ pub fn host_reclaim_page(
     let host_pre = g_pre.host.as_ref().expect("host locked by handler");
 
     if call.ret() == Errno::EPERM.to_ret() {
-        crate::spec::spec_hit("spec/host_reclaim_page/eperm");
+        crate::spec::spec_hit!("spec/host_reclaim_page/eperm");
         epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     if call.ret() != 0 {
-        crate::spec::spec_hit("spec/host_reclaim_page/unchecked2");
+        crate::spec::spec_hit!("spec/host_reclaim_page/unchecked2");
         return SpecVerdict::Unchecked("unexpected reclaim return value");
     }
     // Success: the page must have been guest-annotated (protected VM
@@ -188,7 +188,7 @@ pub fn host_reclaim_page(
     );
     let was_shared = host_pre.shared.lookup(phys).is_some();
     if !was_guest && !was_shared {
-        crate::spec::spec_hit("spec/host_reclaim_page/impossible");
+        crate::spec::spec_hit!("spec/host_reclaim_page/impossible");
         return SpecVerdict::Impossible(format!(
             "reclaim of {phys:#x} succeeded but the page was not guest-owned or shared"
         ));
@@ -197,7 +197,7 @@ pub fn host_reclaim_page(
     let host = g_post.host.as_mut().expect("initialised");
     host.annot.remove(phys, 1);
     host.shared.remove(phys, 1);
-    crate::spec::spec_hit("spec/host_reclaim_page/ok");
+    crate::spec::spec_hit!("spec/host_reclaim_page/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }
@@ -211,7 +211,7 @@ pub fn topup_memcache(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/topup_memcache/unchecked");
+        crate::spec::spec_hit!("spec/topup_memcache/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -229,7 +229,7 @@ pub fn topup_memcache(
         None
     };
     if let Some(e) = expected_err {
-        crate::spec::spec_hit("spec/topup_memcache/ok");
+        crate::spec::spec_hit!("spec/topup_memcache/ok");
         epilogue_host_call(g_pre, call, g_post, e.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -239,7 +239,7 @@ pub fn topup_memcache(
     for i in 0..nr {
         let pa = page_align_down(addr) + i * PAGE_SIZE;
         if !is_owned_exclusively_by_host(host_pre, g_pre, pa) {
-            crate::spec::spec_hit("spec/topup_memcache/eperm");
+            crate::spec::spec_hit!("spec/topup_memcache/eperm");
             epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
             return SpecVerdict::Checked;
         }
@@ -271,7 +271,7 @@ pub fn topup_memcache(
                 attrs: abs_hyp_attrs(true, PageState::Owned),
             },
         }) {
-            crate::spec::spec_hit("spec/topup_memcache/impossible");
+            crate::spec::spec_hit!("spec/topup_memcache/impossible");
             return SpecVerdict::Impossible(format!("hyp VA {c:#x} already mapped in top-up"));
         }
         // The loaded vCPU's memcache grows (contents are abstracted away
@@ -285,7 +285,7 @@ pub fn topup_memcache(
             loaded.memcache.insert(0, (base >> PAGE_SHIFT) + i);
         }
     }
-    crate::spec::spec_hit("spec/topup_memcache/ok2");
+    crate::spec::spec_hit!("spec/topup_memcache/ok2");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }
@@ -299,7 +299,7 @@ pub fn host_map_guest(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/host_map_guest/unchecked");
+        crate::spec::spec_hit!("spec/host_map_guest/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -310,12 +310,12 @@ pub fn host_map_guest(
     let local_pre = g_pre.locals.get(&cpu).expect("local recorded");
 
     let Some(loaded) = &local_pre.loaded else {
-        crate::spec::spec_hit("spec/host_map_guest/enoent");
+        crate::spec::spec_hit!("spec/host_map_guest/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     };
     if gfn >= 1 << 36 {
-        crate::spec::spec_hit("spec/host_map_guest/einval");
+        crate::spec::spec_hit!("spec/host_map_guest/einval");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -324,11 +324,11 @@ pub fn host_map_guest(
     // the call data would show ENOENT, which we accept parametrically.
     let Some(vm_pre) = g_pre.vms.get(&handle) else {
         if Errno::from_ret(call.ret()).is_some() {
-            crate::spec::spec_hit("spec/host_map_guest/param");
+            crate::spec::spec_hit!("spec/host_map_guest/param");
             epilogue_host_call(g_pre, call, g_post, call.ret(), 0, 0);
             return SpecVerdict::Checked;
         }
-        crate::spec::spec_hit("spec/host_map_guest/unchecked2");
+        crate::spec::spec_hit!("spec/host_map_guest/unchecked2");
         return SpecVerdict::Unchecked("vm not recorded");
     };
     let host_pre = g_pre.host.as_ref().expect("host locked by handler");
@@ -336,7 +336,7 @@ pub fn host_map_guest(
     if !is_owned_exclusively_by_host(host_pre, g_pre, phys)
         || vm_pre.pgt.mapping.lookup(gipa).is_some()
     {
-        crate::spec::spec_hit("spec/host_map_guest/eperm");
+        crate::spec::spec_hit!("spec/host_map_guest/eperm");
         epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -379,7 +379,7 @@ pub fn host_map_guest(
             },
         });
     }
-    crate::spec::spec_hit("spec/host_map_guest/ok");
+    crate::spec::spec_hit!("spec/host_map_guest/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }

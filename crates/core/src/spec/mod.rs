@@ -20,8 +20,11 @@ pub mod memory;
 pub mod vcpu;
 pub mod vm_lifecycle;
 
+use std::sync::atomic::AtomicU64;
+
 use pkvm_aarch64::attrs::{MemType, Perms};
 use pkvm_aarch64::esr::ExceptionClass;
+use pkvm_hyp::cov::Points;
 use pkvm_hyp::error::Errno;
 use pkvm_hyp::hypercalls as hc;
 use pkvm_hyp::owner::PageState;
@@ -30,12 +33,25 @@ use crate::calldata::GhostCallData;
 use crate::maplet::AbsAttrs;
 use crate::state::{GhostHost, GhostState};
 
-/// Records a specification coverage point (the spec-side half of the
-/// paper's custom coverage infrastructure, reported by `pkvm-harness`).
-#[inline]
-pub(crate) fn spec_hit(point: &'static str) {
-    pkvm_hyp::cov::hit(point);
+/// The index of a specification coverage point in [`SPEC_COV_POINTS`],
+/// named by a literal and resolved at compile time: an undeclared name
+/// fails to build.
+macro_rules! spec_point {
+    ($point:literal) => {
+        const { pkvm_hyp::cov::index_of($crate::spec::SPEC_COV_POINTS, $point) }
+    };
 }
+
+/// Records a specification coverage point (the spec-side half of the
+/// paper's custom coverage infrastructure, reported by `pkvm-harness`),
+/// named by a literal declared in [`SPEC_COV_POINTS`].
+macro_rules! spec_hit {
+    ($point:literal) => {
+        $crate::spec::SPEC_COV.hit($crate::spec::spec_point!($point))
+    };
+}
+
+pub(crate) use {spec_hit, spec_point};
 
 /// Every coverage point the specification functions can hit; one per
 /// distinct return path (success, each error, each loose/`Unchecked`
@@ -133,6 +149,13 @@ pub const SPEC_COV_POINTS: &[&str] = &[
     "spec/vm_load_firmware/unchecked2",
 ];
 
+/// The specification's coverage counters, one per [`SPEC_COV_POINTS`]
+/// entry.
+pub static SPEC_COV: Points = Points::new(SPEC_COV_POINTS, &SPEC_HITS);
+
+static SPEC_HITS: [AtomicU64; SPEC_COV_POINTS.len()] =
+    [const { AtomicU64::new(0) }; SPEC_COV_POINTS.len()];
+
 /// The result of running a specification function.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecVerdict {
@@ -229,7 +252,7 @@ pub(crate) fn epilogue_host_call(
 
 /// Specification of an unknown hypercall: `-EOPNOTSUPP`, no state change.
 fn unknown_hvc(pre: &GhostState, call: &GhostCallData, post: &mut GhostState) -> SpecVerdict {
-    spec_hit("spec/unknown_hvc");
+    spec_hit!("spec/unknown_hvc");
     epilogue_host_call(pre, call, post, Errno::EOPNOTSUPP.to_ret(), 0, 0);
     SpecVerdict::Checked
 }
@@ -263,7 +286,7 @@ pub fn compute_post(pre: &GhostState, call: &GhostCallData, post: &mut GhostStat
             host_abort::host_abort(pre, call, post)
         }
         Some(ExceptionClass::Smc64) => {
-            spec_hit("spec/smc");
+            spec_hit!("spec/smc");
             // Forwarded to firmware: the hypervisor state is untouched and
             // the host context returns unchanged.
             post.copy_local_from(pre, call.cpu);

@@ -26,24 +26,24 @@ pub fn vcpu_load(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostSta
     let local_pre = g_pre.locals.get(&cpu).expect("local recorded");
 
     if local_pre.loaded.is_some() {
-        crate::spec::spec_hit("spec/vcpu_load/ebusy");
+        crate::spec::spec_hit!("spec/vcpu_load/ebusy");
         epilogue_host_call(g_pre, call, g_post, Errno::EBUSY.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let table_pre = g_pre.vm_table.as_ref().expect("vm_table locked by handler");
     if !table_pre.iter().any(|&(h, _)| h == handle) {
-        crate::spec::spec_hit("spec/vcpu_load/enoent");
+        crate::spec::spec_hit!("spec/vcpu_load/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     // A bad index is rejected from immutable metadata before the VM lock.
     if call.ret() == Errno::EINVAL.to_ret() {
-        crate::spec::spec_hit("spec/vcpu_load/einval");
+        crate::spec::spec_hit!("spec/vcpu_load/einval");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let Some(vm_pre) = g_pre.vms.get(&handle) else {
-        crate::spec::spec_hit("spec/vcpu_load/unchecked");
+        crate::spec::spec_hit!("spec/vcpu_load/unchecked");
         return SpecVerdict::Unchecked("vm not recorded");
     };
     match vm_pre.vcpus.get(idx) {
@@ -52,7 +52,7 @@ pub fn vcpu_load(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostSta
             g_post.copy_vm_from(g_pre, handle);
             let vm = g_post.vms.get_mut(&handle).expect("initialised");
             vm.vcpus[idx] = GhostVcpu::Loaded { on: cpu };
-            crate::spec::spec_hit("spec/vcpu_load/ok");
+            crate::spec::spec_hit!("spec/vcpu_load/ok");
             epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
             let l = g_post.locals.get_mut(&cpu).expect("epilogue wrote it");
             l.loaded = Some(GhostLoadedVcpu {
@@ -64,14 +64,14 @@ pub fn vcpu_load(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostSta
             SpecVerdict::Checked
         }
         Some(GhostVcpu::Loaded { .. }) => {
-            crate::spec::spec_hit("spec/vcpu_load/ebusy2");
+            crate::spec::spec_hit!("spec/vcpu_load/ebusy2");
             epilogue_host_call(g_pre, call, g_post, Errno::EBUSY.to_ret(), 0, 0);
             SpecVerdict::Checked
         }
         // Loading an uninitialised vCPU must fail: the check real bug 3
         // was missing.
         Some(GhostVcpu::Uninit) | None => {
-            crate::spec::spec_hit("spec/vcpu_load/enoent2");
+            crate::spec::spec_hit!("spec/vcpu_load/enoent2");
             epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
             SpecVerdict::Checked
         }
@@ -83,11 +83,11 @@ pub fn vcpu_put(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
     let cpu = call.cpu;
     let local_pre = g_pre.locals.get(&cpu).expect("local recorded");
     let Some(loaded) = &local_pre.loaded else {
-        crate::spec::spec_hit("spec/vcpu_put/enoent");
+        crate::spec::spec_hit!("spec/vcpu_put/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     };
-    crate::spec::spec_hit("spec/vcpu_put/ok");
+    crate::spec::spec_hit!("spec/vcpu_put/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     g_post
         .locals
@@ -121,16 +121,16 @@ pub fn vcpu_get_reg(
     let n = g_pre.read_gpr(cpu, 1);
     let local_pre = g_pre.locals.get(&cpu).expect("local recorded");
     let Some(loaded) = &local_pre.loaded else {
-        crate::spec::spec_hit("spec/vcpu_get_reg/enoent");
+        crate::spec::spec_hit!("spec/vcpu_get_reg/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     };
     if n >= 31 {
-        crate::spec::spec_hit("spec/vcpu_get_reg/einval");
+        crate::spec::spec_hit!("spec/vcpu_get_reg/einval");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
-    crate::spec::spec_hit("spec/vcpu_get_reg/ok");
+    crate::spec::spec_hit!("spec/vcpu_get_reg/ok");
     let value = loaded.regs.get(n as usize);
     epilogue_host_call(g_pre, call, g_post, 0, value, 0);
     SpecVerdict::Checked
@@ -148,16 +148,16 @@ pub fn vcpu_set_reg(
     let value = g_pre.read_gpr(cpu, 2);
     let local_pre = g_pre.locals.get(&cpu).expect("local recorded");
     if local_pre.loaded.is_none() {
-        crate::spec::spec_hit("spec/vcpu_set_reg/enoent");
+        crate::spec::spec_hit!("spec/vcpu_set_reg/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     if n >= 31 {
-        crate::spec::spec_hit("spec/vcpu_set_reg/einval");
+        crate::spec::spec_hit!("spec/vcpu_set_reg/einval");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
-    crate::spec::spec_hit("spec/vcpu_set_reg/ok");
+    crate::spec::spec_hit!("spec/vcpu_set_reg/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     let l = g_post.locals.get_mut(&cpu).expect("epilogue wrote it");
     l.loaded
@@ -176,13 +176,13 @@ pub fn vcpu_set_reg(
 /// share/unshare transitions.
 pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/vcpu_run/unchecked");
+        crate::spec::spec_hit!("spec/vcpu_run/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
     let local_pre = g_pre.locals.get(&cpu).expect("local recorded");
     let Some(loaded) = &local_pre.loaded else {
-        crate::spec::spec_hit("spec/vcpu_run/enoent");
+        crate::spec::spec_hit!("spec/vcpu_run/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     };
@@ -191,14 +191,14 @@ pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
         call.read_once("vcpu_run/op"),
         call.read_once("vcpu_run/ipa"),
     ) else {
-        crate::spec::spec_hit("spec/vcpu_run/unchecked2");
+        crate::spec::spec_hit!("spec/vcpu_run/unchecked2");
         return SpecVerdict::Unchecked("missing guest-step call data");
     };
 
     match op {
         // WFI or an empty script: a pure exit.
         0 => {
-            crate::spec::spec_hit("spec/vcpu_run/exit_wfi");
+            crate::spec::spec_hit!("spec/vcpu_run/exit_wfi");
             epilogue_host_call(g_pre, call, g_post, exit::WFI, 0, 0);
             SpecVerdict::Checked
         }
@@ -207,7 +207,7 @@ pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
         // (MEM_ABORT with the IPA and write flag reported to the host).
         1 | 2 => {
             let Some(vm_pre) = g_pre.vms.get(&handle) else {
-                crate::spec::spec_hit("spec/vcpu_run/unchecked3");
+                crate::spec::spec_hit!("spec/vcpu_run/unchecked3");
                 return SpecVerdict::Unchecked("vm not recorded");
             };
             let translated = vm_pre.pgt.mapping.lookup(gipa);
@@ -221,11 +221,11 @@ pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
             );
             let ok = if op == 1 { readable } else { writable };
             if ok {
-                crate::spec::spec_hit("spec/vcpu_run/exit_continue");
+                crate::spec::spec_hit!("spec/vcpu_run/exit_continue");
                 epilogue_host_call(g_pre, call, g_post, exit::CONTINUE, 0, 0);
                 if op == 1 {
                     let Some(value) = call.read_once("vcpu_run/read_value") else {
-                        crate::spec::spec_hit("spec/vcpu_run/unchecked4");
+                        crate::spec::spec_hit!("spec/vcpu_run/unchecked4");
                         return SpecVerdict::Unchecked("missing guest-read call data");
                     };
                     let l = g_post.locals.get_mut(&cpu).expect("epilogue wrote it");
@@ -233,7 +233,7 @@ pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
                     lv.regs.set(0, value);
                 }
             } else {
-                crate::spec::spec_hit("spec/vcpu_run/exit_mem_abort");
+                crate::spec::spec_hit!("spec/vcpu_run/exit_mem_abort");
                 epilogue_host_call(g_pre, call, g_post, exit::MEM_ABORT, gipa, (op == 2) as u64);
             }
             SpecVerdict::Checked
@@ -241,7 +241,7 @@ pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
         // Guest hypercalls: share/unshare a guest page with the host.
         3 | 4 => {
             let Some(vm_pre) = g_pre.vms.get(&handle) else {
-                crate::spec::spec_hit("spec/vcpu_run/unchecked5");
+                crate::spec::spec_hit!("spec/vcpu_run/unchecked5");
                 return SpecVerdict::Unchecked("vm not recorded");
             };
             let host_pre = g_pre.host.as_ref().expect("host locked by handler");
@@ -279,7 +279,7 @@ pub fn vcpu_run(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostStat
                     )
                 };
 
-            crate::spec::spec_hit("spec/vcpu_run/exit_guest_hvc");
+            crate::spec::spec_hit!("spec/vcpu_run/exit_guest_hvc");
             epilogue_host_call(g_pre, call, g_post, exit::GUEST_HVC, 0, 0);
             let guest_ret: u64 = if guest_ok && host_ok {
                 0

@@ -71,7 +71,7 @@ pub fn init_vm(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState
     if impl_reported_enomem(call) {
         // Covers both allocator exhaustion and a full VM table (whose
         // rollback donation dance we deliberately leave loose).
-        crate::spec::spec_hit("spec/init_vm/unchecked");
+        crate::spec::spec_hit!("spec/init_vm/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -88,23 +88,23 @@ pub fn init_vm(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState
     ) else {
         // The handler bailed before reading (bad params page).
         if !g_pre.globals.is_ram(params_pfn << PAGE_SHIFT) {
-            crate::spec::spec_hit("spec/init_vm/einval");
+            crate::spec::spec_hit!("spec/init_vm/einval");
             epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
             return SpecVerdict::Checked;
         }
-        crate::spec::spec_hit("spec/init_vm/unchecked2");
+        crate::spec::spec_hit!("spec/init_vm/unchecked2");
         return SpecVerdict::Unchecked("missing call data");
     };
 
     if nr_vcpus == 0 || nr_vcpus > MAX_VCPUS || donate_nr != VM_DONATION_PAGES {
-        crate::spec::spec_hit("spec/init_vm/einval2");
+        crate::spec::spec_hit!("spec/init_vm/einval2");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let host_pre = g_pre.host.as_ref().expect("host locked by handler");
     for i in 0..donate_nr {
         if !is_owned_exclusively_by_host(host_pre, g_pre, phys + i * PAGE_SIZE) {
-            crate::spec::spec_hit("spec/init_vm/eperm");
+            crate::spec::spec_hit!("spec/init_vm/eperm");
             epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
             return SpecVerdict::Checked;
         }
@@ -114,7 +114,7 @@ pub fn init_vm(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState
     let table_pre = g_pre.vm_table.as_ref().expect("vm_table locked by handler");
     let used: BTreeSet<usize> = table_pre.iter().map(|&(_, s)| s).collect();
     let Some(slot) = (0..MAX_VMS).find(|s| !used.contains(s)) else {
-        crate::spec::spec_hit("spec/init_vm/unchecked3");
+        crate::spec::spec_hit!("spec/init_vm/unchecked3");
         return SpecVerdict::Unchecked("table full: rollback path is loose");
     };
     let handle = handle_of_slot(slot);
@@ -142,7 +142,7 @@ pub fn init_vm(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState
             vcpus: (0..nr_vcpus).map(|_| GhostVcpu::Uninit).collect(),
         },
     );
-    crate::spec::spec_hit("spec/init_vm/ok");
+    crate::spec::spec_hit!("spec/init_vm/ok");
     epilogue_host_call(g_pre, call, g_post, handle as u64, 0, 0);
     SpecVerdict::Checked
 }
@@ -150,7 +150,7 @@ pub fn init_vm(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState
 /// Executable specification of `__pkvm_init_vcpu`.
 pub fn init_vcpu(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostState) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/init_vcpu/unchecked");
+        crate::spec::spec_hit!("spec/init_vcpu/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
@@ -161,30 +161,30 @@ pub fn init_vcpu(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostSta
 
     let table_pre = g_pre.vm_table.as_ref().expect("vm_table locked by handler");
     if !table_pre.iter().any(|&(h, _)| h == handle) {
-        crate::spec::spec_hit("spec/init_vcpu/enoent");
+        crate::spec::spec_hit!("spec/init_vcpu/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     // A bad index is rejected from immutable VM metadata before any lock
     // the ghost records; accept the error parametrically.
     if call.ret() == Errno::EINVAL.to_ret() {
-        crate::spec::spec_hit("spec/init_vcpu/einval");
+        crate::spec::spec_hit!("spec/init_vcpu/einval");
         epilogue_host_call(g_pre, call, g_post, Errno::EINVAL.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let host_pre = g_pre.host.as_ref().expect("host locked by handler");
     if !is_owned_exclusively_by_host(host_pre, g_pre, phys) {
-        crate::spec::spec_hit("spec/init_vcpu/eperm");
+        crate::spec::spec_hit!("spec/init_vcpu/eperm");
         epilogue_host_call(g_pre, call, g_post, Errno::EPERM.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let Some(vm_pre) = g_pre.vms.get(&handle) else {
-        crate::spec::spec_hit("spec/init_vcpu/unchecked2");
+        crate::spec::spec_hit!("spec/init_vcpu/unchecked2");
         return SpecVerdict::Unchecked("vm not recorded");
     };
     if !matches!(vm_pre.vcpus.get(idx), Some(GhostVcpu::Uninit)) {
         // The rollback donation dance nets out to no change.
-        crate::spec::spec_hit("spec/init_vcpu/eexist");
+        crate::spec::spec_hit!("spec/init_vcpu/eexist");
         epilogue_host_call(g_pre, call, g_post, Errno::EEXIST.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -202,7 +202,7 @@ pub fn init_vcpu(g_pre: &GhostState, call: &GhostCallData, g_post: &mut GhostSta
         memcache: Vec::new(),
     };
     vm.donated.push(donate_pfn);
-    crate::spec::spec_hit("spec/init_vcpu/ok");
+    crate::spec::spec_hit!("spec/init_vcpu/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }
@@ -217,19 +217,19 @@ pub fn teardown_vm(
     g_post: &mut GhostState,
 ) -> SpecVerdict {
     if impl_reported_enomem(call) {
-        crate::spec::spec_hit("spec/teardown_vm/unchecked");
+        crate::spec::spec_hit!("spec/teardown_vm/unchecked");
         return SpecVerdict::Unchecked("ENOMEM is allowed anywhere");
     }
     let cpu = call.cpu;
     let handle = g_pre.read_gpr(cpu, 1) as Handle;
     let table_pre = g_pre.vm_table.as_ref().expect("vm_table locked by handler");
     if !table_pre.iter().any(|&(h, _)| h == handle) {
-        crate::spec::spec_hit("spec/teardown_vm/enoent");
+        crate::spec::spec_hit!("spec/teardown_vm/enoent");
         epilogue_host_call(g_pre, call, g_post, Errno::ENOENT.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
     let Some(vm_pre) = g_pre.vms.get(&handle) else {
-        crate::spec::spec_hit("spec/teardown_vm/unchecked2");
+        crate::spec::spec_hit!("spec/teardown_vm/unchecked2");
         return SpecVerdict::Unchecked("vm not recorded");
     };
     if vm_pre
@@ -237,7 +237,7 @@ pub fn teardown_vm(
         .iter()
         .any(|v| matches!(v, GhostVcpu::Loaded { .. }))
     {
-        crate::spec::spec_hit("spec/teardown_vm/ebusy");
+        crate::spec::spec_hit!("spec/teardown_vm/ebusy");
         epilogue_host_call(g_pre, call, g_post, Errno::EBUSY.to_ret(), 0, 0);
         return SpecVerdict::Checked;
     }
@@ -305,7 +305,7 @@ pub fn teardown_vm(
         }
     }
     g_post.vms.insert(handle, vm);
-    crate::spec::spec_hit("spec/teardown_vm/ok");
+    crate::spec::spec_hit!("spec/teardown_vm/ok");
     epilogue_host_call(g_pre, call, g_post, 0, 0, 0);
     SpecVerdict::Checked
 }

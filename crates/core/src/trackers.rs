@@ -19,6 +19,7 @@ use crate::check::Violation;
 use crate::event::Event;
 use crate::mapping::Mapping;
 use crate::oracle::OracleOpts;
+use crate::spec::spec_point;
 use crate::state::GhostHost;
 
 /// One back-half check over the recorded event stream. Every method
@@ -57,20 +58,21 @@ pub(crate) fn trackers(opts: &OracleOpts) -> Vec<Box<dyn Tracker>> {
     out
 }
 
-/// The spec coverage point of one transfer-protocol edge. Hit for every
-/// transfer the back half applies, whether or not its check is on.
-pub(crate) fn transfer_point(edge: TransferEdge) -> &'static str {
+/// The index of the spec coverage point of one transfer-protocol edge in
+/// `SPEC_COV_POINTS`. Hit for every transfer the back half applies,
+/// whether or not its check is on.
+pub(crate) fn transfer_point(edge: TransferEdge) -> usize {
     match edge {
-        TransferEdge::ShareHyp => "spec/transfer/share_hyp",
-        TransferEdge::UnshareHyp => "spec/transfer/unshare_hyp",
-        TransferEdge::DonateHyp => "spec/transfer/donate_hyp",
-        TransferEdge::DonateHost => "spec/transfer/donate_host",
-        TransferEdge::MapGuestOwned => "spec/transfer/map_guest_owned",
-        TransferEdge::MapGuestShared => "spec/transfer/map_guest_shared",
-        TransferEdge::GuestShareHost => "spec/transfer/guest_share_host",
-        TransferEdge::GuestUnshareHost => "spec/transfer/guest_unshare_host",
-        TransferEdge::Firmware => "spec/transfer/firmware",
-        TransferEdge::Reclaim => "spec/transfer/reclaim",
+        TransferEdge::ShareHyp => spec_point!("spec/transfer/share_hyp"),
+        TransferEdge::UnshareHyp => spec_point!("spec/transfer/unshare_hyp"),
+        TransferEdge::DonateHyp => spec_point!("spec/transfer/donate_hyp"),
+        TransferEdge::DonateHost => spec_point!("spec/transfer/donate_host"),
+        TransferEdge::MapGuestOwned => spec_point!("spec/transfer/map_guest_owned"),
+        TransferEdge::MapGuestShared => spec_point!("spec/transfer/map_guest_shared"),
+        TransferEdge::GuestShareHost => spec_point!("spec/transfer/guest_share_host"),
+        TransferEdge::GuestUnshareHost => spec_point!("spec/transfer/guest_unshare_host"),
+        TransferEdge::Firmware => spec_point!("spec/transfer/firmware"),
+        TransferEdge::Reclaim => spec_point!("spec/transfer/reclaim"),
     }
 }
 

@@ -2,25 +2,41 @@
 //!
 //! The kernel's GCOV tooling is unusable at EL2, so the paper built its
 //! own coverage plumbing (§5). Here both the hypervisor (`pkvm-hyp`) and
-//! the specification (`pkvm-ghost`) record named coverage points into the
-//! shared registry in `pkvm_hyp::cov`; this module assembles the reports
-//! the paper gives — coverage of the implementation and of the
-//! specification functions — after running a test campaign.
+//! the specification (`pkvm-ghost`) count hits of their declared coverage
+//! points in static tables ([`pkvm_hyp::cov::HYP_COV`],
+//! [`pkvm_ghost::spec::SPEC_COV`]); this module assembles the reports the
+//! paper gives — coverage of the implementation and of the specification
+//! functions — after running a test campaign.
 
-use pkvm_hyp::cov::{self, Report, Snapshot};
+use pkvm_ghost::spec::SPEC_COV;
+use pkvm_hyp::cov::{self, Report, HYP_COV};
 
-pub use pkvm_hyp::cov::snapshot;
+/// A point-in-time copy of both tables' counters: the start of a
+/// [`CoverageSummary::since`] window.
+#[derive(Clone, Debug)]
+pub struct Snapshot {
+    hyp: cov::Snapshot,
+    spec: cov::Snapshot,
+}
+
+/// Captures both tables' counters without modifying them.
+pub fn snapshot() -> Snapshot {
+    Snapshot {
+        hyp: HYP_COV.snapshot(),
+        spec: SPEC_COV.snapshot(),
+    }
+}
 
 /// Coverage points declared by the specification functions, kept in sync
 /// with `pkvm-ghost`'s `spec` module (the equivalent of the paper's "459
 /// of 497 lines" spec-coverage accounting).
 pub fn spec_points() -> &'static [&'static str] {
-    pkvm_ghost::spec::SPEC_COV_POINTS
+    SPEC_COV.names()
 }
 
 /// Coverage points declared by the hypervisor implementation.
 pub fn hyp_points() -> &'static [&'static str] {
-    cov::HYP_COV_POINTS
+    HYP_COV.names()
 }
 
 /// Specification points that are *unreachable on a clean hypervisor* —
@@ -69,19 +85,18 @@ impl CoverageSummary {
     /// Snapshot of the current counters.
     pub fn collect() -> CoverageSummary {
         CoverageSummary {
-            hyp: Report::over(hyp_points()),
-            spec: Report::over(spec_points()),
+            hyp: HYP_COV.report(),
+            spec: SPEC_COV.report(),
         }
     }
 
-    /// The coverage accumulated *since* `before` (see
-    /// [`pkvm_hyp::cov::snapshot`]) — the delta primitive parallel
-    /// campaign and fuzz workers use instead of the racy global
-    /// [`reset`].
+    /// The coverage accumulated *since* `before` (see [`snapshot`]) —
+    /// the delta primitive parallel campaign and fuzz workers use
+    /// instead of the racy global [`reset`].
     pub fn since(before: &Snapshot) -> CoverageSummary {
         CoverageSummary {
-            hyp: Report::over(hyp_points()).diff(before),
-            spec: Report::over(spec_points()).diff(before),
+            hyp: HYP_COV.report().diff(&before.hyp),
+            spec: SPEC_COV.report().diff(&before.spec),
         }
     }
 
@@ -132,7 +147,8 @@ impl CoverageSummary {
 
 /// Resets all counters (call before a campaign).
 pub fn reset() {
-    cov::reset();
+    HYP_COV.reset();
+    SPEC_COV.reset();
 }
 
 #[cfg(test)]
@@ -147,6 +163,15 @@ mod tests {
         for p in spec_points() {
             assert!(p.starts_with("spec/"), "spec point {p} must be namespaced");
             assert!(!hyp_points().contains(p));
+        }
+    }
+
+    #[test]
+    fn every_declared_point_has_its_own_index() {
+        for points in [hyp_points(), spec_points()] {
+            for (i, p) in points.iter().enumerate() {
+                assert_eq!(pkvm_hyp::cov::index_of(points, p), i, "{p}");
+            }
         }
     }
 

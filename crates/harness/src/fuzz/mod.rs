@@ -5,7 +5,7 @@
 //! sequence of concrete driver events, the same shape campaign replay
 //! executes — runs on a fresh machine under the oracle, and two feedback
 //! signals are measured per input, race-free, as deltas against a
-//! [`pkvm_hyp::cov::snapshot`]:
+//! [`coverage::snapshot`]:
 //!
 //! - the named implementation/spec coverage points the execution hit
 //!   (`pkvm_hyp::cov` + `pkvm_ghost::spec`), and
@@ -40,13 +40,12 @@ use pkvm_aarch64::sync::Mutex;
 use pkvm_ghost::event::{canonical_signature, EventRecord};
 use pkvm_ghost::oracle::OracleOpts;
 use pkvm_ghost::{CheckMode, Violation};
-use pkvm_hyp::cov;
 use pkvm_hyp::faults::FaultSet;
 use pkvm_hyp::machine::{Machine, MachineConfig};
 
 use crate::campaign::{execute_driver, worker_seed, CampaignTrace};
 use crate::chaos::ChaosCfg;
-use crate::coverage::CoverageSummary;
+use crate::coverage::{self, CoverageSummary};
 use crate::proxy::Proxy;
 use crate::random::{RandomCfg, RandomTester};
 use crate::rng::Rng;
@@ -364,7 +363,7 @@ impl Fuzzer {
     /// corpus is empty, then fuzzes until the step budget is spent.
     pub fn run(&mut self) -> FuzzReport {
         let start = Instant::now();
-        let base = cov::snapshot();
+        let base = coverage::snapshot();
         self.seed_corpus();
         if self.cfg.workers <= 1 {
             self.worker_loop(0);
@@ -595,7 +594,7 @@ pub fn footprint(cfg: &FuzzCfg, trace: &CampaignTrace) -> Option<(Vec<&'static s
 /// the oracle contains its own panics by design, so an escaped panic is
 /// itself a reportable failure, never a fuzzer crash.
 fn execute(cfg: &FuzzCfg, input: &[EventRecord], chaos: Option<ChaosCfg>) -> ExecOutcome {
-    let before = cov::snapshot();
+    let before = coverage::snapshot();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let proxy = Proxy::builder()
             .config(cfg.config.clone())

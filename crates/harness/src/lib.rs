@@ -34,9 +34,11 @@
 //!   detection-matrix sweep proving the oracle fails safe;
 //! - [`cli`] — the hex-or-decimal number parsing every example shares;
 //! - [`coverage`] — implementation and specification coverage reports
-//!   over the custom coverage registry;
+//!   over the custom coverage counters;
 //! - [`bugs`] — the bug catalog: triggers and detection verdicts for the
 //!   five real pKVM bugs and the synthetic-bug suite.
+
+#![forbid(unsafe_code)]
 
 pub mod android;
 pub mod bugs;

@@ -104,16 +104,24 @@ impl PageUse {
     fn class(self) -> Option<usize> {
         INDEXED.iter().position(|&u| u == self)
     }
+
+    /// The VM this use names, if any.
+    fn vm(self) -> Option<Handle> {
+        match self {
+            PageUse::Donated { vm } | PageUse::GuestMapped { vm, .. } => Some(vm),
+            _ => None,
+        }
+    }
 }
 
 /// The generator's model of the system state.
 ///
 /// Every query a step makes is answered from an index rather than by a
 /// walk over [`pages`](Self::pages): for each use without a VM, the
-/// ascending slots in that use, and for each pfn, its first slot and how
-/// many slots hold it. [`pick`](Self::pick) draws exactly what `choose`
-/// draws over the collected pages of a use, so the index changes no
-/// run's traffic.
+/// ascending slots in that use; for each VM, the slots whose use names
+/// it; and for each pfn, its first slot and how many slots hold it.
+/// [`pick`](Self::pick) draws exactly what `choose` draws over the
+/// collected pages of a use, so the index changes no run's traffic.
 #[derive(Clone, Debug, Default)]
 pub struct TestModel {
     /// Pages the test has allocated, with their believed use.
@@ -124,6 +132,9 @@ pub struct TestModel {
     pub loaded: Vec<Option<(Handle, usize)>>,
     /// The slots in each [`INDEXED`] use, ascending.
     by_use: [Vec<u32>; INDEXED.len()],
+    /// The slots whose use names each VM (`Donated`, `GuestMapped`),
+    /// ascending.
+    by_vm: HashMap<Handle, Vec<u32>>,
     /// Each pfn's first slot and the number of slots holding it.
     by_pfn: HashMap<u64, (u32, u32)>,
 }
@@ -193,20 +204,26 @@ impl TestModel {
     fn set_slot(&mut self, slot: u32, use_: PageUse) {
         let old = std::mem::replace(&mut self.pages.0[slot as usize].1, use_);
         let (from, to) = (old.class(), use_.class());
-        if from == to {
-            return;
+        if from != to {
+            if let Some(c) = from {
+                unindex(&mut self.by_use[c], slot);
+            }
+            if let Some(c) = to {
+                index(&mut self.by_use[c], slot);
+            }
         }
-        if let Some(c) = from {
-            let i = self.by_use[c]
-                .binary_search(&slot)
-                .expect("slot indexed under its use");
-            self.by_use[c].remove(i);
-        }
-        if let Some(c) = to {
-            let i = self.by_use[c]
-                .binary_search(&slot)
-                .expect_err("slot indexed under one use");
-            self.by_use[c].insert(i, slot);
+        let (from, to) = (old.vm(), use_.vm());
+        if from != to {
+            if let Some(vm) = from {
+                let slots = self.by_vm.get_mut(&vm).expect("VM indexed");
+                unindex(slots, slot);
+                if slots.is_empty() {
+                    self.by_vm.remove(&vm);
+                }
+            }
+            if let Some(vm) = to {
+                index(self.by_vm.entry(vm).or_default(), slot);
+            }
         }
     }
 
@@ -247,16 +264,20 @@ impl TestModel {
     }
 
     /// Records a successful teardown: donated pages of this VM become
-    /// free again, guest pages become reclaimable, in every slot.
+    /// free again, guest pages become reclaimable, in every slot. Only
+    /// the VM's own slots are visited.
     pub fn teardown_vm(&mut self, handle: Handle) {
         self.vms.retain(|v| v.handle != handle);
-        for slot in 0..self.pages.len() {
-            let use_ = match self.pages[slot].1 {
-                PageUse::Donated { vm } if vm == handle => PageUse::Free,
-                PageUse::GuestMapped { vm, .. } if vm == handle => PageUse::Reclaimable,
-                _ => continue,
+        for slot in self.by_vm.remove(&handle).unwrap_or_default() {
+            let use_ = match self.pages[slot as usize].1 {
+                PageUse::Donated { .. } => PageUse::Free,
+                _ => PageUse::Reclaimable,
             };
-            self.set_slot(slot as u32, use_);
+            // The VM's list is gone already; only the use lists change.
+            let old = std::mem::replace(&mut self.pages.0[slot as usize].1, use_);
+            debug_assert_eq!(old.vm(), Some(handle));
+            let c = use_.class().expect("an indexed use");
+            index(&mut self.by_use[c], slot);
         }
     }
 
@@ -297,6 +318,18 @@ impl TestModel {
     pub fn handles(&self) -> Vec<Handle> {
         self.vms.iter().map(|v| v.handle).collect()
     }
+}
+
+/// Inserts `slot` into the ascending `slots`.
+fn index(slots: &mut Vec<u32>, slot: u32) {
+    let i = slots.binary_search(&slot).expect_err("slot indexed once");
+    slots.insert(i, slot);
+}
+
+/// Removes `slot` from the ascending `slots`.
+fn unindex(slots: &mut Vec<u32>, slot: u32) {
+    let i = slots.binary_search(&slot).expect("slot indexed");
+    slots.remove(i);
 }
 
 #[cfg(test)]
@@ -440,8 +473,8 @@ mod tests {
 
     /// Holds `m` to `r`: the page list, every indexed use's pages in
     /// order (so its count and every k-th page), `pick`'s draws against
-    /// `choose` over the collected pages, and the crash predictor at
-    /// every pfn.
+    /// `choose` over the collected pages, the crash predictor at every
+    /// pfn, and each VM's slots.
     fn assert_agree(m: &TestModel, r: &ScanningModel, draw: u64, at: &str) {
         assert_eq!(&m.pages[..], &r.pages[..], "{at}: pages");
         for use_ in INDEXED {
@@ -463,6 +496,17 @@ mod tests {
                 "{at}: host access at {pfn:#x}"
             );
         }
+        for vm in HANDLES {
+            let want: Vec<u32> = (0..r.pages.len() as u32)
+                .filter(|&slot| r.pages[slot as usize].1.vm() == Some(vm))
+                .collect();
+            let got = m.by_vm.get(&vm).cloned().unwrap_or_default();
+            assert_eq!(got, want, "{at}: slots of VM {vm:#x}");
+        }
+        assert!(
+            m.by_vm.values().all(|slots| !slots.is_empty()),
+            "{at}: empty VM list"
+        );
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Machine {
                 )
             }
             _ => {
-                cov::hit("handle_trap/unknown_hvc");
+                cov::hit!("handle_trap/unknown_hvc");
                 Errno::EOPNOTSUPP.to_ret()
             }
         };
@@ -116,7 +116,7 @@ impl Machine {
     ) -> HypResult<u64> {
         let params = PhysAddr::from_pfn(params_pfn);
         if !ctx.mem.is_ram(params) {
-            cov::hit("init_vm/bad_params");
+            cov::hit!("init_vm/bad_params");
             return Err(Errno::EINVAL);
         }
         let nr_vcpus = ctx.mem.read_u64(params).expect("checked RAM");
@@ -129,14 +129,14 @@ impl Machine {
         ctx.hooks
             .read_once(&ctx.hook_ctx(), "init_vm/protected", protected);
         if nr_vcpus == 0 || nr_vcpus > MAX_VCPUS || donate_nr != VM_DONATION_PAGES {
-            cov::hit("init_vm/bad_params");
+            cov::hit!("init_vm/bad_params");
             return Err(Errno::EINVAL);
         }
 
         // Phase 1: take ownership of the donated pages.
         mem_protect::host_donate_hyp(ctx, &self.state, donate_pfn, donate_nr).inspect_err(
             |_| {
-                cov::hit("init_vm/donate_failed");
+                cov::hit!("init_vm/donate_failed");
             },
         )?;
         let meta_page = PhysAddr::from_pfn(donate_pfn);
@@ -155,9 +155,9 @@ impl Machine {
         let handle = result.as_ref().map(|vm| vm.handle as u64).map_err(|e| *e);
         self.state.vm_table_unlock(ctx, table);
         match &handle {
-            Ok(_) => cov::hit("init_vm/ok"),
+            Ok(_) => cov::hit!("init_vm/ok"),
             Err(_) => {
-                cov::hit("init_vm/table_full");
+                cov::hit!("init_vm/table_full");
                 // Roll the donation back so the host does not leak pages.
                 let _ = mem_protect::hyp_donate_host(ctx, &self.state, donate_pfn, donate_nr);
             }
@@ -201,8 +201,8 @@ impl Machine {
             r
         })();
         match &result {
-            Ok(()) => cov::hit("init_vcpu/ok"),
-            Err(_) => cov::hit("init_vcpu/err"),
+            Ok(()) => cov::hit!("init_vcpu/ok"),
+            Err(_) => cov::hit!("init_vcpu/err"),
         }
         result
     }
@@ -218,41 +218,34 @@ impl Machine {
         gfn: u64,
         nr: u64,
     ) -> HypResult {
-        let result = (|| {
-            if nr == 0 || nr > MAX_FIRMWARE_PAGES || gfn >= 1 << 36 {
-                return Err(Errno::EINVAL);
-            }
-            let table = self.state.vm_table_lock(ctx);
-            let vm = table.get(handle);
-            self.state.vm_table_unlock(ctx, table);
-            let vm = vm?;
-            // Firmware donation is a protected-boot concept: unprotected
-            // VMs share memory with the host instead.
-            if !vm.protected {
-                return Err(Errno::EPERM);
-            }
-            let mut inner = self.state.vm_lock(ctx, &vm);
-            // "Before any vCPU runs": refuse once a vCPU is initialised.
-            let booted = inner.vcpus.iter().any(|s| !matches!(s, VcpuSlot::Uninit));
-            let r = if booted {
-                Err(Errno::EBUSY)
-            } else {
-                let pgt = inner.pgt;
-                mem_protect::vm_load_firmware(ctx, &self.state, &vm, &pgt, pfn, gfn, nr)
-            };
-            if r.is_ok() {
-                for i in 0..nr {
-                    inner.firmware.push(PhysAddr::from_pfn(pfn + i));
-                }
-            }
-            self.state.vm_unlock(ctx, &vm, inner);
-            r
-        })();
-        match &result {
-            Ok(()) => cov::hit("vm_load_firmware/hcall_ok"),
-            Err(_) => cov::hit("vm_load_firmware/hcall_err"),
+        if nr == 0 || nr > MAX_FIRMWARE_PAGES || gfn >= 1 << 36 {
+            return Err(Errno::EINVAL);
         }
-        result
+        let table = self.state.vm_table_lock(ctx);
+        let vm = table.get(handle);
+        self.state.vm_table_unlock(ctx, table);
+        let vm = vm?;
+        // Firmware donation is a protected-boot concept: unprotected
+        // VMs share memory with the host instead.
+        if !vm.protected {
+            return Err(Errno::EPERM);
+        }
+        let mut inner = self.state.vm_lock(ctx, &vm);
+        // "Before any vCPU runs": refuse once a vCPU is initialised.
+        let booted = inner.vcpus.iter().any(|s| !matches!(s, VcpuSlot::Uninit));
+        let r = if booted {
+            Err(Errno::EBUSY)
+        } else {
+            let pgt = inner.pgt;
+            mem_protect::vm_load_firmware(ctx, &self.state, &vm, &pgt, pfn, gfn, nr)
+        };
+        if r.is_ok() {
+            for i in 0..nr {
+                inner.firmware.push(PhysAddr::from_pfn(pfn + i));
+            }
+        }
+        self.state.vm_unlock(ctx, &vm, inner);
+        r
     }
 
     /// `teardown_vm(handle)`: unmap the guest, queue its pages for
@@ -276,7 +269,7 @@ impl Machine {
                     .any(|s| matches!(s, VcpuSlot::LoadedOn(_)));
                 self.state.vm_unlock(ctx, &vm, inner);
                 if busy {
-                    cov::hit("teardown_vm/busy");
+                    cov::hit!("teardown_vm/busy");
                     self.state.vm_table_unlock(ctx, table);
                     return Err(Errno::EBUSY);
                 }
@@ -292,9 +285,9 @@ impl Machine {
             ctx.hooks
                 .pte_downgrade(&ctx.hook_ctx(), vm.vmid(), 0, u64::MAX);
             if ctx.faults.is(Fault::SynMissingTlbi) {
-                cov::hit("tlbi/suppressed");
+                cov::hit!("tlbi/suppressed");
             } else {
-                cov::hit("tlbi/vmid");
+                cov::hit!("tlbi/vmid");
                 ctx.tlb.invalidate_vmid(ctx.cpu, vm.vmid(), true);
                 ctx.hooks
                     .tlbi(&ctx.hook_ctx(), vm.vmid(), 0, u64::MAX, true);
@@ -425,9 +418,9 @@ impl Machine {
             Ok(())
         })();
         match &result {
-            Ok(()) => cov::hit("teardown_vm/ok"),
+            Ok(()) => cov::hit!("teardown_vm/ok"),
             Err(Errno::EBUSY) => {}
-            Err(_) => cov::hit("teardown_vm/err"),
+            Err(_) => cov::hit!("teardown_vm/err"),
         }
         result
     }
@@ -494,8 +487,8 @@ impl Machine {
             }
         })();
         match &result {
-            Ok(()) => cov::hit("vcpu_load/ok"),
-            Err(_) => cov::hit("vcpu_load/err"),
+            Ok(()) => cov::hit!("vcpu_load/ok"),
+            Err(_) => cov::hit!("vcpu_load/err"),
         }
         result
     }
@@ -503,7 +496,7 @@ impl Machine {
     /// `vcpu_put()`: return the loaded vCPU to its VM.
     fn do_vcpu_put(&self, ctx: &HypCtx<'_>, guard: &mut MutexGuard<'_, CpuState>) -> HypResult {
         let Some((handle, idx, vcpu)) = guard.loaded_vcpu.take() else {
-            cov::hit("vcpu_put/none");
+            cov::hit!("vcpu_put/none");
             return Err(Errno::ENOENT);
         };
         ctx.hooks.vcpu_put(
@@ -522,7 +515,7 @@ impl Machine {
         self.state.vm_table_unlock(ctx, table);
         let Ok(vm) = vm else {
             // The VM disappeared while the vCPU was loaded; drop the state.
-            cov::hit("vcpu_put/ok");
+            cov::hit!("vcpu_put/ok");
             return Ok(());
         };
         let mut inner = self.state.vm_lock(ctx, &vm);
@@ -532,7 +525,7 @@ impl Machine {
             inner.vcpus[idx] = VcpuSlot::Present(vcpu);
         }
         self.state.vm_unlock(ctx, &vm, inner);
-        cov::hit("vcpu_put/ok");
+        cov::hit!("vcpu_put/ok");
         Ok(())
     }
 
@@ -546,14 +539,14 @@ impl Machine {
         exit_info: &mut Option<(u64, u64)>,
     ) -> HypResult<u64> {
         if guard.loaded_vcpu.is_none() {
-            cov::hit("vcpu_run/no_vcpu");
+            cov::hit!("vcpu_run/no_vcpu");
             return Err(Errno::ENOENT);
         }
         let (handle, _idx, op) = {
             let (h, i, vcpu) = guard.loaded_vcpu.as_mut().expect("checked");
             (*h, *i, vcpu.pending.pop_front())
         };
-        cov::hit("vcpu_run/exit");
+        cov::hit!("vcpu_run/exit");
         // The guest's behaviour is nondeterministic input to the spec
         // (§4.3): report which step it took, and its address if any.
         let (op_code, op_ipa) = match op {
@@ -617,7 +610,7 @@ impl Machine {
                         Ok(exit::CONTINUE)
                     }
                     Err(_) => {
-                        cov::hit("vcpu_run/guest_abort");
+                        cov::hit!("vcpu_run/guest_abort");
                         // Stage 2 abort: exit to the host with the details.
                         *exit_info = Some((gipa, matches!(access, Access::Write) as u64));
                         Ok(exit::MEM_ABORT)
@@ -627,9 +620,9 @@ impl Machine {
             GuestOp::HvcShareHost(gipa) | GuestOp::HvcUnshareHost(gipa) => {
                 let share = matches!(op, GuestOp::HvcShareHost(_));
                 if share {
-                    cov::hit("vcpu_run/guest_hvc_share");
+                    cov::hit!("vcpu_run/guest_hvc_share");
                 } else {
-                    cov::hit("vcpu_run/guest_hvc_unshare");
+                    cov::hit!("vcpu_run/guest_hvc_unshare");
                 }
                 let table = self.state.vm_table_lock(ctx);
                 let vm = table.get(handle);
@@ -676,7 +669,7 @@ impl Machine {
         if n >= 31 {
             return Err(Errno::EINVAL);
         }
-        cov::hit("vcpu_reg/get");
+        cov::hit!("vcpu_reg/get");
         Ok(vcpu.regs.get(n as usize))
     }
 
@@ -694,7 +687,7 @@ impl Machine {
         if n >= 31 {
             return Err(Errno::EINVAL);
         }
-        cov::hit("vcpu_reg/set");
+        cov::hit!("vcpu_reg/set");
         vcpu.regs.set(n as usize, value);
         Ok(())
     }
@@ -726,7 +719,7 @@ impl Machine {
     ) -> HypResult {
         let result = (|| {
             let Some((handle, _, _)) = guard.loaded_vcpu.as_ref() else {
-                cov::hit("host_map_guest/no_vcpu");
+                cov::hit!("host_map_guest/no_vcpu");
                 return Err(Errno::ENOENT);
             };
             // Reject gfns beyond the modelled 48-bit IPA space before they
@@ -767,8 +760,8 @@ impl Machine {
             r
         })();
         match &result {
-            Ok(()) => cov::hit("host_map_guest/ok"),
-            Err(_) => cov::hit("host_map_guest/err"),
+            Ok(()) => cov::hit!("host_map_guest/ok"),
+            Err(_) => cov::hit!("host_map_guest/err"),
         }
         result
     }

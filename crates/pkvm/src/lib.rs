@@ -27,7 +27,9 @@
 //! - [`hooks`] — the ghost instrumentation points (implemented by
 //!   `pkvm-ghost`; no-ops by default);
 //! - [`faults`] — re-introducible real and synthetic bugs;
-//! - [`cov`] — the custom coverage registry.
+//! - [`cov`] — the custom coverage counters.
+
+#![forbid(unsafe_code)]
 
 pub mod cov;
 pub mod error;

@@ -539,16 +539,16 @@ impl Machine {
         );
         match esr.ec() {
             Some(pkvm_aarch64::esr::ExceptionClass::Hvc64) => {
-                cov::hit("handle_trap/hvc");
+                cov::hit!("handle_trap/hvc");
                 self.handle_host_hcall(&ctx, guard);
             }
             Some(pkvm_aarch64::esr::ExceptionClass::DataAbortLowerEl)
             | Some(pkvm_aarch64::esr::ExceptionClass::InstAbortLowerEl) => {
-                cov::hit("handle_trap/host_dabt");
+                cov::hit!("handle_trap/host_dabt");
                 self.handle_host_dabt(&ctx, guard, fault_ipa);
             }
             Some(pkvm_aarch64::esr::ExceptionClass::Smc64) => {
-                cov::hit("handle_trap/smc");
+                cov::hit!("handle_trap/smc");
                 // SMCs are forwarded to EL3 in real pKVM; nothing to do here.
             }
             None => {
@@ -579,7 +579,7 @@ impl Machine {
                 match walk(&self.mem, Stage::Stage1, s1_root, far) {
                     Ok(tr) => tr.oa.bits(),
                     Err(_) => {
-                        cov::hit("host_abort/s1_walk_raced");
+                        cov::hit!("host_abort/s1_walk_raced");
                         if ctx.faults.is(Fault::Bug4HostFaultRace) {
                             // Bug 4: the original code treated this as an
                             // internal invariant failure.
@@ -620,6 +620,19 @@ mod tests {
                 "carveout page {pfn:#x} must be hyp-owned"
             );
         }
+    }
+
+    #[test]
+    fn huge_dram_boots_without_a_directory_sized_to_its_bytes() {
+        // A terabyte of DRAM costs a directory slot per GiB, and boot
+        // backs only the blocks it writes, as many as for the 128 MiB
+        // default: a flat directory of its pages would take 2 GiB.
+        let boot = |config| Machine::boot(config, Arc::new(NoHooks), Arc::new(FaultSet::none()));
+        let (huge, small) = (boot(MachineConfig::huge_dram()), Machine::boot_default());
+        assert!(huge.panicked().is_none());
+        let bytes = huge.mem.store_bytes();
+        assert!(bytes < 64 << 10, "the store holds {bytes} bytes after boot");
+        assert_eq!(huge.mem.backed_blocks(), small.mem.backed_blocks());
     }
 
     #[test]

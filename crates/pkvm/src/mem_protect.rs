@@ -108,9 +108,9 @@ pub fn host_owns_exclusively(mem: &PhysMem, host: &KvmPgtable, ipa: u64) -> bool
 pub(crate) fn tlbi_range(ctx: &HypCtx<'_>, vmid: u16, ia: u64, nr: u64) {
     ctx.hooks.pte_downgrade(&ctx.hook_ctx(), vmid, ia, nr);
     if ctx.faults.is(Fault::SynMissingTlbi) {
-        cov::hit("tlbi/suppressed");
+        cov::hit!("tlbi/suppressed");
     } else {
-        cov::hit("tlbi/range");
+        cov::hit!("tlbi/range");
         ctx.tlb.invalidate_range(ctx.cpu, vmid, ia, nr, true);
         ctx.hooks.tlbi(&ctx.hook_ctx(), vmid, ia, nr, true);
         ctx.hooks.dsb(&ctx.hook_ctx());
@@ -198,10 +198,10 @@ pub fn host_share_hyp(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult {
         if !ctx.faults.is(Fault::SynShareSkipsCheck)
             && (!ctx.mem.is_ram(phys) || !host_owns_exclusively(ctx.mem, &host, phys.bits()))
         {
-            cov::hit("do_share/check_failed");
+            cov::hit!("do_share/check_failed");
             return Err(Errno::EPERM);
         }
-        cov::hit("do_share/ok");
+        cov::hit!("do_share/ok");
         // host_initiate_share: mark the host side shared-owned.
         let host_state = if ctx.faults.is(Fault::SynShareWrongState) {
             PageState::Owned
@@ -247,8 +247,8 @@ pub fn host_share_hyp(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult {
     st.hyp_unlock(ctx, hyp);
     st.host_unlock(ctx, host);
     match &result {
-        Ok(()) => cov::hit("host_share_hyp/ok"),
-        Err(_) => cov::hit("host_share_hyp/check_failed"),
+        Ok(()) => cov::hit!("host_share_hyp/ok"),
+        Err(_) => cov::hit!("host_share_hyp/check_failed"),
     }
     result
 }
@@ -276,10 +276,10 @@ pub fn host_unshare_hyp(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult 
             ConcreteState::Mapped(PageState::SharedBorrowed, _)
         );
         if !host_ok || !hyp_ok {
-            cov::hit("do_unshare/check_failed");
+            cov::hit!("do_unshare/check_failed");
             return Err(Errno::EPERM);
         }
-        cov::hit("do_unshare/ok");
+        cov::hit!("do_unshare/ok");
         let is_mem = ctx.mem.is_ram(phys);
         map_pages_pool(
             ctx,
@@ -313,8 +313,8 @@ pub fn host_unshare_hyp(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult 
     st.hyp_unlock(ctx, hyp);
     st.host_unlock(ctx, host);
     match &result {
-        Ok(()) => cov::hit("host_unshare_hyp/ok"),
-        Err(_) => cov::hit("host_unshare_hyp/check_failed"),
+        Ok(()) => cov::hit!("host_unshare_hyp/ok"),
+        Err(_) => cov::hit!("host_unshare_hyp/check_failed"),
     }
     result
 }
@@ -348,11 +348,11 @@ pub fn do_host_donate_hyp_locked(
     for i in 0..nr {
         let pa = phys.wrapping_add(i * PAGE_SIZE);
         if !ctx.mem.is_ram(pa) || !host_owns_exclusively(ctx.mem, host, pa.bits()) {
-            cov::hit("do_donate/check_failed");
+            cov::hit!("do_donate/check_failed");
             return Err(Errno::EPERM);
         }
     }
-    cov::hit("do_donate/ok");
+    cov::hit!("do_donate/ok");
     set_owner_pool(
         ctx,
         st,
@@ -420,11 +420,11 @@ pub fn do_hyp_donate_host_locked(
             ConcreteState::Mapped(PageState::Owned, _)
         );
         if !host_ok || !hyp_ok {
-            cov::hit("do_donate/check_failed");
+            cov::hit!("do_donate/check_failed");
             return Err(Errno::EPERM);
         }
     }
-    cov::hit("do_donate/ok");
+    cov::hit!("do_donate/ok");
     set_owner_pool(
         ctx,
         st,
@@ -476,14 +476,14 @@ pub fn host_share_guest(
     let host = st.host_lock(ctx);
     let result = (|| {
         if !ctx.mem.is_ram(phys) || !host_owns_exclusively(ctx.mem, &host, phys.bits()) {
-            cov::hit("do_share/check_failed");
+            cov::hit!("do_share/check_failed");
             return Err(Errno::EPERM);
         }
         if page_state_of(ctx.mem, guest_pgt, gipa) != ConcreteState::UnmappedDefault {
-            cov::hit("do_share/check_failed");
+            cov::hit!("do_share/check_failed");
             return Err(Errno::EPERM);
         }
-        cov::hit("do_share/ok");
+        cov::hit!("do_share/ok");
         map_pages_pool(
             ctx,
             st,
@@ -533,14 +533,14 @@ pub fn host_donate_guest(
     let host = st.host_lock(ctx);
     let result = (|| {
         if !ctx.mem.is_ram(phys) || !host_owns_exclusively(ctx.mem, &host, phys.bits()) {
-            cov::hit("do_donate/check_failed");
+            cov::hit!("do_donate/check_failed");
             return Err(Errno::EPERM);
         }
         if page_state_of(ctx.mem, guest_pgt, gipa) != ConcreteState::UnmappedDefault {
-            cov::hit("do_donate/check_failed");
+            cov::hit!("do_donate/check_failed");
             return Err(Errno::EPERM);
         }
-        cov::hit("do_donate/ok");
+        cov::hit!("do_donate/ok");
         let owner = if ctx.faults.is(Fault::SynDonateWrongOwner) {
             OwnerId::HYP
         } else {
@@ -622,7 +622,7 @@ pub fn guest_share_host(
         let ConcreteState::Mapped(PageState::Owned, gattrs) =
             page_state_of(ctx.mem, guest_pgt, gipa)
         else {
-            cov::hit("do_share/check_failed");
+            cov::hit!("do_share/check_failed");
             return Err(Errno::EPERM);
         };
         // Find the physical page behind the guest mapping.
@@ -633,7 +633,6 @@ pub fn guest_share_host(
         // Firmware is donated for the VM's lifetime: the guest cannot
         // hand the host a window back into it.
         if firmware.contains(&phys.page_base()) {
-            cov::hit("do_share/firmware_denied");
             return Err(Errno::EPERM);
         }
         let host_ok = matches!(
@@ -641,10 +640,10 @@ pub fn guest_share_host(
             ConcreteState::UnmappedOwner(o) if o == vm.owner_id()
         );
         if !host_ok {
-            cov::hit("do_share/check_failed");
+            cov::hit!("do_share/check_failed");
             return Err(Errno::EPERM);
         }
-        cov::hit("do_share/ok");
+        cov::hit!("do_share/ok");
         // Guest side: Owned -> SharedOwned (remap in place).
         let mut new_attrs = gattrs;
         new_attrs.sw = PageState::SharedOwned.to_sw();
@@ -706,7 +705,7 @@ pub fn guest_unshare_host(
         let ConcreteState::Mapped(PageState::SharedOwned, gattrs) =
             page_state_of(ctx.mem, guest_pgt, gipa)
         else {
-            cov::hit("do_unshare/check_failed");
+            cov::hit!("do_unshare/check_failed");
             return Err(Errno::EPERM);
         };
         let (pte, level) = get_leaf(ctx.mem, guest_pgt, gipa);
@@ -718,10 +717,10 @@ pub fn guest_unshare_host(
             ConcreteState::Mapped(PageState::SharedBorrowed, _)
         );
         if !host_ok {
-            cov::hit("do_unshare/check_failed");
+            cov::hit!("do_unshare/check_failed");
             return Err(Errno::EPERM);
         }
-        cov::hit("do_unshare/ok");
+        cov::hit!("do_unshare/ok");
         let mut new_attrs = gattrs;
         new_attrs.sw = PageState::Owned.to_sw();
         map_guest_page(
@@ -768,7 +767,7 @@ pub fn host_reclaim_page(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult
     let host = st.host_lock(ctx);
     let result = (|| {
         let Some(former) = st.reclaim.lock().remove(&pfn) else {
-            cov::hit("host_reclaim_page/not_guest_page");
+            cov::hit!("host_reclaim_page/not_guest_page");
             return Err(Errno::EPERM);
         };
         let _ = former;
@@ -779,7 +778,7 @@ pub fn host_reclaim_page(ctx: &HypCtx<'_>, st: &HypState, pfn: u64) -> HypResult
         // see. Scanned here, under the host lock, so the reported flag is
         // identical in both check modes.
         let dirty = ctx.mem.page_is_zero(phys).is_ok_and(|zero| !zero);
-        cov::hit("host_reclaim_page/ok");
+        cov::hit!("host_reclaim_page/ok");
         tlbi_range(ctx, VMID_HOST, phys.bits(), 1);
         set_owner_pool(
             ctx,
@@ -808,7 +807,6 @@ pub fn retire_firmware_locked(
     host: &KvmPgtable,
     pa: PhysAddr,
 ) -> HypResult {
-    cov::hit("teardown_vm/firmware_retired");
     set_owner_pool(
         ctx,
         st,
@@ -851,17 +849,14 @@ pub fn vm_load_firmware(
         for i in 0..nr {
             let pa = phys.wrapping_add(i * PAGE_SIZE);
             if !ctx.mem.is_ram(pa) || !host_owns_exclusively(ctx.mem, &host, pa.bits()) {
-                cov::hit("vm_load_firmware/check_failed");
                 return Err(Errno::EPERM);
             }
             if page_state_of(ctx.mem, guest_pgt, (gfn + i) * PAGE_SIZE)
                 != ConcreteState::UnmappedDefault
             {
-                cov::hit("vm_load_firmware/check_failed");
                 return Err(Errno::EPERM);
             }
         }
-        cov::hit("vm_load_firmware/ok");
         set_owner_pool(
             ctx,
             st,
@@ -910,7 +905,7 @@ pub fn topup_memcache(
 ) -> HypResult {
     // Bug 1: the alignment check on the donated address is missing.
     if !ctx.faults.is(Fault::Bug1MemcacheAlignment) && !is_page_aligned(addr) {
-        cov::hit("topup_memcache/unaligned");
+        cov::hit!("topup_memcache/unaligned");
         return Err(Errno::EINVAL);
     }
     // Bug 2: the size check truncates through a narrow signed type, so a
@@ -918,7 +913,7 @@ pub fn topup_memcache(
     let nr = if ctx.faults.is(Fault::Bug2MemcacheSize) {
         (nr as i16).max(0) as u64
     } else if nr > MEMCACHE_MAX_TOPUP {
-        cov::hit("topup_memcache/too_big");
+        cov::hit!("topup_memcache/too_big");
         return Err(Errno::E2BIG);
     } else {
         nr
@@ -954,8 +949,8 @@ pub fn topup_memcache(
     st.hyp_unlock(ctx, hyp);
     st.host_unlock(ctx, host);
     match &result {
-        Ok(()) => cov::hit("topup_memcache/ok"),
-        Err(_) => cov::hit("topup_memcache/err"),
+        Ok(()) => cov::hit!("topup_memcache/ok"),
+        Err(_) => cov::hit!("topup_memcache/err"),
     }
     result
 }
@@ -993,7 +988,7 @@ pub fn handle_host_mem_abort(ctx: &HypCtx<'_>, st: &HypState, ipa: u64) -> HostA
             EntryKind::Invalid => {
                 let owner = annotation_owner(pte);
                 if owner != OwnerId::HOST {
-                    cov::hit("host_abort/denied");
+                    cov::hit!("host_abort/denied");
                     return HostAbortOutcome::InjectToHost;
                 }
             }
@@ -1001,12 +996,12 @@ pub fn handle_host_mem_abort(ctx: &HypCtx<'_>, st: &HypState, ipa: u64) -> HostA
         }
         let pa = PhysAddr::new(ipa);
         let Some(region) = ctx.mem.region_of(pa) else {
-            cov::hit("host_abort/denied");
+            cov::hit!("host_abort/denied");
             return HostAbortOutcome::InjectToHost;
         };
         if region.kind == RegionKind::Mmio {
             // Device memory: map the single faulting page.
-            cov::hit("host_abort/mmio");
+            cov::hit!("host_abort/mmio");
             let page = page_align_down(ipa);
             let r = map_pages_pool(
                 ctx,
@@ -1050,7 +1045,7 @@ pub fn handle_host_mem_abort(ctx: &HypCtx<'_>, st: &HypState, ipa: u64) -> HostA
         );
         match r {
             Ok(()) => {
-                cov::hit("host_abort/mapped_on_demand");
+                cov::hit!("host_abort/mapped_on_demand");
                 HostAbortOutcome::MappedOnDemand {
                     ipa: start,
                     nr_pages: nr,

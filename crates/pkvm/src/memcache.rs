@@ -67,14 +67,14 @@ impl Memcache {
     /// to the host, which responds by topping up and retrying).
     pub fn pop(&mut self, mem: &PhysMem) -> HypResult<PhysAddr> {
         let Some(head) = self.head else {
-            crate::cov::hit("memcache/empty");
+            crate::cov::hit!("memcache/empty");
             return Err(Errno::ENOMEM);
         };
         let next = mem.read_u64(head).unwrap_or(0);
         let _ = mem.write_u64(head, 0);
         self.head = sanitize_link(next);
         self.nr_pages -= 1;
-        crate::cov::hit("memcache/pop");
+        crate::cov::hit!("memcache/pop");
         Ok(head)
     }
 

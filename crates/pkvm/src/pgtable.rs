@@ -158,7 +158,7 @@ impl<'a> WalkState<'a> {
         let pa = self
             .mm
             .zalloc_page(self.mem)
-            .inspect_err(|_| crate::cov::hit("pgtable/oom"))?;
+            .inspect_err(|_| crate::cov::hit!("pgtable/oom"))?;
         self.reread_held(pa);
         self.events.push(TableEvent::Alloc(pa));
         Ok(pa)
@@ -482,7 +482,7 @@ fn split_entry(stage: Stage, st: &mut WalkState<'_>, ctx: &WalkCtx) -> HypResult
             }
         }
         EntryKind::Block => {
-            crate::cov::hit("pgtable/split_block");
+            crate::cov::hit!("pgtable/split_block");
             let child_level = ctx.level + 1;
             let child_size = level_size(child_level);
             let oa = ctx.old.leaf_oa(ctx.level);
@@ -506,7 +506,7 @@ impl Visitor for MapWalker {
     fn visit(&mut self, st: &mut WalkState<'_>, _kind: VisitKind, ctx: &WalkCtx) -> HypResult {
         let target = self.phys_base.wrapping_add(ctx.ia - self.ia_base);
         if ctx.level == LEAF_LEVEL {
-            crate::cov::hit("pgtable/map_page");
+            crate::cov::hit!("pgtable/map_page");
             st.write(
                 ctx.table,
                 ctx.idx,
@@ -516,7 +516,7 @@ impl Visitor for MapWalker {
         }
         let target_aligned = target.bits().is_multiple_of(level_size(ctx.level));
         if ctx.level >= 1 && !self.force_pages && ctx.covers_entry() && target_aligned {
-            crate::cov::hit("pgtable/map_block");
+            crate::cov::hit!("pgtable/map_block");
             let oa = if self.corrupt_block_oa {
                 // Buggy path: the block OA computation is off by one whole
                 // block, silently mapping the wrong physical range.
@@ -582,7 +582,7 @@ impl Visitor for SetOwnerWalker {
                 if !uniform {
                     return Ok(());
                 }
-                crate::cov::hit("pgtable/free_table");
+                crate::cov::hit!("pgtable/free_table");
                 st.write(ctx.table, ctx.idx, first);
                 st.free_table(child);
                 Ok(())
@@ -1164,7 +1164,7 @@ mod tests {
                     return Ok(());
                 }
             }
-            crate::cov::hit("pgtable/free_table");
+            crate::cov::hit!("pgtable/free_table");
             st.write(ctx.table, ctx.idx, first);
             st.free_table(child);
             Ok(())

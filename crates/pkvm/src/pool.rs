@@ -110,7 +110,7 @@ impl HypPool {
             have += 1;
         }
         if have > MAX_ORDER {
-            crate::cov::hit("pool/oom");
+            crate::cov::hit!("pool/oom");
             return Err(Errno::ENOMEM);
         }
         let idx = self.free_lists[have as usize].pop().expect("nonempty list");
@@ -131,7 +131,7 @@ impl HypPool {
             free: false,
         };
         self.free_pages -= 1 << order;
-        crate::cov::hit("pool/alloc");
+        crate::cov::hit!("pool/alloc");
         Ok(PhysAddr::from_pfn(self.base_pfn + idx))
     }
 

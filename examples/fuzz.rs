@@ -20,11 +20,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pkvm_harness::cli::{num_arg, parse_u64};
-use pkvm_harness::coverage::CoverageSummary;
+use pkvm_harness::coverage::{self, CoverageSummary};
 use pkvm_harness::fuzz::{corpus, FuzzCfg, Fuzzer};
 use pkvm_harness::proxy::Proxy;
 use pkvm_harness::random::{RandomCfg, RandomTester};
-use pkvm_hyp::cov;
 use pkvm_hyp::faults::{Fault, FaultSet};
 
 const USAGE: &str = "usage: fuzz run <seed> <budget> [workers] [corpus_dir [crashes_dir]]\n\
@@ -86,7 +85,7 @@ fn points_hit(summary: &CoverageSummary) -> usize {
 /// *driver events* (the same unit the fuzzer's budget counts), so the
 /// comparison is apples to apples.
 fn random_baseline(seed: u64, budget: u64) -> (CoverageSummary, u64, usize) {
-    let before = cov::snapshot();
+    let before = coverage::snapshot();
     let proxy = Proxy::builder().record(true).boot();
     let cfg = RandomCfg::builder()
         .seed(seed)
