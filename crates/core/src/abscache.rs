@@ -33,11 +33,6 @@
 //! dropped and the whole check reruns, so anomalies are still reported
 //! in address order and an anomalous partition is never memoized.
 //!
-//! Every value it serves comes as a [`Handoff`]: under a version that
-//! names the value, and with the value itself only when it is not the one
-//! last handed over for the component, so a clean hit hands the oracle's
-//! back half, which keeps what it was handed, nothing but the version.
-//!
 //! ## Why entry-level replay is sound
 //!
 //! The cached snapshot generation is taken *before* any descriptor is
@@ -107,9 +102,6 @@ pub struct CacheStats {
     /// Full walks: a re-interpreted run reported an anomaly or reached a
     /// table page filed elsewhere in the tree.
     pub full_anomaly: u64,
-    /// Requests handed over as the version alone: the value was the one
-    /// last handed over for the component ([`Handoff`]).
-    pub version_only: u64,
 }
 
 impl CacheStats {
@@ -134,32 +126,6 @@ impl CacheStats {
     }
 }
 
-/// An abstraction as the cache hands it over.
-///
-/// Every replay, full walk and new host partition takes a fresh version
-/// from the cache's one counter, and a clean hit keeps it, so two
-/// handoffs of one nonzero version hold one value. The cache remembers,
-/// per component, whether it handed the current version over already; if
-/// it did, the handoff carries the version alone, and the receiver (the
-/// oracle's back half) keeps the value from the handoff that carried it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Handoff<T> {
-    /// The value's version; 0 for a state the cache does not keep
-    /// (anomalous or aliased), whose value always travels.
-    pub version: u64,
-    /// The value, or `None`: the one last handed over for this component.
-    pub value: Option<T>,
-}
-
-impl<T> Handoff<T> {
-    fn uncached(value: T) -> Handoff<T> {
-        Handoff {
-            version: 0,
-            value: Some(value),
-        }
-    }
-}
-
 struct CacheEntry {
     root: PhysAddr,
     stage: Stage,
@@ -172,18 +138,12 @@ struct CacheEntry {
     /// The host partition of `interp` (host entry only), kept while its
     /// legality check finds nothing; a replay splices its delta in.
     host: Option<GhostHost>,
-    /// The version of the served value (`interp`, or `host` for the host).
-    version: u64,
-    /// `version` was handed over already.
-    handed: bool,
 }
 
 /// The per-oracle incremental abstraction cache.
 #[derive(Default)]
 pub struct AbsCache {
     entries: HashMap<Component, CacheEntry>,
-    /// The last version taken (the first is 1).
-    version: u64,
     buffers: Buffers,
     /// Resolution counters (exposed for benches, tests and reports).
     pub stats: CacheStats,
@@ -237,16 +197,10 @@ impl AbsCache {
         AbsCache::default()
     }
 
-    /// Drops every cached interpretation (e.g. when a VM is torn down its
-    /// entry must not survive handle reuse).
-    pub fn invalidate(&mut self, key: Component) {
-        self.entries.remove(&key);
-    }
-
     /// Drops cached VM interpretations whose handle fails `live` — called
     /// when the VM table is observed, so torn-down VMs do not keep their
     /// (now dangling) interpretations resident. A reused handle starts
-    /// over with a full walk, and its value travels.
+    /// over with a full walk.
     pub fn retain_vms(&mut self, live: impl Fn(u32) -> bool) {
         self.entries.retain(|k, _| match k {
             Component::Vm(h) => live(*h),
@@ -254,19 +208,9 @@ impl AbsCache {
         });
     }
 
-    /// Forgets that `key`'s current value was handed over, so the next
-    /// request carries it again: for a handoff that may never have
-    /// reached its receiver.
-    pub fn forget_handed(&mut self, key: Component) {
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.handed = false;
-        }
-    }
-
     /// Interprets the table rooted at `root`, reusing the cached
     /// interpretation for `key` where the write log proves it still
-    /// valid, and hands it over ([`Handoff`]). Appends anomalies exactly
-    /// as [`interpret_pgtable`] would.
+    /// valid. Appends anomalies exactly as [`interpret_pgtable`] would.
     ///
     /// [`interpret_pgtable`]: crate::abstraction::interpret_pgtable
     pub fn interp(
@@ -276,23 +220,21 @@ impl AbsCache {
         root: PhysAddr,
         key: Component,
         anomalies: &mut Vec<Anomaly>,
-    ) -> Handoff<AbstractPgtable> {
+    ) -> AbstractPgtable {
         match self.resolve(mem, stage, root, key, None, anomalies) {
-            Ok(e) => self.hand_over(key, e, |e| e.interp.clone()),
-            Err(interp) => Handoff::uncached(interp),
+            Ok(e) => e.interp.clone(),
+            Err(interp) => interp,
         }
     }
 
     /// The host's abstraction ([`abstract_host`]) over the cached
-    /// interpretation of the host stage 2 rooted at `root`, handed over
-    /// like [`AbsCache::interp`]'s. Appends
+    /// interpretation of the host stage 2 rooted at `root`. Appends
     /// anomalies exactly as [`abstract_host`] would. While the
     /// interpretation is served unchanged, the partition that last checked
     /// clean is returned as is, sharing its mappings' storage; a replay
     /// updates it over the ranges it rewrote. A partition that reported
     /// anomalies is never kept, so its check reruns (and re-reports) on
-    /// every event, and it always travels. `globals` must be the same on
-    /// every call.
+    /// every event. `globals` must be the same on every call.
     ///
     /// [`abstract_host`]: crate::abstraction::abstract_host
     pub fn host(
@@ -301,58 +243,27 @@ impl AbsCache {
         root: PhysAddr,
         globals: &GhostGlobals,
         anomalies: &mut Vec<Anomaly>,
-    ) -> Handoff<GhostHost> {
+    ) -> GhostHost {
         let key = Component::Host;
-        let mut e = match self.resolve(mem, Stage::Stage2, root, key, Some(globals), anomalies) {
+        let e = match self.resolve(mem, Stage::Stage2, root, key, Some(globals), anomalies) {
             Ok(e) => e,
-            Err(interp) => {
-                return Handoff::uncached(abstract_host_from_interp(&interp, globals, anomalies))
-            }
+            Err(interp) => return abstract_host_from_interp(&interp, globals, anomalies),
         };
-        if e.host.is_none() {
-            let before = anomalies.len();
-            let host = abstract_host_from_interp(&e.interp, globals, anomalies);
-            if anomalies.len() != before {
-                e.handed = false;
-                self.entries.insert(key, e);
-                return Handoff::uncached(host);
-            }
-            e.host = Some(host);
-            self.renew(&mut e);
+        if let Some(host) = &e.host {
+            return host.clone();
         }
-        self.hand_over(key, e, |e| e.host.clone().expect("partition kept above"))
-    }
-
-    /// Files `e` under `key` and hands its value over: the version alone
-    /// if that was handed over already, else `value(e)`.
-    fn hand_over<T>(
-        &mut self,
-        key: Component,
-        mut e: CacheEntry,
-        value: impl FnOnce(&CacheEntry) -> T,
-    ) -> Handoff<T> {
-        let value = (!e.handed).then(|| value(&e));
-        if value.is_none() {
-            self.stats.version_only += 1;
+        let before = anomalies.len();
+        let host = abstract_host_from_interp(&e.interp, globals, anomalies);
+        if anomalies.len() == before {
+            e.host = Some(host.clone());
         }
-        e.handed = true;
-        let version = e.version;
-        self.entries.insert(key, e);
-        Handoff { version, value }
-    }
-
-    /// Gives `e`'s (changed) value a fresh version, not yet handed over.
-    fn renew(&mut self, e: &mut CacheEntry) {
-        self.version += 1;
-        e.version = self.version;
-        e.handed = false;
+        host
     }
 
     /// Brings the entry for `key` up to date with the table rooted at
-    /// `root` and returns it, out of the map until it is handed over;
-    /// `Err` holds the interpretation of a state that is not cached. A
-    /// host memo follows a replay only given the `globals` it is checked
-    /// against.
+    /// `root` and returns it; `Err` holds the interpretation of a state
+    /// that is not cached. A host memo follows a replay only given the
+    /// `globals` it is checked against.
     fn resolve(
         &mut self,
         mem: &PhysMem,
@@ -361,7 +272,7 @@ impl AbsCache {
         key: Component,
         globals: Option<&GhostGlobals>,
         anomalies: &mut Vec<Anomaly>,
-    ) -> Result<CacheEntry, AbstractPgtable> {
+    ) -> Result<&mut CacheEntry, AbstractPgtable> {
         // Snapshot before reading any table state: writes racing with
         // this interpretation will be at or after `snap` and therefore
         // re-reported by the next dirty-page query.
@@ -375,15 +286,14 @@ impl AbsCache {
                 Plan::Clean => {
                     self.stats.clean_hits += 1;
                     e.gen = snap;
-                    return Ok(e);
+                    return Ok(self.entries.entry(key).or_insert(e));
                 }
                 Plan::Replay => {
                     if let Some(diffed) = e.replay(mem, globals, &mut self.buffers) {
                         self.stats.incremental += 1;
                         self.stats.subtrees_replayed += diffed;
                         e.gen = snap;
-                        self.renew(&mut e);
-                        return Ok(e);
+                        return Ok(self.entries.entry(key).or_insert(e));
                     }
                     // A re-interpreted run was anomalous or aliased; take
                     // the full walk so anomalies are reported once,
@@ -404,18 +314,15 @@ impl AbsCache {
         let (interp, nodes) = interpret_tree(mem, stage, root, anomalies);
         match nodes {
             Some(nodes) if anomalies.len() == before => {
-                let mut e = CacheEntry {
+                let e = CacheEntry {
                     root,
                     stage,
                     gen: snap,
                     interp,
                     nodes,
                     host: None,
-                    version: 0,
-                    handed: false,
                 };
-                self.renew(&mut e);
-                Ok(e)
+                Ok(self.entries.entry(key).or_insert(e))
             }
             // Never cache anomalous or aliased states: every event over
             // them must re-walk and re-report, like the non-incremental
@@ -698,28 +605,13 @@ mod tests {
         root
     }
 
-    /// The value `key`'s next handoff carries, having forgotten that the
-    /// current one was handed over.
-    fn carried<T>(
-        cache: &mut AbsCache,
-        key: Component,
-        serve: impl FnOnce(&mut AbsCache) -> Handoff<T>,
-    ) -> T {
-        cache.forget_handed(key);
-        serve(cache)
-            .value
-            .expect("a forgotten handoff carries its value")
-    }
-
     fn interp(
         cache: &mut AbsCache,
         m: &PhysMem,
         root: PhysAddr,
         a: &mut Vec<Anomaly>,
     ) -> AbstractPgtable {
-        carried(cache, Component::Host, |c| {
-            c.interp(m, Stage::Stage2, root, Component::Host, a)
-        })
+        cache.interp(m, Stage::Stage2, root, Component::Host, a)
     }
 
     fn check_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) {
@@ -903,7 +795,7 @@ mod tests {
     }
 
     fn host(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr, a: &mut Vec<Anomaly>) -> GhostHost {
-        carried(cache, Component::Host, |c| c.host(m, root, &globals(), a))
+        cache.host(m, root, &globals(), a)
     }
 
     fn host_agrees(cache: &mut AbsCache, m: &PhysMem, root: PhysAddr) -> (GhostHost, usize) {
@@ -1094,111 +986,33 @@ mod tests {
     }
 
     #[test]
-    fn a_clean_hit_after_a_handed_value_hands_over_the_version_alone() {
-        let m = mem();
-        let root = build_host(&m);
-        let mut cache = AbsCache::new();
-        let interp =
-            |c: &mut AbsCache| c.interp(&m, Stage::Stage2, root, Component::Hyp, &mut Vec::new());
-        let host = |c: &mut AbsCache| c.host(&m, root, &globals(), &mut Vec::new());
-        let (first_interp, first_host) = (interp(&mut cache), host(&mut cache));
-        assert!(first_interp.value.is_some() && first_interp.version > 0);
-        assert!(first_host.value.is_some() && first_host.version > 0);
-        // A data write leaves both values as they were.
-        m.write_u64(PhysAddr::new(0x4200_0000), 77).unwrap();
-        let (i, h) = (interp(&mut cache), host(&mut cache));
-        assert_eq!((i.version, i.value), (first_interp.version, None));
-        assert_eq!((h.version, h.value), (first_host.version, None));
-        assert_eq!(cache.stats.clean_hits, 2);
-        assert_eq!(cache.stats.version_only, 2);
-    }
-
-    #[test]
-    fn a_replay_a_root_change_or_a_full_walk_hands_over_a_value_under_a_larger_version() {
-        let m = mem();
-        let root = build_host(&m);
-        let l3 = PhysAddr::new(0x4400_3000);
-        let mut cache = AbsCache::new();
-        let interp = |c: &mut AbsCache, root| {
-            c.interp(&m, Stage::Stage2, root, Component::Hyp, &mut Vec::new())
-        };
-        let host = |c: &mut AbsCache, root| c.host(&m, root, &globals(), &mut Vec::new());
-        let mut last = (
-            interp(&mut cache, root).version,
-            host(&mut cache, root).version,
-        );
-        let mut newer = |cache: &mut AbsCache, root, what: &str| {
-            let (i, h) = (interp(cache, root), host(cache, root));
-            assert!(
-                i.value.is_some() && h.value.is_some(),
-                "{what}: {i:?} {h:?}"
-            );
-            assert!(i.version > last.0 && h.version > last.1, "{what}");
-            last = (i.version, h.version);
-        };
-        // A replay, even one that rewrites a descriptor with its own value.
-        m.write_pte(l3, 6, annotation_pte(OwnerId::HYP)).unwrap();
-        newer(&mut cache, root, "replay");
-        m.write_pte(l3, 6, m.read_pte(l3, 6).unwrap()).unwrap();
-        newer(&mut cache, root, "identical rewrite");
-        assert_eq!(cache.stats.incremental, 4);
-        // The same tables under a new root.
-        let root2 = PhysAddr::new(0x4500_0000);
-        m.write_pte(root2, 0, Pte::table(PhysAddr::new(0x4400_1000)))
-            .unwrap();
-        newer(&mut cache, root2, "root change");
-        assert_eq!(cache.stats.full_root_changed, 2);
-        // A full walk: the log lost track.
-        m.write_log().set_enabled(false);
-        m.write_log().set_enabled(true);
-        newer(&mut cache, root2, "full walk");
-        assert_eq!(cache.stats.full_log_unavailable, 2);
-    }
-
-    #[test]
-    fn forgetting_the_handoff_or_the_vm_or_an_uncached_state_makes_the_value_travel() {
+    fn a_reused_vm_handle_walks_cold_and_an_anomalous_state_walks_every_time() {
         let m = mem();
         let root = build(&m);
         let vm = Component::Vm(0x1000);
         let mut cache = AbsCache::new();
-        let serve = |c: &mut AbsCache| c.interp(&m, Stage::Stage2, root, vm, &mut Vec::new());
-        let first = serve(&mut cache);
-        assert!(serve(&mut cache).value.is_none());
-        // A handoff that may not have arrived is carried again.
-        cache.forget_handed(vm);
-        let again = serve(&mut cache);
-        assert_eq!(again.version, first.version);
-        assert!(again.value.is_some());
+        let serve =
+            |c: &mut AbsCache, a: &mut Vec<Anomaly>| c.interp(&m, Stage::Stage2, root, vm, a);
+        let first = serve(&mut cache, &mut Vec::new());
         // The VM leaves the table and a new one reuses the handle.
         cache.retain_vms(|_| false);
-        let reused = serve(&mut cache);
-        assert!(reused.value.is_some() && reused.version > first.version);
+        assert_eq!(serve(&mut cache, &mut Vec::new()), first);
         assert_eq!(cache.stats.full_cold, 2);
-        // An anomalous state is never cached: its value always travels,
-        // under no version.
+        // An anomalous state is never cached: every request walks it and
+        // reports its anomaly again.
         m.write_pte(PhysAddr::new(0x4400_3000), 3, Pte(0b01))
             .unwrap();
         for _ in 0..2 {
-            let uncached = serve(&mut cache);
-            assert_eq!(uncached.version, 0);
-            assert!(uncached.value.is_some());
+            let mut a = Vec::new();
+            serve(&mut cache, &mut a);
+            assert_eq!(a.len(), 1, "{a:?}");
         }
+        assert_eq!((cache.stats.full_anomaly, cache.stats.full_cold), (1, 3));
         // Repaired, it is cached afresh.
         m.write_pte(PhysAddr::new(0x4400_3000), 3, Pte(0)).unwrap();
-        let repaired = serve(&mut cache);
-        assert!(repaired.value.is_some() && repaired.version > reused.version);
-        assert!(serve(&mut cache).value.is_none());
-    }
-
-    #[test]
-    fn invalidate_forces_cold_walk() {
-        let m = mem();
-        let root = build(&m);
-        let mut cache = AbsCache::new();
-        check_agrees(&mut cache, &m, root);
-        cache.invalidate(Component::Host);
-        check_agrees(&mut cache, &m, root);
-        assert_eq!(cache.stats.full_cold, 2);
+        serve(&mut cache, &mut Vec::new());
+        serve(&mut cache, &mut Vec::new());
+        assert_eq!((cache.stats.full_cold, cache.stats.clean_hits), (4, 1));
     }
 
     #[test]

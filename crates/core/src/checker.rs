@@ -99,12 +99,12 @@ pub(crate) type BarrierGate = Arc<(StdMutex<bool>, Condvar)>;
 /// files, read-once values), keyed by the primary event's stream seq.
 ///
 /// Every message crosses from the mutator's core to the checker's in
-/// pipelined mode, so messages stay small (at most 336 bytes, pinned by a
+/// pipelined mode, so messages stay small (at most 304 bytes, pinned by a
 /// test): a trap message carries one register file and the back half
 /// rebuilds the call data and the per-CPU state from it; the loaded vCPU,
-/// rare and large, travels boxed; and a component abstraction the back
-/// half already holds travels as its cache version alone
-/// ([`ComponentValue`]).
+/// rare and large, travels boxed; and a component abstraction
+/// ([`ComponentValue`]) shares its mappings and table footprint with the
+/// cache's copy.
 pub(crate) enum CheckMsg {
     /// `trap_enter` ran: reset the per-CPU record.
     TrapEnter {
@@ -508,7 +508,7 @@ mod tests {
         // over costs in cache-line traffic. Trap messages that carried the
         // register file two or three times made every message 1,104 bytes.
         let size = std::mem::size_of::<CheckMsg>();
-        assert!(size <= 336, "a CheckMsg takes {size} bytes");
+        assert!(size <= 304, "a CheckMsg takes {size} bytes");
     }
 
     #[test]

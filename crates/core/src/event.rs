@@ -3,7 +3,7 @@
 //! Everything the harness and oracle used to record into private vectors —
 //! the campaign's driver-op schedule, the oracle's trap trace and violation
 //! log, chaos injections, lock events, `READ_ONCE` values — now flows
-//! through a single [`EventSink`] into one [`EventStream`]. Each event gets
+//! through [`EventStream::emit`] into one [`EventStream`]. Each event gets
 //! a global sequence number (assigned under one mutex, so sequence order
 //! *is* timeline order), a *lane* (the worker or CPU that produced it), an
 //! optional link to the sequence number of the trap it happened inside, and
@@ -381,13 +381,6 @@ pub struct EventRecord {
     pub event: Event,
 }
 
-/// The one recording interface: producers emit, the stream orders.
-pub trait EventSink: Send + Sync {
-    /// Appends one event, returning its global sequence number. `trap` is
-    /// the sequence number of the enclosing trap's `TrapEnter`, if known.
-    fn emit(&self, lane: u32, trap: Option<u64>, event: Event) -> u64;
-}
-
 #[derive(Default)]
 struct StreamInner {
     next_seq: u64,
@@ -428,6 +421,12 @@ impl EventStream {
     /// Whether the full timeline is being retained.
     pub fn record_all(&self) -> bool {
         self.record_all
+    }
+
+    /// Appends one event, returning its global sequence number. `trap` is
+    /// the sequence number of the enclosing trap's `TrapEnter`, if known.
+    pub fn emit(&self, lane: u32, trap: Option<u64>, event: Event) -> u64 {
+        self.append(lane, trap, event).0
     }
 
     fn append(&self, lane: u32, trap: Option<u64>, mut event: Event) -> (u64, bool) {
@@ -570,12 +569,6 @@ impl EventStream {
     /// last).
     pub fn trap_records(&self) -> Vec<TrapRecord> {
         self.inner.lock().checks.iter().cloned().collect()
-    }
-}
-
-impl EventSink for EventStream {
-    fn emit(&self, lane: u32, trap: Option<u64>, event: Event) -> u64 {
-        self.append(lane, trap, event).0
     }
 }
 

@@ -63,7 +63,7 @@ pub mod spec;
 pub mod state;
 mod trackers;
 
-pub use abscache::{AbsCache, CacheStats, Handoff};
+pub use abscache::{AbsCache, CacheStats};
 pub use abstraction::{
     abstract_host, abstract_host_from_interp, abstract_hyp, abstract_vm, abstract_vm_with_pgt,
     interpret_pgtable, Anomaly,
@@ -74,7 +74,7 @@ pub use checker::{CheckMode, Checker, StatsSnapshot, Verdict};
 pub use containment::{contain, Disposition, Quarantine, QuarantineKey};
 pub use diff::diff_states;
 pub use event::{
-    canonical_signature, novelty_signature, ChaosKind, Event, EventCursor, EventRecord, EventSink,
+    canonical_signature, novelty_signature, ChaosKind, Event, EventCursor, EventRecord,
     EventStream, ShapeHasher, TraceStats, DERIVED_SEQ_BASE, TRACE_CAP,
 };
 pub use maplet::{AbsAttrs, Maplet, MapletTarget};

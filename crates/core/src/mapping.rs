@@ -4,10 +4,9 @@
 //! from 4 KiB input pages to (output page, attributes) tuples, plus owner
 //! annotations on unmapped ranges. [`Mapping`] represents exactly that, as
 //! a sorted vector of maximally coalesced [`Maplet`]s, with the finite-map
-//! operations the specification functions need: empty and singleton maps,
-//! insertion, removal, lookup, pointwise difference, and structural
-//! equality (which, thanks to the canonical coalesced form, *is* semantic
-//! equality).
+//! operations the specification functions need: the empty map, insertion,
+//! removal, lookup, pointwise difference, and structural equality (which,
+//! thanks to the canonical coalesced form, *is* semantic equality).
 
 use std::sync::{Arc, OnceLock};
 
@@ -74,13 +73,6 @@ impl Mapping {
     /// storage (and therefore equal).
     pub(crate) fn shares_storage(&self, other: &Mapping) -> bool {
         Arc::ptr_eq(&self.maplets, &other.maplets)
-    }
-
-    /// A mapping containing a single maplet.
-    pub fn singleton(m: Maplet) -> Mapping {
-        let mut map = Mapping::new();
-        map.insert(m);
-        map
     }
 
     /// The maplets in ascending input-address order.

@@ -42,7 +42,7 @@ use pkvm_hyp::mm::compute_layout;
 use pkvm_hyp::owner::PageState;
 use pkvm_hyp::vm::Handle;
 
-use crate::abscache::{AbsCache, CacheStats, Handoff};
+use crate::abscache::{AbsCache, CacheStats};
 use crate::abstraction::{
     abstract_host, abstract_hyp, abstract_vm, abstract_vm_with_pgt, interpret_pgtable, Anomaly,
 };
@@ -53,7 +53,7 @@ use crate::checker::{
 };
 use crate::containment::{contain, Disposition, Quarantine, QuarantineKey};
 use crate::diff::diff_states;
-use crate::event::{Event, EventSink, EventStream};
+use crate::event::{Event, EventStream};
 use crate::maplet::{Maplet, MapletTarget};
 use crate::mapping::Mapping;
 use crate::spec::{abs_hyp_attrs, compute_post, SpecVerdict};
@@ -437,8 +437,6 @@ pub struct Oracle {
     cpus: Vec<Mutex<CpuRecord>>,
     fronts: Vec<Mutex<FrontRecord>>,
     abscache: Mutex<AbsCache>,
-    /// The back half's copy of the cached pieces it was handed.
-    mirror: Mutex<Mirror>,
     events: Arc<EventStream>,
     quarantine: Quarantine,
     /// `Some` in [`CheckMode::Pipelined`]: the sending half of the
@@ -538,7 +536,6 @@ impl Oracle {
                 vm_uniq: HashMap::new(),
             }),
             abscache: Mutex::new(AbsCache::new()),
-            mirror: Mutex::new(Mirror::default()),
             events,
             quarantine: Quarantine::new(opts.quarantine_threshold, opts.quarantine_traps),
             pipeline,
@@ -754,25 +751,12 @@ impl Oracle {
     /// numbering are identical in both check modes.
     fn guarded(&self, cpu: usize, trap: Option<u64>, key: QuarantineKey, f: impl FnOnce()) {
         if let Err(payload) = contain(f) {
-            if let QuarantineKey::Part(part) = key {
-                // The cache may count as handed over a value that never
-                // reached the back half: the next event carries it.
-                self.forget_handed(part);
-            }
             self.dispatch(CheckMsg::Panic {
                 cpu,
                 trap,
                 key,
                 payload,
             });
-        }
-    }
-
-    /// Makes the next abstraction of `part` the cache serves carry its
-    /// value rather than its version alone.
-    fn forget_handed(&self, part: Part) {
-        if let Some(comp) = part.component() {
-            self.abscache.lock().forget_handed(comp);
         }
     }
 
@@ -826,9 +810,12 @@ impl Oracle {
             return;
         }
         self.guarded(cpu, trap, QuarantineKey::Part(part), || {
-            // Serving from the cache and handing the value over are one
-            // step under the cache's lock, so a version-only value never
-            // overtakes the value it refers to on its way to the back half.
+            // The cache's lock spans the dispatch as well as the serve, so
+            // lock events that use the cache reach the back half in the
+            // order the cache served them, and inline their back halves
+            // run one at a time. A value does not need that order: it
+            // travels whole. The span is kept because it fixes how the
+            // lock events of concurrent CPUs interleave with each other.
             let mut cache = self.opts.uses_cache().then(|| self.abscache.lock());
             let (value, reports) = self.abstract_component(ctx, view, comp, cache.as_deref_mut());
             self.dispatch(if acquired {
@@ -932,41 +919,35 @@ impl Oracle {
         let mut reports = Vec::new();
         let mut state = GhostState::default();
         let (mut uniq, mut live) = (0, Vec::new());
-        let (mut handed, mut full) = (Handed::Uncached, None);
         let part = match view {
             ComponentView::Host { root } => {
-                state.host = match cache {
-                    Some(cache) => {
-                        let served = self.serve(
-                            Component::Host,
-                            &mut anomalies,
-                            &mut reports,
-                            |a| cache.host(ctx.mem, *root, &self.globals, a),
-                            |a| abstract_host(ctx.mem, *root, &self.globals, a),
-                        );
-                        (handed, full) = (served.handed, served.full);
-                        served.value
-                    }
-                    None => Some(abstract_host(ctx.mem, *root, &self.globals, &mut anomalies)),
-                };
+                state.host = Some(match cache {
+                    Some(cache) => self.serve(
+                        Component::Host,
+                        &mut anomalies,
+                        &mut reports,
+                        |a| cache.host(ctx.mem, *root, &self.globals, a),
+                        |a| abstract_host(ctx.mem, *root, &self.globals, a),
+                    ),
+                    None => abstract_host(ctx.mem, *root, &self.globals, &mut anomalies),
+                });
                 Part::Host
             }
             ComponentView::Hyp { root } => {
-                state.pkvm = match cache {
+                state.pkvm = Some(match cache {
                     Some(cache) => {
                         let key = Component::Hyp;
-                        let served = self.serve(
+                        let pgt = self.serve(
                             key,
                             &mut anomalies,
                             &mut reports,
                             |a| cache.interp(ctx.mem, Stage::Stage1, *root, key, a),
                             |a| interpret_pgtable(ctx.mem, Stage::Stage1, *root, a),
                         );
-                        (handed, full) = (served.handed, served.full);
-                        served.value.map(|pgt| GhostPkvm { pgt })
+                        GhostPkvm { pgt }
                     }
-                    None => Some(abstract_hyp(ctx.mem, *root, &mut anomalies)),
-                };
+                    None => abstract_hyp(ctx.mem, *root, &mut anomalies),
+                });
                 Part::Pkvm
             }
             ComponentView::VmTable { vms, uniqs } => {
@@ -977,8 +958,7 @@ impl Oracle {
                 if let Some(cache) = cache {
                     // VM teardown is observed here: drop the interpretation
                     // of any handle no longer in the table, so a reused
-                    // handle never resurrects a stale entry. The back half
-                    // drops its mirrored copies when it applies this value.
+                    // handle never resurrects a stale entry.
                     cache.retain_vms(|h| v.iter().any(|&(live, _)| live == h));
                 }
                 state.vm_table = Some(v);
@@ -989,17 +969,14 @@ impl Oracle {
                 let vm = match cache {
                     Some(cache) => {
                         let (key, root) = (Component::Vm(view.handle), view.s2_root);
-                        let served = self.serve(
+                        let pgt = self.serve(
                             key,
                             &mut anomalies,
                             &mut reports,
                             |a| cache.interp(ctx.mem, Stage::Stage2, root, key, a),
                             |a| interpret_pgtable(ctx.mem, Stage::Stage2, root, a),
                         );
-                        (handed, full) = (served.handed, served.full);
-                        // A version-only table leaves `pgt` empty; the back
-                        // half fills it in.
-                        abstract_vm_with_pgt(view, served.value.unwrap_or_default())
+                        abstract_vm_with_pgt(view, pgt)
                     }
                     None => abstract_vm(ctx.mem, view, &mut anomalies),
                 };
@@ -1025,46 +1002,47 @@ impl Oracle {
             state,
             uniq,
             live,
-            handed,
-            full,
         };
         (value, reports)
     }
 
-    /// Serves one piece of `key`'s abstraction through the cache
-    /// (`incremental`). Under shadow validation the full computation also
-    /// runs: its anomalies must equal the cache's (a difference is
-    /// collected into `reports` as an oracle self-check violation) and are
-    /// the ones reported, and its piece travels along for the back half to
-    /// check the piece it ends up with against — carried or filled in from
-    /// its mirror — and to use instead. So a cache or mirror bug can never
-    /// mask (or fabricate) a hypervisor bug.
-    fn serve<T: Into<Piece>>(
+    /// Serves one abstraction of `key` through the cache (`incremental`).
+    /// Under shadow validation the full walk (`full`) also runs, and the
+    /// served value and anomalies must equal the full walk's: any
+    /// difference is collected into `reports` as one
+    /// [`Violation::ShadowDivergence`], and the full walk's value and
+    /// anomalies are the ones used. So a cache bug can never mask (or
+    /// fabricate) a hypervisor bug.
+    fn serve<T: Cached>(
         &self,
         key: Component,
         anomalies: &mut Vec<Anomaly>,
         reports: &mut Vec<Violation>,
-        incremental: impl FnOnce(&mut Vec<Anomaly>) -> Handoff<T>,
+        incremental: impl FnOnce(&mut Vec<Anomaly>) -> T,
         full: impl FnOnce(&mut Vec<Anomaly>) -> T,
-    ) -> ServedPiece<T> {
+    ) -> T {
         if !self.opts.shadow_validation {
-            return ServedPiece::new(incremental(anomalies), None);
+            return incremental(anomalies);
         }
         let mut inc_anomalies = Vec::new();
-        let handoff = incremental(&mut inc_anomalies);
+        let served = incremental(&mut inc_anomalies);
         let before = anomalies.len();
         let full = full(anomalies);
         let full_anomalies = &anomalies[before..];
-        if inc_anomalies != full_anomalies {
+        if served != full || inc_anomalies != full_anomalies {
+            let mut diff = T::divergence(&full, &served);
+            if inc_anomalies != full_anomalies {
+                diff.push_str(&format!(
+                    "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}\n"
+                ));
+            }
             reports.push(Violation::ShadowDivergence {
                 seq: None,
                 component: format!("{key:?}"),
-                diff: format!(
-                    "  anomalies: full {full_anomalies:?} vs incremental {inc_anomalies:?}\n"
-                ),
+                diff,
             });
         }
-        ServedPiece::new(handoff, Some(Box::new(full.into())))
+        full
     }
 
     /// The §4.4 non-interference check at an acquisition: the part must
@@ -1262,6 +1240,37 @@ fn divergence(
     out
 }
 
+/// What the cache serves for a component: the host's partition, or the
+/// interpretation of pKVM's or a VM's table.
+trait Cached: PartialEq {
+    /// What differs between the full walk's value and the served one, for
+    /// the shadow-divergence report ([`divergence`]).
+    fn divergence(full: &Self, served: &Self) -> String;
+}
+
+impl Cached for GhostHost {
+    fn divergence(full: &GhostHost, served: &GhostHost) -> String {
+        divergence(
+            &[
+                ("annot ", &full.annot, &served.annot),
+                ("shared ", &full.shared, &served.shared),
+            ],
+            &full.table_pages,
+            &served.table_pages,
+        )
+    }
+}
+
+impl Cached for AbstractPgtable {
+    fn divergence(full: &AbstractPgtable, served: &AbstractPgtable) -> String {
+        divergence(
+            &[("", &full.mapping, &served.mapping)],
+            &full.table_pages,
+            &served.table_pages,
+        )
+    }
+}
+
 /// The hook that records `event`, which keys its containment: an
 /// observation hook's name.
 fn observer(event: &Event) -> &'static str {
@@ -1283,191 +1292,14 @@ fn observer(event: &Event) -> &'static str {
 pub(crate) struct ComponentValue {
     /// Which component it is.
     part: Part,
-    /// A state holding only that component — less its cached [`Piece`]
-    /// while `handed` says the back half holds that already: then the
-    /// host is absent, or pKVM's, or the VM's `pgt` is empty.
+    /// A state holding only that component. A value the cache served
+    /// shares its mappings and table footprint with the cache's copy.
     state: GhostState,
     /// The VM's incarnation id ([`pkvm_hyp::vm::Vm::uniq`]), for a VM.
     uniq: u64,
     /// (handle, incarnation id) of every live VM, for the VM table, so the
     /// shared copy can detect handle reuse across a teardown.
     live: Vec<(Handle, u64)>,
-    /// How the cached piece travels.
-    handed: Handed,
-    /// Under shadow validation: the full walk's piece, which the back half
-    /// checks the piece it ends up with against, then uses instead.
-    /// Boxed: only validation runs carry one.
-    full: Option<Box<Piece>>,
-}
-
-/// How a component's cached [`Piece`] travels to the back half.
-///
-/// The cache versions the pieces it serves: every replay, full walk and
-/// new host partition takes a fresh version from one counter, and a clean
-/// hit keeps it, so one version always names one value. The cache also
-/// remembers, per component, whether it handed the current version over
-/// already. If it did, the back half received that value in an earlier
-/// message and kept it in its [`Mirror`] — messages reach the back half in
-/// the order the cache served them, because serving and dispatching are
-/// one step under the cache's lock — so the version alone says exactly
-/// which value to fill in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Handed {
-    /// Not served by the cache (the full-walk path, the VM table, an
-    /// anomalous or aliased state): `state` holds all of the value, and
-    /// the back half keeps nothing of it.
-    Uncached,
-    /// `state` carries a piece new to the back half, which mirrors it
-    /// under this version.
-    Carried(u64),
-    /// `state` lacks the piece: the back half's mirror holds it under
-    /// this version.
-    Mirrored(u64),
-}
-
-impl Handed {
-    fn of<T>(handoff: &Handoff<T>) -> Handed {
-        match (handoff.version, &handoff.value) {
-            (0, _) => Handed::Uncached,
-            (version, Some(_)) => Handed::Carried(version),
-            (version, None) => Handed::Mirrored(version),
-        }
-    }
-}
-
-/// The part of a component's abstraction that the cache serves and the
-/// back half mirrors: the host's partition, or the interpretation of
-/// pKVM's or a VM's table.
-#[derive(Clone, Debug, PartialEq)]
-enum Piece {
-    Host(GhostHost),
-    Pgt(AbstractPgtable),
-}
-
-impl From<GhostHost> for Piece {
-    fn from(host: GhostHost) -> Piece {
-        Piece::Host(host)
-    }
-}
-
-impl From<AbstractPgtable> for Piece {
-    fn from(pgt: AbstractPgtable) -> Piece {
-        Piece::Pgt(pgt)
-    }
-}
-
-impl Piece {
-    /// `part`'s piece of `state`, if `state` holds one.
-    fn of(state: &GhostState, part: Part) -> Option<Piece> {
-        match part {
-            Part::Host => state.host.clone().map(Piece::Host),
-            Part::Pkvm => state.pkvm.as_ref().map(|p| Piece::Pgt(p.pgt.clone())),
-            Part::Vm(h) => state.vms.get(&h).map(|vm| Piece::Pgt(vm.pgt.clone())),
-            Part::VmTable | Part::Locals(_) => None,
-        }
-    }
-
-    /// Makes this `part`'s piece of `state` (whose VM, for a VM part, is
-    /// there already).
-    fn install(self, state: &mut GhostState, part: Part) {
-        match (self, part) {
-            (Piece::Host(host), Part::Host) => state.host = Some(host),
-            (Piece::Pgt(pgt), Part::Pkvm) => state.pkvm = Some(GhostPkvm { pgt }),
-            (Piece::Pgt(pgt), Part::Vm(h)) => {
-                if let Some(vm) = state.vms.get_mut(&h) {
-                    vm.pgt = pgt;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// What differs between the full walk's piece and the served one, for
-    /// the shadow-divergence report.
-    fn divergence(full: &Piece, served: &Piece) -> String {
-        let diff = match (full, served) {
-            (Piece::Host(f), Piece::Host(s)) => divergence(
-                &[
-                    ("annot ", &f.annot, &s.annot),
-                    ("shared ", &f.shared, &s.shared),
-                ],
-                &f.table_pages,
-                &s.table_pages,
-            ),
-            (Piece::Pgt(f), Piece::Pgt(s)) => divergence(
-                &[("", &f.mapping, &s.mapping)],
-                &f.table_pages,
-                &s.table_pages,
-            ),
-            _ => String::from("  pieces of different kinds\n"),
-        };
-        if diff.is_empty() {
-            String::from("  (states compare equal after the fact; transient divergence)\n")
-        } else {
-            diff
-        }
-    }
-}
-
-/// A piece as the front half hands it on: the cache's value (`None`: the
-/// back half holds it), how it travels, and under shadow validation the
-/// full walk's piece.
-struct ServedPiece<T> {
-    value: Option<T>,
-    handed: Handed,
-    full: Option<Box<Piece>>,
-}
-
-impl<T> ServedPiece<T> {
-    fn new(handoff: Handoff<T>, full: Option<Box<Piece>>) -> ServedPiece<T> {
-        ServedPiece {
-            handed: Handed::of(&handoff),
-            value: handoff.value,
-            full,
-        }
-    }
-}
-
-/// The back half's copy of the last cached piece it received for each
-/// component, under the version it came with ([`Handed`]). It holds
-/// values the shared copy and the trap records mostly hold as well: the
-/// copies share storage.
-#[derive(Default)]
-struct Mirror(HashMap<Part, (u64, Piece)>);
-
-impl Mirror {
-    /// Completes `value`'s piece: a carried piece becomes the component's
-    /// mirrored one, a version-only value is filled in from the mirror,
-    /// and an uncached value drops the component's (stale) entry. A VM
-    /// table drops the entries of every VM it no longer lists, as the
-    /// cache did when it served the table. `Err(version)`: the mirror
-    /// holds no such version, and `value` lacks its piece.
-    fn fill(&mut self, value: &mut ComponentValue) -> Result<(), u64> {
-        let part = value.part;
-        match value.handed {
-            Handed::Uncached => {
-                if let Some(vms) = &value.state.vm_table {
-                    self.0.retain(|part, _| match part {
-                        Part::Vm(h) => vms.iter().any(|&(live, _)| live == *h),
-                        _ => true,
-                    });
-                }
-                self.0.remove(&part);
-            }
-            Handed::Carried(version) => {
-                if let Some(piece) = Piece::of(&value.state, part) {
-                    self.0.insert(part, (version, piece));
-                }
-            }
-            Handed::Mirrored(version) => match self.0.get(&part) {
-                Some((held, piece)) if *held == version => {
-                    piece.clone().install(&mut value.state, part);
-                }
-                _ => return Err(version),
-            },
-        }
-        Ok(())
-    }
 }
 
 impl Oracle {
@@ -1690,8 +1522,7 @@ impl Oracle {
     /// Back half of both lock hooks: records the component's value into
     /// the shared copy and the running trap's pre- (`acquired`) or
     /// post-state, after its quarantine decision. A benched component's
-    /// value only passes through the mirror, so later version-only values
-    /// resolve, and is discarded with its reports. Recovery re-seeds the
+    /// value is discarded with its reports. Recovery re-seeds the
     /// shared copy from this full abstraction: the component's state while
     /// benched is unknown, so an acquisition skips the non-interference
     /// comparison exactly once; a release *is* such a pass.
@@ -1699,17 +1530,15 @@ impl Oracle {
         &self,
         cpu: usize,
         trap: Option<u64>,
-        mut value: ComponentValue,
+        value: ComponentValue,
         reports: Vec<Violation>,
         acquired: bool,
     ) {
         let part = value.part;
         let disposition = self.admit(cpu, trap, part);
         if disposition == Disposition::Skip {
-            let _ = self.mirror.lock().fill(&mut value);
             return;
         }
-        self.complete(cpu, trap, &mut value);
         if !reports.is_empty() {
             self.report_all_at(cpu, trap, reports);
         }
@@ -1755,45 +1584,6 @@ impl Oracle {
             drop(rec);
             self.shared.lock().set(&value);
         }
-    }
-
-    /// Completes a lock event's value before anything else of the back
-    /// half reads it ([`Mirror::fill`]). Under shadow validation the piece
-    /// it ends up with must equal the full walk's (a difference is
-    /// reported as a [`Violation::ShadowDivergence`]), and the full walk's
-    /// is used.
-    fn complete(&self, cpu: usize, trap: Option<u64>, value: &mut ComponentValue) {
-        let filled = self.mirror.lock().fill(value);
-        let part = value.part;
-        let Some(full) = value.full.take() else {
-            if let Err(version) = filled {
-                panic!("the back half holds no version {version} of {part}");
-            }
-            return;
-        };
-        let served = filled.ok().and_then(|()| Piece::of(&value.state, part));
-        if served.as_ref() != Some(&*full) {
-            let diff = match &served {
-                Some(served) => Piece::divergence(&full, served),
-                None => format!(
-                    "  the back half holds no piece of version {:?}\n",
-                    value.handed
-                ),
-            };
-            let component = part
-                .component()
-                .map_or_else(|| part.to_string(), |c| format!("{c:?}"));
-            self.report_at(
-                cpu,
-                trap,
-                Violation::ShadowDivergence {
-                    seq: None,
-                    component,
-                    diff,
-                },
-            );
-        }
-        full.install(&mut value.state, part);
     }
 
     /// Runs `f` over every tracker, in list order, and reports what they
@@ -2185,8 +1975,6 @@ mod tests {
             },
             uniq: 0,
             live: live.to_vec(),
-            handed: Handed::Uncached,
-            full: None,
         }
     }
 
@@ -2200,8 +1988,6 @@ mod tests {
             state,
             uniq,
             live: Vec::new(),
-            handed: Handed::Uncached,
-            full: None,
         }
     }
 
@@ -2664,30 +2450,114 @@ mod tests {
             mem.write_pte(root, 0, Pte(0)).unwrap();
             let opts = OracleOpts::builder().check_mode(mode).build();
             let o = Oracle::new(&MachineConfig::default(), opts);
-            let version_only = || o.cache_stats().version_only;
             o.lock_acquired(&ctx, Component::Host, &view);
             // The critical section changes the table; its release step
             // serves the replayed value, then panics before handing it over.
             mem.write_pte(root, 0, annotation_pte(OwnerId::HYP))
                 .unwrap();
             o.guarded(0, None, QuarantineKey::Part(Part::Host), || {
-                let served = o
-                    .abscache
+                o.abscache
                     .lock()
                     .host(&mem, root, &o.globals, &mut Vec::new());
-                assert!(served.value.is_some());
                 panic!("between serving and handing over");
             });
-            // The release carries the value the back half never received...
+            // The release and the next acquisition carry the value the
+            // back half never received, and find nothing wrong with it.
             o.lock_releasing(&ctx, Component::Host, &view);
-            assert_eq!(version_only(), 0, "{mode:?}");
-            // ...so the next acquisition can travel as its version.
             o.lock_acquired(&ctx, Component::Host, &view);
-            assert_eq!(version_only(), 1, "{mode:?}");
             let vs = o.verdict().wait().violations();
             let kinds: Vec<&str> = vs.iter().map(Violation::kind).collect();
             assert_eq!(kinds, ["oracle-internal"], "{mode:?}: {vs:?}");
         }
+    }
+
+    #[test]
+    fn shadow_validation_reports_what_the_cache_got_wrong_and_uses_the_full_walk() {
+        let o = Oracle::new(
+            &MachineConfig::default(),
+            OracleOpts::builder().shadow_validation(true).build(),
+        );
+        let annotated = |ia| Maplet {
+            ia,
+            nr_pages: 1,
+            target: MapletTarget::Annotated {
+                owner: pkvm_hyp::owner::OwnerId::HYP,
+            },
+        };
+        // Equal values that share no storage, so the test can tell which
+        // of the two `serve` returned.
+        let pgt = |maplets: &[Maplet]| {
+            let mut pgt = AbstractPgtable::default();
+            for &m in maplets {
+                pgt.mapping.insert_new(m);
+            }
+            pgt
+        };
+        let (kept, lost) = (annotated(0x4000_0000), annotated(0x4000_2000));
+        let anomaly = || Anomaly::IllegalPageState { ia: 0x4000_0000 };
+        // What `serve` returns, the anomalies it passes on and the shadow
+        // divergences it reports, given the cache's and the full walk's
+        // results (each a value and its anomalies).
+        let serve = |key, inc: (AbstractPgtable, Vec<Anomaly>), full: (AbstractPgtable, _)| {
+            let (mut anomalies, mut reports) = (Vec::new(), Vec::new());
+            let value = o.serve(
+                key,
+                &mut anomalies,
+                &mut reports,
+                |a| {
+                    a.extend(inc.1);
+                    inc.0
+                },
+                |a| {
+                    a.extend(full.1);
+                    full.0
+                },
+            );
+            let diffs: Vec<(String, String)> = reports
+                .into_iter()
+                .map(|v| match v {
+                    Violation::ShadowDivergence {
+                        component, diff, ..
+                    } => (component, diff),
+                    v => panic!("not a shadow divergence: {v:?}"),
+                })
+                .collect();
+            (value, anomalies, diffs)
+        };
+
+        // The cache lost a maplet.
+        let full = pgt(&[kept, lost]);
+        let (value, _, diffs) = serve(
+            Component::Hyp,
+            (pgt(&[kept]), vec![]),
+            (full.clone(), vec![]),
+        );
+        assert!(value.mapping.shares_storage(&full.mapping));
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].0, "Hyp");
+        assert_eq!(diffs[0].1, format!("  full only: {lost:?}\n"));
+
+        // The cache missed an anomaly.
+        let full = pgt(&[kept]);
+        let inc = (pgt(&[kept]), vec![]);
+        let (value, anomalies, diffs) =
+            serve(Component::Vm(0x1000), inc, (full.clone(), vec![anomaly()]));
+        assert!(value.mapping.shares_storage(&full.mapping));
+        assert_eq!(anomalies, [anomaly()]);
+        assert_eq!(diffs.len(), 1, "{diffs:?}");
+        assert_eq!(diffs[0].0, "Vm(4096)");
+        assert_eq!(
+            diffs[0].1,
+            format!("  anomalies: full [{:?}] vs incremental []\n", anomaly())
+        );
+
+        // The two agree.
+        let full = pgt(&[kept, lost]);
+        let inc = (pgt(&[kept, lost]), vec![anomaly()]);
+        let (value, anomalies, diffs) = serve(Component::Hyp, inc, (full.clone(), vec![anomaly()]));
+        assert!(value.mapping.shares_storage(&full.mapping));
+        assert_eq!(anomalies, [anomaly()]);
+        assert!(diffs.is_empty(), "{diffs:?}");
     }
 
     fn bbm_violations(o: &Oracle) -> Vec<Violation> {
@@ -2873,8 +2743,6 @@ mod tests {
                 },
                 uniq: 0,
                 live: Vec::new(),
-                handed: Handed::Uncached,
-                full: None,
             },
             reports: Vec::new(),
         });

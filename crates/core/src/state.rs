@@ -220,20 +220,6 @@ impl From<Component> for Part {
     }
 }
 
-impl Part {
-    /// The hypervisor lock that protects this part (`None` for the
-    /// per-CPU locals, which no lock protects).
-    pub fn component(self) -> Option<Component> {
-        match self {
-            Part::Host => Some(Component::Host),
-            Part::Pkvm => Some(Component::Hyp),
-            Part::VmTable => Some(Component::VmTable),
-            Part::Vm(h) => Some(Component::Vm(h)),
-            Part::Locals(_) => None,
-        }
-    }
-}
-
 impl fmt::Display for Part {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -507,15 +493,6 @@ mod tests {
         .map(|c| Part::from(c).to_string())
         .collect();
         assert_eq!(locked, ["host", "pkvm", "vm_table", "vm[4096]"]);
-        for comp in [
-            Component::Host,
-            Component::Hyp,
-            Component::VmTable,
-            Component::Vm(0x1000),
-        ] {
-            assert_eq!(Part::from(comp).component(), Some(comp));
-        }
-        assert_eq!(Part::Locals(1).component(), None);
     }
 
     #[test]

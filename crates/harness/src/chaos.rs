@@ -42,7 +42,7 @@ use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE};
 use pkvm_aarch64::sync::Mutex;
 use pkvm_aarch64::tlb::{RemoteDelivery, TlbInvalidationPolicy, TlbiScope};
 use pkvm_aarch64::{Esr, GprFile};
-use pkvm_ghost::event::{ChaosKind, Event, EventSink, EventStream};
+use pkvm_ghost::event::{ChaosKind, Event, EventStream};
 use pkvm_hyp::faults::{Fault, FaultSet};
 use pkvm_hyp::hooks::{Component, ComponentView, GhostHooks, HookCtx, TransferEdge, VcpuView};
 use pkvm_hyp::vm::Handle;

@@ -281,12 +281,9 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// The machine-checkable verdict line the CI gate compares across
-    /// processes (same shape as the fuzz gate's `corpus-verdict:`).
+    /// processes ([`verdict_line`]).
     pub fn verdict_line(&self) -> String {
-        format!(
-            "fleet-verdict: {} seeds {:016x}",
-            self.replay_seeds, self.replay_digest
-        )
+        verdict_line(self.replay_seeds, self.replay_digest)
     }
 
     /// One-paragraph human summary.
@@ -307,6 +304,15 @@ impl FleetReport {
         let _ = writeln!(out, "{}", self.verdict_line());
         out
     }
+}
+
+/// The `fleet-verdict:` line of a merged corpus of `seeds` seeds whose
+/// replay verdicts fold to `digest` ([`fuzz::replay_digest`]): the one
+/// formatter for the line that the gate prints and that a second process
+/// verifying the same corpus must reproduce (same shape as the fuzz
+/// gate's `corpus-verdict:`).
+pub fn verdict_line(seeds: usize, digest: u64) -> String {
+    format!("fleet-verdict: {seeds} seeds {digest:016x}")
 }
 
 /// Derives a worker round's fuzzing seed from (fleet seed, shard,

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use pkvm_aarch64::addr::{PhysAddr, PAGE_SIZE};
 use pkvm_aarch64::sync::Mutex;
 use pkvm_aarch64::walk::Access;
-use pkvm_ghost::event::{ChaosKind, Event, EventSink, EventStream};
+use pkvm_ghost::event::{ChaosKind, Event, EventStream};
 use pkvm_ghost::oracle::{Oracle, OracleOpts};
 use pkvm_ghost::{CheckMode, Verdict, Violation};
 use pkvm_hyp::error::Errno;

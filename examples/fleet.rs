@@ -197,6 +197,6 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     };
     let merged = fleet::FleetDirs::new(root).merged_dir();
     let (seeds, digest) = fuzz::replay_digest(&merged);
-    println!("fleet-verdict: {seeds} seeds {digest:016x}");
+    println!("{}", fleet::verdict_line(seeds, digest));
     ExitCode::SUCCESS
 }
